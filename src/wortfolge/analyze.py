@@ -7,11 +7,16 @@ is inherently non-rhematic: a personal pronoun or a lexically non-rhematic
 modifier).  Verbs never participate: their placement is fixed and they are
 never recognized as rhemes.
 
-Grammaticality is decided by search: an order is grammatical iff some tag
-assignment realizes it, and marked iff every such assignment involves focus.
+An order is grammatical iff some tag assignment realizes it, and marked iff
+every such assignment involves focus.  Analysis runs the generator backwards
+without generating: the clause is compiled once into the slot keys of every
+constituent under every tag, and an assignment realizes the observed order iff
+no linear-precedence statement is violated (the ID/LP reading of the slot
+table): its theme is admissible, in V2 the Vorfeld rule admits the first
+element, and the Mittelfeld keys strictly increase along the observed order.
 Two marked constructions are additionally detected directly (a typically
 rhematic element in the Vorfeld, and a pronoun to the right of a modifier);
-the detections must agree with the search and are reported alongside it.
+the detections must agree with the key check and are reported alongside it.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from .linearize import (
     MAX_SEARCH_CONSTITUENTS,
     SurfaceOrder,
     TagAssignment,
-    iter_assignments,
-    realizations,
+    CompiledClause,
 )
 from .slots import NoSlotError, SlotTable, build_slot_table, sort_key, typically_rhematic
 
@@ -111,28 +115,42 @@ def explain_order(
 ) -> tuple[TagAssignment, ...]:
     """Every tag assignment whose realizations include the observed order.
 
+    Assignments come in :func:`iter_assignments` order, each checked against
+    the clause compiled once (see :meth:`CompiledClause.realizes_input_order`).
     An empty result means the order is ungrammatical.  Stress marks, when
     present, are hard constraints: an explanation must put FOCUS exactly on
-    the marked constituents.
+    the marked constituents, so marks no assignment can carry (an unknown id,
+    two ids) explain nothing and the clause is not even validated.
     """
-    if len(obs.constituents) > MAX_SEARCH_CONSTITUENTS:
+    n = len(obs.constituents)
+    if n > MAX_SEARCH_CONSTITUENTS:
         raise ValueError(
-            f"clause has {len(obs.constituents)} constituents; "
+            f"clause has {n} constituents; "
             f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}"
         )
-    table = table or build_slot_table()
-    spec = spec_of(obs)
-    target = obs.order
+    ids = obs.order
+    if not obs.stress:
+        fixed = {}
+    elif len(obs.stress) == 1 and obs.stress <= set(ids):
+        fixed = {next(iter(obs.stress)): Tag.FOCUS}
+    else:
+        return ()
+    clause = CompiledClause(spec_of(obs), fixed, lex, table or build_slot_table())
+    # Skipping carriers that can license nothing keeps iter_assignments order.
+    themes = [None, *clause.carriers(Tag.THEME)]
+    rhemes = [None, *clause.carriers(Tag.RHEME)]
+    focuses = [ids.index(cid) for cid in fixed] if fixed else [None, *clause.carriers(Tag.FOCUS)]
     out = []
-    for tags in iter_assignments(spec):
-        if obs.stress:
-            focused = {cid for cid, t in tags.items() if t is Tag.FOCUS}
-            if focused != set(obs.stress):
+    for theme in themes:
+        for rheme in rhemes:
+            if rheme is not None and rheme == theme:
                 continue
-        for surface in realizations(spec, tags, lex, table):
-            if surface.order == target:
-                out.append(dict(tags))
-                break
+            for focus in focuses:
+                if focus is not None and focus in (theme, rheme):
+                    continue
+                if clause.realizes_input_order(theme, rheme, focus):
+                    carriers = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
+                    out.append({ids[i]: tag for i, tag in carriers if i is not None})
     return tuple(out)
 
 

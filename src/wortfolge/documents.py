@@ -66,12 +66,17 @@ def _parse_features(raw, where) -> FeatureBundle:
         return FeatureBundle()
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: features must be an object")
+    flags = {}
+    for flag in ("pronominal", "svc"):
+        value = raw.get(flag, False)
+        if not isinstance(value, bool):
+            raise DocumentError(f"{where}: {flag} must be true or false")
+        flags[flag] = value
     try:
         return FeatureBundle(
             definite=raw.get("definite", NA),
             animate=raw.get("animate", NA),
-            pronominal=bool(raw.get("pronominal", False)),
-            svc=bool(raw.get("svc", False)),
+            **flags,
         )
     except ValueError as err:
         raise DocumentError(f"{where}: {err}") from None
@@ -79,6 +84,8 @@ def _parse_features(raw, where) -> FeatureBundle:
 
 def _parse_constituent(raw, where) -> Constituent:
     cid = _require(raw, "id", where, str)
+    if not cid:
+        raise DocumentError(f"{where}: id must not be empty")
     where = f"{where}({cid})"
     raw_category = _require(raw, "category", where, str)
     try:
@@ -89,7 +96,7 @@ def _parse_constituent(raw, where) -> Constituent:
     if not all(isinstance(tok, str) for tok in surface):
         raise DocumentError(f"{where}: surface tokens must be strings")
     hoberg = raw.get("hoberg_index")
-    if hoberg is not None and not isinstance(hoberg, int):
+    if hoberg is not None and (not isinstance(hoberg, int) or isinstance(hoberg, bool)):
         raise DocumentError(f"{where}: hoberg_index must be an integer")
     lexicon_key = raw.get("lexicon_key")
     if lexicon_key is not None and not isinstance(lexicon_key, str):
@@ -107,8 +114,9 @@ def _parse_constituent(raw, where) -> Constituent:
 def _parse_verb(raw, where) -> VerbComplex:
     finite = _require(raw, "finite", where, list)
     nonfinite = raw.get("nonfinite", [])
-    if not isinstance(nonfinite, list):
-        raise DocumentError(f"{where}.nonfinite: must be a list")
+    for name, tokens in (("finite", finite), ("nonfinite", nonfinite)):
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+            raise DocumentError(f"{where}.{name}: must be a list of strings")
     return VerbComplex(finite=tuple(finite), nonfinite=tuple(nonfinite))
 
 
@@ -146,6 +154,8 @@ def parse_observed(raw, where="observed") -> ObservedClause:
         raise DocumentError(f"{where}.stress: must be a list of constituent ids")
     known = {c.id for c in constituents}
     for cid in stress:
+        if not isinstance(cid, str):
+            raise DocumentError(f"{where}.stress: entries must be constituent ids, got {cid!r}")
         if cid not in known:
             raise DocumentError(f"{where}.stress: unknown constituent id {cid!r}")
     return ObservedClause(

@@ -5,11 +5,13 @@ constituent moves into the Vorfeld (the theme if there is one, otherwise the
 subject); the verb positions are fixed by clause type.
 
 :func:`linearize` is the deterministic generator.  :func:`realizations`
-exposes the slightly wider realization relation the analyzer searches over:
-it additionally admits the two marked constructions an observed sentence may
-exhibit, namely a focused constituent fronted into the Vorfeld and a focused
-constituent surfacing in the late (general) focus slot instead of the early
-one.  Every output of ``linearize`` is among the ``realizations`` outputs.
+exposes the slightly wider realization relation: it additionally admits the
+two marked constructions an observed sentence may exhibit, namely a focused
+constituent fronted into the Vorfeld and a focused constituent surfacing in
+the late (general) focus slot instead of the early one.  Every output of
+``linearize`` is among the ``realizations`` outputs.  :class:`CompiledClause`
+decides the same relation backwards, for one given order, which is what the
+analyzer asks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .clause import ClauseSpec, ClauseType, Constituent, Tag, validate_clause
+from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, validate_clause
 from .lexicon import Lexicon
 from .slots import NoSlotError, SlotTable, SortKey, all_sort_keys, build_slot_table, check_cooccurrence, sort_key, typically_rhematic
 
@@ -77,6 +79,20 @@ def check_assignment(spec: ClauseSpec, tags: TagAssignment) -> list[str]:
         if len(carriers) > 1:
             violations.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carriers))}")
     return violations
+
+
+def _check_clause(spec: ClauseSpec, tagged_spec: ClauseSpec, table: SlotTable):
+    """Raise for a clause no assignment can order.
+
+    Cooccurrence violations (slash groups, tag cardinality) outrank other
+    spec defects: they carry their own error class and exit code.
+    """
+    cooccurrence = check_cooccurrence(table, tagged_spec)
+    if cooccurrence:
+        raise CooccurrenceViolation(cooccurrence)
+    spec_violations = validate_clause(spec)
+    if spec_violations:
+        raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
 
 
 def _apply_tags(spec: ClauseSpec, tags: TagAssignment) -> ClauseSpec:
@@ -214,14 +230,7 @@ def linearize(
     """
     table = table or build_slot_table()
     tagged_spec = _apply_tags(spec, tags)
-    # Cooccurrence violations (slash groups, tag cardinality) outrank other
-    # spec defects: they carry their own error class and exit code.
-    cooccurrence = check_cooccurrence(table, tagged_spec)
-    if cooccurrence:
-        raise CooccurrenceViolation(cooccurrence)
-    spec_violations = validate_clause(spec)
-    if spec_violations:
-        raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
+    _check_clause(spec, tagged_spec, table)
     assignment_violations = check_assignment(spec, tags)
     if assignment_violations:
         raise ValueError("invalid assignment: " + "; ".join(assignment_violations))
@@ -258,12 +267,7 @@ def realizations(
     """
     table = table or build_slot_table()
     tagged_spec = _apply_tags(spec, tags)
-    cooccurrence = check_cooccurrence(table, tagged_spec)
-    if cooccurrence:
-        raise CooccurrenceViolation(cooccurrence)
-    spec_violations = validate_clause(spec)
-    if spec_violations:
-        raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
+    _check_clause(spec, tagged_spec, table)
     if check_assignment(spec, tags):
         return []
     try:
@@ -315,6 +319,114 @@ def realizations(
                 seen.add(surface.order)
                 results.append(surface)
     return results
+
+
+#: The taggings :class:`CompiledClause` keys every constituent under, in
+#: column order of :attr:`CompiledClause.keys`.
+KEY_TAGS = (None, Tag.THEME, Tag.RHEME, Tag.FOCUS)
+
+
+class CompiledClause:
+    """An untagged clause, validated once, with every slot key precomputed.
+
+    ``keys[i][j]`` holds the :func:`all_sort_keys` of the constituent with
+    input ordinal ``i`` under ``KEY_TAGS[j]``, as plain tuples (which order
+    like :class:`SortKey`), or None where that tagging has no slot.
+    Assignments are given as input ordinals of the theme, rheme and focus
+    carriers, None for an absent tag.
+
+    An invalid clause raises what ``realizations(spec, tags)`` raises;
+    ``tags`` matters only to the cooccurrence message of a clause with
+    duplicate ids.  An unresolved lexicon key raises ``KeyError``.
+    """
+
+    # A plain class: creating a dataclass takes milliseconds at import, more
+    # than a whole analysis.
+    __slots__ = ("clause_type", "keys", "vorfeld_capable", "typically_rhematic", "subject")
+
+    def __init__(self, spec: ClauseSpec, tags: TagAssignment, lex: Lexicon, table: SlotTable):
+        _check_clause(spec, _apply_tags(spec, tags), table)
+        keys = []
+        for ordinal, c in enumerate(spec.constituents):
+            row = []
+            for tag in KEY_TAGS:
+                try:
+                    found = all_sort_keys(table, c, ordinal, tag=tag, lex=lex)
+                except NoSlotError:
+                    row.append(None)
+                    continue
+                row.append(tuple((k.slot, k.sub_rank, k.hoberg, k.input_ordinal) for k in found))
+            keys.append(tuple(row))
+        self.clause_type = spec.clause_type
+        self.keys = tuple(keys)
+        self.vorfeld_capable = tuple(vorfeld_capable(c, lex) for c in spec.constituents)
+        self.typically_rhematic = tuple(typically_rhematic(table, c) for c in spec.constituents)
+        self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)
+
+    def carriers(self, tag: Tag) -> list[int]:
+        """Input ordinals that may carry the tag, in input order.
+
+        Outside the V2 Vorfeld a carrier needs a slot for its tag.  The
+        Vorfeld (ordinal 0) needs none, and in V2 it is the only place a
+        theme can stand.
+        """
+        column = KEY_TAGS.index(tag)
+        v2 = self.clause_type is ClauseType.V2
+        return [
+            i
+            for i, row in enumerate(self.keys)
+            if (v2 and i == 0) or (row[column] is not None and not (v2 and tag is Tag.THEME))
+        ]
+
+    def _vorfeld_pick(self, rheme: int | None, focus: int | None) -> int | None:
+        """:func:`select_vorfeld` for an assignment without a theme."""
+        if self.subject is not None and self.subject != rheme:
+            return self.subject
+        best = None
+        for i, row in enumerate(self.keys):
+            if i == rheme or not self.vorfeld_capable[i]:
+                continue
+            keys = row[3] if i == focus else row[0]
+            if keys is not None and (best is None or keys[0] < best[0]):
+                best = (keys[0], i)
+        return None if best is None else best[1]
+
+    def realizes_input_order(self, theme: int | None, rheme: int | None, focus: int | None) -> bool:
+        """Whether :func:`realizations` of the assignment include the input order.
+
+        The generator run backwards, as a linear-precedence check: the theme
+        must be admissible, in V2 the Vorfeld rule must admit the first
+        constituent, and the Mittelfeld keys must strictly increase in input
+        order.  Keys are unique because they end in the input ordinal; a focus
+        carrier takes the first of its keys (table order ascends) above its
+        predecessor's, which leaves the most room for the rest.
+        """
+        if theme is not None and self.typically_rhematic[theme]:
+            return False
+        start = 0
+        if self.clause_type is ClauseType.V2:
+            if not self.keys:
+                return False
+            if theme is not None:
+                opens = theme == 0 and self.vorfeld_capable[0]
+            else:
+                opens = (focus == 0 and self.vorfeld_capable[0]) or self._vorfeld_pick(rheme, focus) == 0
+            if not opens:
+                return False
+            start = 1
+        prev = ()
+        for i in range(start, len(self.keys)):
+            column = 1 if i == theme else 2 if i == rheme else 3 if i == focus else 0
+            keys = self.keys[i][column]
+            if keys is None:
+                return False
+            for key in keys:
+                if key > prev:
+                    break
+            else:
+                return False
+            prev = key
+        return True
 
 
 def iter_assignments(spec: ClauseSpec):

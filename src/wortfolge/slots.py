@@ -126,9 +126,6 @@ class SlotTable:
             raise SlotTableError(f"expected exactly one {tag.value} slot")
         return slots[0]
 
-    def matching_patterns(self, c: Constituent, tag: Tag | None):
-        return [p for p in self.patterns if p.matches(c, tag)]
-
 
 def _parse_features(raw: str, lineno: int):
     """Parse the feature mini-notation into (definite, animate, pron, svc)."""

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wortfolge import Tag
+from wortfolge.cli import EXIT_INPUT, main
 from wortfolge.documents import (
     DocumentError,
     Mode,
@@ -118,3 +119,44 @@ def test_verify_lexicon_keys(lex):
     assert verify_lexicon_keys([ok], lex) == []
     assert any("bald" in p for p in verify_lexicon_keys([unresolved], lex))
     assert any("contradicts" in p for p in verify_lexicon_keys([mismatched], lex))
+
+
+def _analyze_doc(**edits):
+    observed = json.loads(json.dumps(CLAUSE_JSON))
+    for path, value in edits.items():
+        target = observed
+        *parents, leaf = path.split(".")
+        for step in parents:
+            target = target[int(step)] if isinstance(target, list) else target[step]
+        target[leaf] = value
+    return {"schema_version": "1", "mode": "ANALYZE", "payload": {"observed": observed}}
+
+
+def _generate_doc(**edits):
+    clause = _analyze_doc(**edits)["payload"]["observed"]
+    return {"schema_version": "1", "mode": "GENERATE", "payload": {"clause": clause, "tags": {}}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("analyze", _analyze_doc(stress=[["ich"]]), "stress: entries must be constituent ids"),
+        ("analyze", _analyze_doc(**{"verb.finite": [1]}), "verb.finite: must be a list of strings"),
+        ("generate", _generate_doc(**{"verb.finite": [1]}), "verb.finite: must be a list of strings"),
+        ("generate", _generate_doc(**{"verb.nonfinite": [None]}), "verb.nonfinite: must be a list of strings"),
+        ("analyze", _analyze_doc(**{"constituents.0.features": {"pronominal": "no"}}), "pronominal must be true or false"),
+        ("generate", _generate_doc(**{"constituents.0.features": {"pronominal": True, "svc": "no"}}), "svc must be true or false"),
+        ("analyze", _analyze_doc(**{"constituents.2.hoberg_index": True}), "hoberg_index must be an integer"),
+        ("generate", _generate_doc(**{"constituents.1.id": ""}), "id must not be empty"),
+    ],
+    ids=["stress-entry", "finite-token-analyze", "finite-token-generate", "nonfinite-token",
+         "pronominal-string", "svc-string", "hoberg-bool", "empty-id"],
+)
+def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    flag = "--observed" if command == "analyze" else "--clause"
+    assert main([command, flag, str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
