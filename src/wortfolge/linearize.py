@@ -4,14 +4,16 @@ The Mittelfeld is ordered by the canonical slot table; in V2 clauses one
 constituent moves into the Vorfeld (the theme if there is one, otherwise the
 subject); the verb positions are fixed by clause type.
 
-:func:`linearize` is the deterministic generator.  :func:`realizations`
-exposes the slightly wider realization relation: it additionally admits the
-two marked constructions an observed sentence may exhibit, namely a focused
-constituent fronted into the Vorfeld and a focused constituent surfacing in
-the late (general) focus slot instead of the early one.  Every output of
-``linearize`` is among the ``realizations`` outputs.  :class:`CompiledClause`
-decides the same relation backwards, for one given order, which is what the
-analyzer asks.
+:func:`linearize` is the deterministic generator.  The realization relation
+is slightly wider: it additionally admits the two marked constructions an
+observed sentence may exhibit, namely a focused constituent fronted into the
+Vorfeld and a focused constituent surfacing in the late (general) focus slot
+instead of the early one.  Every output of ``linearize`` is among its
+realizations.  The relation has one implementation, :class:`CompiledClause`:
+the clause is validated and keyed under every tag once, then used forwards
+(:meth:`CompiledClause.realize`, behind :func:`realizations` and
+:func:`enumerate_orders`) and backwards, for one given order
+(:meth:`CompiledClause.realizes_input_order`, behind the analyzer).
 """
 
 from __future__ import annotations
@@ -164,9 +166,10 @@ def _render(
     spec: ClauseSpec,
     ordered: list[Constituent],
     vorfeld: Constituent | None,
+    focus: str | None,
 ) -> tuple[str, ...]:
     def emit(c: Constituent):
-        if c.tag is Tag.FOCUS:
+        if c.id == focus:
             return tuple(tok.upper() for tok in c.surface)
         return c.surface
 
@@ -204,15 +207,23 @@ def _sorted_mittelfeld(tagged_spec, exclude_id, lex, table):
     return keyed
 
 
-def _build_surface(spec, tagged_spec, keyed, vorfeld: Constituent | None) -> SurfaceOrder:
+def _build_surface(spec, keyed, vorfeld: Constituent | None, focus: str | None) -> SurfaceOrder:
+    """The surface of sorted ``(key, constituent)`` pairs; ``focus`` is rendered in caps."""
     ordered = [c for _, c in keyed]
     return SurfaceOrder(
         clause_type=spec.clause_type,
         vorfeld=vorfeld.id if vorfeld is not None else None,
         mittelfeld=tuple(c.id for c in ordered),
-        rendered=_render(tagged_spec, ordered, vorfeld),
+        rendered=_render(spec, ordered, vorfeld, focus),
         keys=tuple((c.id, key) for key, c in keyed),
     )
+
+
+def _realized_surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
+    """The surface of one :meth:`CompiledClause.realize` result, from the untagged clause."""
+    cs = spec.constituents
+    keyed = [(SortKey(*key), cs[key[3]]) for key in keys]
+    return _build_surface(spec, keyed, None if vorfeld is None else cs[vorfeld], None if focus is None else cs[focus].id)
 
 
 def linearize(
@@ -235,6 +246,7 @@ def linearize(
     if assignment_violations:
         raise ValueError("invalid assignment: " + "; ".join(assignment_violations))
     _check_theme_admissible(tagged_spec, table)
+    focus = next((cid for cid, tag in tags.items() if tag is Tag.FOCUS), None)
 
     if spec.clause_type is ClauseType.V2:
         vorfeld_id = select_vorfeld(spec, tags, lex, table)
@@ -245,10 +257,10 @@ def linearize(
                 "admit no Mittelfeld theme"
             )
         keyed = _sorted_mittelfeld(tagged_spec, vorfeld_id, lex, table)
-        return _build_surface(spec, tagged_spec, keyed, tagged_spec.by_id(vorfeld_id))
+        return _build_surface(spec, keyed, tagged_spec.by_id(vorfeld_id), focus)
 
     keyed = _sorted_mittelfeld(tagged_spec, None, lex, table)
-    return _build_surface(spec, tagged_spec, keyed, None)
+    return _build_surface(spec, keyed, None, focus)
 
 
 def realizations(
@@ -257,68 +269,26 @@ def realizations(
     lex: Lexicon,
     table: SlotTable | None = None,
 ) -> list[SurfaceOrder]:
-    """All surface orders the assignment licenses (the analyzer's relation).
+    """All surface orders the assignment licenses: the realization relation.
 
     Beyond the canonical :func:`linearize` output this admits, for V2 clauses
     without a theme, fronting the focused constituent into the Vorfeld, and
     for a focused constituent that also fits the late focus slot, the
     right-field placement.  Returns an empty list when the tags are
-    inexpressible; raises only for invalid specs or cooccurrence violations.
+    inexpressible; raises for invalid specs, cooccurrence violations and
+    unresolved lexicon keys.  The relation is :meth:`CompiledClause.realize`;
+    this compiles the clause for one assignment.
     """
-    table = table or build_slot_table()
-    tagged_spec = _apply_tags(spec, tags)
-    _check_clause(spec, tagged_spec, table)
+    clause = CompiledClause(spec, tags, lex, table or build_slot_table())
     if check_assignment(spec, tags):
         return []
-    try:
-        _check_theme_admissible(tagged_spec, table)
-    except InexpressibleTags:
-        return []
-
-    theme = _tagged(tagged_spec, Tag.THEME)
-    focus = _tagged(tagged_spec, Tag.FOCUS)
-
-    if spec.clause_type is ClauseType.V2:
-        vorfeld_ids: list[str] = []
-        if theme is not None:
-            # The theme must open the clause; a Vorfeld-incapable theme has
-            # no realization at all.
-            if vorfeld_capable(theme, lex):
-                vorfeld_ids.append(theme.id)
-        else:
-            try:
-                vorfeld_ids.append(select_vorfeld(spec, tags, lex, table))
-            except NoVorfeld:
-                pass
-            if (
-                focus is not None
-                and vorfeld_capable(focus, lex)
-                and focus.id not in vorfeld_ids
-            ):
-                vorfeld_ids.append(focus.id)  # marked focus fronting
-    else:
-        vorfeld_ids = [None]
-
-    results: list[SurfaceOrder] = []
-    seen = set()
-    for vorfeld_id in vorfeld_ids:
-        vorfeld = tagged_spec.by_id(vorfeld_id) if vorfeld_id is not None else None
-        try:
-            choice_lists = []
-            for ordinal, c in enumerate(tagged_spec.constituents):
-                if c.id == vorfeld_id:
-                    continue
-                keys = all_sort_keys(table, c, ordinal, tag=c.tag, lex=lex)
-                choice_lists.append([(key, c) for key in keys])
-        except NoSlotError:
-            continue
-        for combo in itertools.product(*choice_lists):
-            keyed = sorted(combo, key=lambda kc: kc[0])
-            surface = _build_surface(spec, tagged_spec, keyed, vorfeld)
-            if surface.order not in seen:
-                seen.add(surface.order)
-                results.append(surface)
-    return results
+    ordinals = {c.id: i for i, c in enumerate(spec.constituents)}
+    carriers = {tag: ordinals[cid] for cid, tag in tags.items()}
+    focus = carriers.get(Tag.FOCUS)
+    return [
+        _realized_surface(spec, vorfeld, keys, focus)
+        for vorfeld, keys in clause.realize(carriers.get(Tag.THEME), carriers.get(Tag.RHEME), focus)
+    ]
 
 
 #: The taggings :class:`CompiledClause` keys every constituent under, in
@@ -335,9 +305,12 @@ class CompiledClause:
     Assignments are given as input ordinals of the theme, rheme and focus
     carriers, None for an absent tag.
 
-    An invalid clause raises what ``realizations(spec, tags)`` raises;
+    An invalid clause raises :class:`CooccurrenceViolation` or ``ValueError``;
     ``tags`` matters only to the cooccurrence message of a clause with
-    duplicate ids.  An unresolved lexicon key raises ``KeyError``.
+    duplicate ids.  Tags embedded in the constituents are ignored.  An
+    unresolved lexicon key raises ``KeyError`` naming the first such
+    constituent, whatever the assignment: every key is resolved here, before
+    any assignment is tried.
     """
 
     # A plain class: creating a dataclass takes milliseconds at import, more
@@ -348,6 +321,8 @@ class CompiledClause:
         _check_clause(spec, _apply_tags(spec, tags), table)
         keys = []
         for ordinal, c in enumerate(spec.constituents):
+            if c.tag is not None:
+                c = c.with_tag(None)  # the untagged column must not fall back to c.tag
             row = []
             for tag in KEY_TAGS:
                 try:
@@ -378,18 +353,60 @@ class CompiledClause:
             if (v2 and i == 0) or (row[column] is not None and not (v2 and tag is Tag.THEME))
         ]
 
-    def _vorfeld_pick(self, rheme: int | None, focus: int | None) -> int | None:
-        """:func:`select_vorfeld` for an assignment without a theme."""
-        if self.subject is not None and self.subject != rheme:
-            return self.subject
-        best = None
-        for i, row in enumerate(self.keys):
-            if i == rheme or not self.vorfeld_capable[i]:
-                continue
-            keys = row[3] if i == focus else row[0]
-            if keys is not None and (best is None or keys[0] < best[0]):
-                best = (keys[0], i)
-        return None if best is None else best[1]
+    def _vorfelds(self, theme: int | None, rheme: int | None, focus: int | None) -> list[int | None]:
+        """The assignment's Vorfeld candidates in order; ``[None]`` in VF.
+
+        In V2 a theme must open the clause, if it can.  Without a theme the
+        :func:`select_vorfeld` pick comes first, then the focus carrier
+        (marked focus fronting).
+        """
+        if self.clause_type is not ClauseType.V2:
+            return [None]
+        if theme is not None:
+            return [theme] if self.vorfeld_capable[theme] else []
+        pick = self.subject if self.subject != rheme else None
+        if pick is None:
+            best = None
+            for i, row in enumerate(self.keys):
+                keys = row[3] if i == focus else row[0]
+                if i == rheme or not self.vorfeld_capable[i] or keys is None:
+                    continue
+                if best is None or keys[0] < best:
+                    best, pick = keys[0], i
+        vorfelds = [] if pick is None else [pick]
+        if focus is not None and focus != pick and self.vorfeld_capable[focus]:
+            vorfelds.append(focus)
+        return vorfelds
+
+    def realize(self, theme: int | None, rheme: int | None, focus: int | None):
+        """Yield each ``(vorfeld, mittelfeld keys)`` the assignment licenses.
+
+        The realization relation run forwards.  ``vorfeld`` is an input
+        ordinal (None in VF) and the keys come sorted, so their last fields
+        give the Mittelfeld order.  A typically rhematic theme licenses
+        nothing.  A Vorfeld candidate is skipped when an element of its
+        Mittelfeld has no slot for its tag; the focus carrier's early and late
+        keys give one order each, and repeated orders are dropped.
+        """
+        if theme is not None and self.typically_rhematic[theme]:
+            return
+        seen = set()
+        for vorfeld in self._vorfelds(theme, rheme, focus):
+            choices = []
+            for i, row in enumerate(self.keys):
+                if i == vorfeld:
+                    continue
+                keys = row[1 if i == theme else 2 if i == rheme else 3 if i == focus else 0]
+                if keys is None:
+                    break
+                choices.append(keys)
+            else:
+                for combo in itertools.product(*choices):
+                    mittelfeld = sorted(combo)
+                    order = (vorfeld, *(key[3] for key in mittelfeld))
+                    if order not in seen:
+                        seen.add(order)
+                        yield vorfeld, mittelfeld
 
     def realizes_input_order(self, theme: int | None, rheme: int | None, focus: int | None) -> bool:
         """Whether :func:`realizations` of the assignment include the input order.
@@ -405,13 +422,7 @@ class CompiledClause:
             return False
         start = 0
         if self.clause_type is ClauseType.V2:
-            if not self.keys:
-                return False
-            if theme is not None:
-                opens = theme == 0 and self.vorfeld_capable[0]
-            else:
-                opens = (focus == 0 and self.vorfeld_capable[0]) or self._vorfeld_pick(rheme, focus) == 0
-            if not opens:
+            if 0 not in self._vorfelds(theme, rheme, focus):
                 return False
             start = 1
         prev = ()
@@ -429,24 +440,20 @@ class CompiledClause:
         return True
 
 
-def iter_assignments(spec: ClauseSpec):
-    """Every tag assignment within the cardinality limits, the empty one first."""
-    ids = [c.id for c in spec.constituents]
-    for theme in [None] + ids:
-        for rheme in [None] + ids:
+def iter_assignments(n: int):
+    """Every tag assignment of n constituents within the cardinality limits.
+
+    Yields ``(theme, rheme, focus)`` carrier ordinals, None for an absent
+    tag, the empty assignment first.
+    """
+    carriers = (None, *range(n))
+    for theme in carriers:
+        for rheme in carriers:
             if rheme is not None and rheme == theme:
                 continue
-            for focus in [None] + ids:
-                if focus is not None and focus in (theme, rheme):
-                    continue
-                tags: TagAssignment = {}
-                if theme is not None:
-                    tags[theme] = Tag.THEME
-                if rheme is not None:
-                    tags[rheme] = Tag.RHEME
-                if focus is not None:
-                    tags[focus] = Tag.FOCUS
-                yield tags
+            for focus in carriers:
+                if focus is None or focus not in (theme, rheme):
+                    yield theme, rheme, focus
 
 
 @dataclass(frozen=True)
@@ -465,10 +472,6 @@ class OrderVariant:
         return (self.vorfeld,) + self.mittelfeld
 
 
-def _freeze_assignment(tags: TagAssignment):
-    return tuple(sorted(tags.items()))
-
-
 def enumerate_orders(
     spec: ClauseSpec,
     lex: Lexicon,
@@ -477,36 +480,30 @@ def enumerate_orders(
     """All realizable orders of the clause, grouped by surface order.
 
     Exhaustive over tag assignments within cardinality limits and lexical
-    flags; assignments without a realization are skipped.  Clause size is
-    capped to keep the search desk-scale.
+    flags, in :func:`iter_assignments` order; assignments without a
+    realization are skipped.  The clause is compiled once and every
+    assignment runs :meth:`CompiledClause.realize` on it.  A variant's
+    surface is that of its first focus-free assignment, if it has one (no
+    focus caps).  Clause size is capped to keep the search desk-scale.
     """
     if len(spec.constituents) > MAX_SEARCH_CONSTITUENTS:
         raise ValueError(
             f"clause has {len(spec.constituents)} constituents; "
             f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}"
         )
-    table = table or build_slot_table()
-    grouped: dict[tuple, dict] = {}
-    for tags in iter_assignments(spec):
-        focus_free = Tag.FOCUS not in tags.values()
-        for surface in realizations(spec, tags, lex, table):
-            key = (surface.vorfeld, surface.mittelfeld)
-            slot = grouped.setdefault(
-                key, {"surface": surface, "focus_free": focus_free, "assignments": []}
-            )
-            # Prefer an unmarked rendering as the representative (no focus caps).
-            if focus_free and not slot["focus_free"]:
-                slot["surface"] = surface
-                slot["focus_free"] = True
-            frozen = _freeze_assignment(tags)
-            if frozen not in slot["assignments"]:
-                slot["assignments"].append(frozen)
-    return tuple(
-        OrderVariant(
-            vorfeld=key[0],
-            mittelfeld=key[1],
-            surface=slot["surface"],
-            assignments=tuple(slot["assignments"]),
-        )
-        for key, slot in grouped.items()
-    )
+    clause = CompiledClause(spec, {}, lex, table or build_slot_table())
+    ids = [c.id for c in spec.constituents]
+    # order -> [surface, whether the surface is focus-free, assignments]
+    grouped: dict[tuple, list] = {}
+    for theme, rheme, focus in iter_assignments(len(ids)):
+        assignment = None
+        for vorfeld, keys in clause.realize(theme, rheme, focus):
+            if assignment is None:
+                tagged = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
+                assignment = tuple(sorted((ids[i], tag) for i, tag in tagged if i is not None))
+            group = grouped.setdefault((vorfeld, *(key[3] for key in keys)), [None, False, []])
+            if group[0] is None or (focus is None and not group[1]):
+                group[0] = _realized_surface(spec, vorfeld, keys, focus)
+                group[1] = focus is None
+            group[2].append(assignment)
+    return tuple(OrderVariant(s.vorfeld, s.mittelfeld, s, tuple(a)) for s, _, a in grouped.values())

@@ -8,6 +8,7 @@ number of valid samples rather than a search budget).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -131,6 +132,22 @@ def sample_valid_pairs(count: int, seed: int = 0, max_constituents: int = 6):
             continue
         pairs.append((spec, tags))
     return pairs
+
+
+def broken_clause(rng: random.Random, spec: ClauseSpec) -> ClauseSpec:
+    """A clause the engine must reject, one defect at a time."""
+    defect = rng.choice(("second-subject", "two-exclusives", "no-finite", "duplicate-id", "bad-modifier"))
+    if defect == "second-subject":
+        extra = (Constituent("zweit", Category.N, ("zweit",), FeatureBundle(pronominal=True)),)
+    elif defect == "two-exclusives":
+        extra = (Constituent("dort", Category.SIT, ("dort",)), Constituent("hin", Category.DIR, ("hin",)))
+    elif defect == "no-finite":
+        return replace(spec, verb=VerbComplex(()))
+    elif defect == "duplicate-id":
+        extra = spec.constituents[:1]
+    else:
+        extra = (Constituent("kaum", Category.M, ("kaum",)),)
+    return replace(spec, constituents=spec.constituents + extra)
 
 
 # hypothesis strategies ------------------------------------------------------

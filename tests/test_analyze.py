@@ -1,8 +1,11 @@
+import random
+
 from wortfolge import (
     Tag,
     Verdict,
     analyze,
     detect_focus_constructions,
+    enumerate_orders,
     explain_order,
     linearize,
     observe,
@@ -11,7 +14,7 @@ from wortfolge import (
 )
 
 from .conftest import c, modifier, observed
-from .strategies import sample_valid_pairs
+from .strategies import random_clause, sample_valid_pairs
 
 
 # --- explain_order ---------------------------------------------------------------
@@ -283,3 +286,14 @@ def test_round_trip_up_to_eight_constituents(lex):
         surface = linearize(spec, tags, lex)
         explanations = explain_order(observe(spec, surface), lex)
         assert tags in explanations, (spec, tags, surface.order)
+
+
+def test_round_trip_over_full_enumeration(lex, table):
+    # Every assignment that realizes an enumerated order must explain it.
+    rng = random.Random(5)
+    for _ in range(100):
+        spec = random_clause(rng, max_constituents=6)
+        for variant in enumerate_orders(spec, lex, table):
+            explanations = explain_order(observe(spec, variant.surface), lex, table)
+            for assignment in variant.assignments:
+                assert dict(assignment) in explanations, (spec, variant.order, assignment)

@@ -148,9 +148,14 @@ def _generate_doc(**edits):
         ("generate", _generate_doc(**{"constituents.0.features": {"pronominal": True, "svc": "no"}}), "svc must be true or false"),
         ("analyze", _analyze_doc(**{"constituents.2.hoberg_index": True}), "hoberg_index must be an integer"),
         ("generate", _generate_doc(**{"constituents.1.id": ""}), "id must not be empty"),
+        ("generate", _generate_doc(**{"constituents.0.surface": [""]}), "surface tokens must be strings, none of them empty"),
+        ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", ""]}), "surface tokens must be strings, none of them empty"),
+        ("generate", _generate_doc(**{"verb.finite": [""]}), "verb.finite: must be a list of strings, none of them empty"),
+        ("analyze", _analyze_doc(**{"verb.nonfinite": [""]}), "verb.nonfinite: must be a list of strings, none of them empty"),
     ],
     ids=["stress-entry", "finite-token-analyze", "finite-token-generate", "nonfinite-token",
-         "pronominal-string", "svc-string", "hoberg-bool", "empty-id"],
+         "pronominal-string", "svc-string", "hoberg-bool", "empty-id", "empty-surface-token-generate",
+         "empty-surface-token-analyze", "empty-finite-token", "empty-nonfinite-token"],
 )
 def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"

@@ -1,0 +1,230 @@
+"""Differential test: ``realizations`` and ``enumerate_orders`` against the search they replaced.
+
+``reference_realizations`` and ``reference_enumerate_orders`` are the
+generate-and-test implementations that ran before both moved onto the
+compiled clause: every assignment rebuilds the tagged clause, validates it
+again and keys every constituent again.  The engine must return equal
+results, or raise the same exception class with the same message.  The
+references use only the engine's primitives (validation, slot keys, the
+Vorfeld rule), never the realization code they check.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wortfolge import Category, ClauseType, Constituent, Tag, enumerate_orders, realizations
+from wortfolge.linearize import (
+    MAX_SEARCH_CONSTITUENTS,
+    InexpressibleTags,
+    NoVorfeld,
+    OrderVariant,
+    SurfaceOrder,
+    _apply_tags,
+    _check_clause,
+    _check_theme_admissible,
+    _tagged,
+    check_assignment,
+    select_vorfeld,
+    vorfeld_capable,
+)
+from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table
+
+from .strategies import _LEX, broken_clause, random_assignment, random_clause
+
+
+def reference_assignments(spec):
+    """Every tag assignment within the cardinality limits, the empty one first."""
+    ids = [c.id for c in spec.constituents]
+    for theme in [None] + ids:
+        for rheme in [None] + ids:
+            if rheme is not None and rheme == theme:
+                continue
+            for focus in [None] + ids:
+                if focus is not None and focus in (theme, rheme):
+                    continue
+                tags = {}
+                if theme is not None:
+                    tags[theme] = Tag.THEME
+                if rheme is not None:
+                    tags[rheme] = Tag.RHEME
+                if focus is not None:
+                    tags[focus] = Tag.FOCUS
+                yield tags
+
+
+def _reference_render(tagged_spec, ordered, vorfeld):
+    def emit(c):
+        if c.tag is Tag.FOCUS:
+            return tuple(tok.upper() for tok in c.surface)
+        return c.surface
+
+    tokens = []
+    if tagged_spec.clause_type is ClauseType.V2:
+        tokens += emit(vorfeld)
+        tokens += tagged_spec.verb.finite
+        for c in ordered:
+            tokens += emit(c)
+        tokens += tagged_spec.verb.nonfinite
+        if tokens and tokens[0]:
+            tokens[0] = tokens[0][0].upper() + tokens[0][1:]
+    else:
+        if tagged_spec.complementizer:
+            tokens.append(tagged_spec.complementizer)
+        for c in ordered:
+            tokens += emit(c)
+        tokens += tagged_spec.verb.nonfinite
+        tokens += tagged_spec.verb.finite
+    return tuple(tokens)
+
+
+def _reference_surface(tagged_spec, keyed, vorfeld):
+    ordered = [c for _, c in keyed]
+    return SurfaceOrder(
+        clause_type=tagged_spec.clause_type,
+        vorfeld=vorfeld.id if vorfeld is not None else None,
+        mittelfeld=tuple(c.id for c in ordered),
+        rendered=_reference_render(tagged_spec, ordered, vorfeld),
+        keys=tuple((c.id, key) for key, c in keyed),
+    )
+
+
+def reference_realizations(spec, tags, lex, table=None):
+    """All surface orders the assignment licenses, by keying the tagged clause."""
+    table = table or build_slot_table()
+    tagged_spec = _apply_tags(spec, tags)
+    _check_clause(spec, tagged_spec, table)
+    if check_assignment(spec, tags):
+        return []
+    try:
+        _check_theme_admissible(tagged_spec, table)
+    except InexpressibleTags:
+        return []
+
+    theme = _tagged(tagged_spec, Tag.THEME)
+    focus = _tagged(tagged_spec, Tag.FOCUS)
+
+    if spec.clause_type is ClauseType.V2:
+        vorfeld_ids = []
+        if theme is not None:
+            if vorfeld_capable(theme, lex):
+                vorfeld_ids.append(theme.id)
+        else:
+            try:
+                vorfeld_ids.append(select_vorfeld(spec, tags, lex, table))
+            except NoVorfeld:
+                pass
+            if focus is not None and vorfeld_capable(focus, lex) and focus.id not in vorfeld_ids:
+                vorfeld_ids.append(focus.id)
+    else:
+        vorfeld_ids = [None]
+
+    results = []
+    seen = set()
+    for vorfeld_id in vorfeld_ids:
+        vorfeld = tagged_spec.by_id(vorfeld_id) if vorfeld_id is not None else None
+        try:
+            choice_lists = []
+            for ordinal, c in enumerate(tagged_spec.constituents):
+                if c.id == vorfeld_id:
+                    continue
+                keys = all_sort_keys(table, c, ordinal, tag=c.tag, lex=lex)
+                choice_lists.append([(key, c) for key in keys])
+        except NoSlotError:
+            continue
+        for combo in itertools.product(*choice_lists):
+            keyed = sorted(combo, key=lambda kc: kc[0])
+            surface = _reference_surface(tagged_spec, keyed, vorfeld)
+            if surface.order not in seen:
+                seen.add(surface.order)
+                results.append(surface)
+    return results
+
+
+def reference_enumerate_orders(spec, lex, table=None):
+    """Every assignment's realizations, grouped by order; unmarked surfaces preferred."""
+    if len(spec.constituents) > MAX_SEARCH_CONSTITUENTS:
+        raise ValueError(
+            f"clause has {len(spec.constituents)} constituents; "
+            f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}"
+        )
+    table = table or build_slot_table()
+    grouped = {}
+    for tags in reference_assignments(spec):
+        focus_free = Tag.FOCUS not in tags.values()
+        for surface in reference_realizations(spec, tags, lex, table):
+            key = (surface.vorfeld, surface.mittelfeld)
+            slot = grouped.setdefault(key, {"surface": surface, "focus_free": focus_free, "assignments": []})
+            if focus_free and not slot["focus_free"]:
+                slot["surface"] = surface
+                slot["focus_free"] = True
+            frozen = tuple(sorted(tags.items()))
+            if frozen not in slot["assignments"]:
+                slot["assignments"].append(frozen)
+    return tuple(
+        OrderVariant(
+            vorfeld=key[0],
+            mittelfeld=key[1],
+            surface=slot["surface"],
+            assignments=tuple(slot["assignments"]),
+        )
+        for key, slot in grouped.items()
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return ("returned", fn(*args, _LEX))
+    except Exception as err:  # the comparison is the point: any class must match
+        return ("raised", type(err), str(err))
+
+
+def _clause_and_tags(seed):
+    """A clause of 0 to 8 constituents, one in ten broken, and an assignment.
+
+    One clause in ten carries a tag on a constituent, which only validation
+    may see.  One assignment in five gets one more carrier, which may be an
+    unknown id or repeat a tag kind.
+    """
+    rng = random.Random(seed)
+    spec = random_clause(rng, 8)
+    spec = replace(spec, constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
+    if rng.random() < 0.1:
+        spec = broken_clause(rng, spec)
+    if spec.constituents and rng.random() < 0.1:
+        i = rng.randrange(len(spec.constituents))
+        embedded = spec.constituents[i].with_tag(rng.choice(list(Tag)))
+        spec = replace(spec, constituents=spec.constituents[:i] + (embedded,) + spec.constituents[i + 1 :])
+    tags = random_assignment(rng, spec)
+    if rng.random() < 0.2:
+        ids = [c.id for c in spec.constituents if c.id not in tags]
+        tags[rng.choice(ids + ["niemand"])] = rng.choice(list(Tag))
+    return spec, tags
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_realization_matches_reference_search(seed):
+    spec, tags = _clause_and_tags(seed)
+    assert _outcome(realizations, spec, tags) == _outcome(reference_realizations, spec, tags)
+    assert _outcome(enumerate_orders, spec) == _outcome(reference_enumerate_orders, spec)
+
+
+def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause, lex):
+    # Keying each assignment separately resolves a key only when an
+    # assignment reaches it, so the untagged and the malformed assignments
+    # would return without raising.
+    stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
+    later = Constituent("nie", Category.M, ("nie",), hoberg_index=30, lexicon_key="nie#30")
+    spec = replace(ex5_clause, constituents=ex5_clause.constituents + (stray, later))
+    for tags in ({}, {"bald": Tag.FOCUS}, {"niemand": Tag.THEME}):
+        with pytest.raises(KeyError, match="bald#25"):
+            realizations(spec, tags, lex)
+    with pytest.raises(KeyError, match="bald#25"):
+        enumerate_orders(spec, lex)

@@ -1,9 +1,10 @@
 """Differential test: the key-check ``explain_order`` against the search it replaced.
 
-``reference_explain_order`` is the generate-and-test search: it runs
-``realizations`` for every tag assignment and keeps those whose realizations
-include the observed order.  The engine's ``explain_order`` must return the
-same tuple, or raise the same exception class with the same message.
+``reference_explain_order`` is the generate-and-test search: it runs the
+reference ``realizations`` for every tag assignment and keeps those whose
+realizations include the observed order.  The engine's ``explain_order``
+must return the same tuple, or raise the same exception class with the same
+message.
 """
 
 from __future__ import annotations
@@ -15,19 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wortfolge import Category, Constituent, FeatureBundle, Tag, VerbComplex, explain_order
+from wortfolge import Category, Constituent, Tag, explain_order
 from wortfolge.analyze import ObservedClause, spec_of
-from wortfolge.linearize import (
-    MAX_SEARCH_CONSTITUENTS,
-    LinearizeError,
-    iter_assignments,
-    linearize,
-    realizations,
-)
+from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, LinearizeError, linearize
 from wortfolge.slots import build_slot_table
 
 from .conftest import observed
-from .strategies import _LEX, random_assignment, random_clause
+from .strategies import _LEX, broken_clause, random_assignment, random_clause
+from .test_enumerate_differential import reference_assignments, reference_realizations
 
 
 def reference_explain_order(obs, lex, table=None):
@@ -41,12 +37,12 @@ def reference_explain_order(obs, lex, table=None):
     spec = spec_of(obs)
     target = obs.order
     out = []
-    for tags in iter_assignments(spec):
+    for tags in reference_assignments(spec):
         if obs.stress:
             focused = {cid for cid, t in tags.items() if t is Tag.FOCUS}
             if focused != set(obs.stress):
                 continue
-        for surface in realizations(spec, tags, lex, table):
+        for surface in reference_realizations(spec, tags, lex, table):
             if surface.order == target:
                 out.append(dict(tags))
                 break
@@ -60,28 +56,12 @@ def _outcome(fn, obs):
         return ("raised", type(err), str(err))
 
 
-def _break(rng, spec):
-    """A clause the engine must reject, one defect at a time."""
-    defect = rng.choice(("second-subject", "two-exclusives", "no-finite", "duplicate-id", "bad-modifier"))
-    if defect == "second-subject":
-        extra = (Constituent("zweit", Category.N, ("zweit",), FeatureBundle(pronominal=True)),)
-    elif defect == "two-exclusives":
-        extra = (Constituent("dort", Category.SIT, ("dort",)), Constituent("hin", Category.DIR, ("hin",)))
-    elif defect == "no-finite":
-        return replace(spec, verb=VerbComplex(()))
-    elif defect == "duplicate-id":
-        extra = spec.constituents[:1]
-    else:
-        extra = (Constituent("kaum", Category.M, ("kaum",)),)
-    return replace(spec, constituents=spec.constituents + extra)
-
-
 def _observation(seed):
     rng = random.Random(seed)
     spec = random_clause(rng, 8)
     spec = replace(spec, constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
     if rng.random() < 0.1:
-        spec = _break(rng, spec)
+        spec = broken_clause(rng, spec)
     ids = [c.id for c in spec.constituents]
     order = list(ids)
     rng.shuffle(order)
@@ -97,7 +77,7 @@ def _observation(seed):
         focus = rng.choice([cid for cid in ids if cid not in tags] or ids)
         tags[focus] = Tag.FOCUS
         try:
-            surfaces = realizations(spec, tags, _LEX)
+            surfaces = reference_realizations(spec, tags, _LEX)
         except (LinearizeError, ValueError):
             surfaces = []
         if surfaces:
