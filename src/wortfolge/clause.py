@@ -8,7 +8,7 @@ well formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -108,7 +108,10 @@ class Constituent:
         object.__setattr__(self, "surface", tuple(self.surface))
 
     def with_tag(self, tag: Tag | None) -> "Constituent":
-        return replace(self, tag=tag)
+        # Built directly: dataclasses.replace costs several times more.
+        return Constituent(
+            self.id, self.category, self.surface, self.features, self.hoberg_index, self.lexicon_key, tag
+        )
 
     @property
     def indefinite(self) -> bool:
@@ -163,6 +166,11 @@ class ClauseSpec:
 _EXCLUSIVE_ADVERBIALS = (Category.SIT, Category.DIR, Category.EXP)
 
 
+def _all_words(tokens) -> bool:
+    """Whether every surface or verb token is a string with a visible character."""
+    return all(isinstance(tok, str) and tok.strip() for tok in tokens)
+
+
 def validate_clause(spec: ClauseSpec) -> list[str]:
     """Check a clause spec against the domain invariants.
 
@@ -174,6 +182,8 @@ def validate_clause(spec: ClauseSpec) -> list[str]:
 
     if not spec.verb.finite:
         violations.append("verb complex has no finite part")
+    if not _all_words(spec.verb.finite + spec.verb.nonfinite):
+        violations.append("verb complex has a blank or non-string token")
     if spec.complementizer is not None and spec.clause_type is not ClauseType.VF:
         violations.append("complementizer requires a verb-final clause")
 
@@ -190,6 +200,8 @@ def validate_clause(spec: ClauseSpec) -> list[str]:
             continue
         if not c.surface:
             violations.append(f"{c.id}: empty surface")
+        elif not _all_words(c.surface):
+            violations.append(f"{c.id}: blank or non-string surface token")
         if c.category is Category.M:
             if c.hoberg_index is None:
                 violations.append(f"{c.id}: modifier without Hoberg index")

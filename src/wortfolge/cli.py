@@ -1,9 +1,14 @@
 """Command-line front-end: generate, analyze, disambiguate, corpus harness.
 
 Exit codes: 0 ok, 1 input error, 2 generation error, 3 ungrammatical verdict,
-4 corpus failure.  Machine-readable JSON is the default output; ``--pretty``
-prints a compact human-readable account instead.  Reports are deterministic
-byte-for-byte for identical inputs.
+4 corpus failure.  A generation error (inexpressible tags, no Vorfeld, a
+cooccurrence violation) prints ``{"error": {"message": ..., "type": ...}}``
+on stdout.  A cooccurrence violation (two subjects, two of SIT/DIR/EXP) is a
+generation error in every command, since no tag assignment can order such a
+clause: ``analyze`` and ``disambiguate`` exit 2 with that object too.
+Machine-readable JSON is the default output; ``--pretty`` prints a compact
+human-readable account instead.  Reports are deterministic byte-for-byte for
+identical inputs.
 """
 
 from __future__ import annotations

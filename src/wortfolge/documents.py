@@ -93,8 +93,8 @@ def _parse_constituent(raw, where) -> Constituent:
     except ValueError:
         raise DocumentError(f"{where}: unknown category {raw_category!r}") from None
     surface = _require(raw, "surface", where, list)
-    if not all(isinstance(tok, str) and tok for tok in surface):
-        raise DocumentError(f"{where}: surface tokens must be strings, none of them empty")
+    if not all(isinstance(tok, str) and tok.strip() for tok in surface):
+        raise DocumentError(f"{where}: surface tokens must be strings, none of them empty or blank")
     hoberg = raw.get("hoberg_index")
     if hoberg is not None and (not isinstance(hoberg, int) or isinstance(hoberg, bool)):
         raise DocumentError(f"{where}: hoberg_index must be an integer")
@@ -115,8 +115,8 @@ def _parse_verb(raw, where) -> VerbComplex:
     finite = _require(raw, "finite", where, list)
     nonfinite = raw.get("nonfinite", [])
     for name, tokens in (("finite", finite), ("nonfinite", nonfinite)):
-        if not isinstance(tokens, list) or not all(isinstance(tok, str) and tok for tok in tokens):
-            raise DocumentError(f"{where}.{name}: must be a list of strings, none of them empty")
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) and tok.strip() for tok in tokens):
+            raise DocumentError(f"{where}.{name}: must be a list of strings, none of them empty or blank")
     return VerbComplex(finite=tuple(finite), nonfinite=tuple(nonfinite))
 
 

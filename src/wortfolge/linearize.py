@@ -9,11 +9,15 @@ is slightly wider: it additionally admits the two marked constructions an
 observed sentence may exhibit, namely a focused constituent fronted into the
 Vorfeld and a focused constituent surfacing in the late (general) focus slot
 instead of the early one.  Every output of ``linearize`` is among its
-realizations.  The relation has one implementation, :class:`CompiledClause`:
-the clause is validated and keyed under every tag once, then used forwards
-(:meth:`CompiledClause.realize`, behind :func:`realizations` and
-:func:`enumerate_orders`) and backwards, for one given order
+realizations.  Generation, realization, enumeration and analysis share one
+implementation, :class:`CompiledClause`: the clause is validated and keyed
+once, with its Vorfeld rule (:meth:`CompiledClause.vorfeld_pick`), then used
+forwards (:func:`linearize` takes each element's first key;
+:meth:`CompiledClause.realize`, behind :func:`realizations` and
+:func:`enumerate_orders`, takes every key) and backwards, for one given order
 (:meth:`CompiledClause.realizes_input_order`, behind the analyzer).
+:func:`linearize` and :func:`realizations` key only the tags of their one
+assignment; enumeration and analysis key every constituent under every tag.
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ from dataclasses import dataclass, replace
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, validate_clause
 from .lexicon import Lexicon
-from .slots import NoSlotError, SlotTable, SortKey, all_sort_keys, build_slot_table, check_cooccurrence, sort_key, typically_rhematic
+from .slots import (
+    NoSlotError,
+    SlotTable,
+    SortKey,
+    _lexical_veto,
+    _rhematic_by_default,
+    _slot_keys,
+    build_slot_table,
+    check_cooccurrence,
+)
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
@@ -83,23 +96,22 @@ def check_assignment(spec: ClauseSpec, tags: TagAssignment) -> list[str]:
     return violations
 
 
-def _check_clause(spec: ClauseSpec, tagged_spec: ClauseSpec, table: SlotTable):
+def _check_clause(spec: ClauseSpec, tags: TagAssignment, table: SlotTable):
     """Raise for a clause no assignment can order.
 
     Cooccurrence violations (slash groups, tag cardinality) outrank other
-    spec defects: they carry their own error class and exit code.
+    spec defects: they carry their own error class and exit code.  They are
+    checked with the assignment's tags in place of the embedded ones.
     """
-    cooccurrence = check_cooccurrence(table, tagged_spec)
+    tagged = tuple(
+        c if c.tag is tags.get(c.id) else c.with_tag(tags.get(c.id)) for c in spec.constituents
+    )
+    cooccurrence = check_cooccurrence(table, replace(spec, constituents=tagged))
     if cooccurrence:
         raise CooccurrenceViolation(cooccurrence)
     spec_violations = validate_clause(spec)
     if spec_violations:
         raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
-
-
-def _apply_tags(spec: ClauseSpec, tags: TagAssignment) -> ClauseSpec:
-    tagged = tuple(c.with_tag(tags.get(c.id)) for c in spec.constituents)
-    return replace(spec, constituents=tagged)
 
 
 def _entry_for(c: Constituent, lex: Lexicon):
@@ -114,52 +126,6 @@ def _entry_for(c: Constituent, lex: Lexicon):
 def vorfeld_capable(c: Constituent, lex: Lexicon) -> bool:
     entry = _entry_for(c, lex)
     return True if entry is None else entry.vorfeld_capable
-
-
-def _tagged(spec: ClauseSpec, tag: Tag) -> Constituent | None:
-    for c in spec.constituents:
-        if c.tag is tag:
-            return c
-    return None
-
-
-def select_vorfeld(spec: ClauseSpec, tags: TagAssignment, lex: Lexicon, table: SlotTable | None = None) -> str:
-    """Pick the Vorfeld occupant: theme, else subject, else first capable element.
-
-    A theme that cannot open the clause (lexically Vorfeld-incapable) falls
-    through to the subject; :func:`linearize` then rejects the stranded theme.
-    A RHEME-tagged constituent never opens the clause, so a rhematic subject
-    is skipped and its tag is resolved (or rejected) in the Mittelfeld.
-    """
-    table = table or build_slot_table()
-    tagged_spec = _apply_tags(spec, tags)
-    theme = _tagged(tagged_spec, Tag.THEME)
-    if theme is not None and vorfeld_capable(theme, lex):
-        return theme.id
-    subject = tagged_spec.subject()
-    if subject is not None and subject.tag is not Tag.RHEME:
-        return subject.id
-    candidates = []
-    for ordinal, c in enumerate(tagged_spec.constituents):
-        if c.tag is Tag.RHEME or not vorfeld_capable(c, lex):
-            continue
-        try:
-            key = sort_key(table, c, ordinal, tag=c.tag, lex=lex)
-        except NoSlotError:
-            continue
-        candidates.append((key, c.id))
-    if not candidates:
-        raise NoVorfeld("no Vorfeld-capable constituent")
-    return min(candidates)[1]
-
-
-def _check_theme_admissible(tagged_spec: ClauseSpec, table: SlotTable):
-    theme = _tagged(tagged_spec, Tag.THEME)
-    if theme is not None and typically_rhematic(table, theme):
-        raise InexpressibleTags(
-            f"{theme.id} defaults to the late field and cannot be thematic; "
-            "it opens the clause only under contrastive focus"
-        )
 
 
 def _render(
@@ -193,37 +159,28 @@ def _render(
     return tuple(tokens)
 
 
-def _sorted_mittelfeld(tagged_spec, exclude_id, lex, table):
-    keyed = []
-    for ordinal, c in enumerate(tagged_spec.constituents):
-        if c.id == exclude_id:
-            continue
-        try:
-            key = sort_key(table, c, ordinal, tag=c.tag, lex=lex)
-        except NoSlotError as err:
-            raise InexpressibleTags(str(err)) from err
-        keyed.append((key, c))
-    keyed.sort(key=lambda kc: kc[0])
-    return keyed
+def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
+    """The surface of a Vorfeld ordinal (None in VF) and sorted Mittelfeld keys.
 
-
-def _build_surface(spec, keyed, vorfeld: Constituent | None, focus: str | None) -> SurfaceOrder:
-    """The surface of sorted ``(key, constituent)`` pairs; ``focus`` is rendered in caps."""
-    ordered = [c for _, c in keyed]
+    Rendered from the untagged clause; the ``focus`` ordinal is rendered in caps.
+    """
+    cs = spec.constituents
+    ordered = [cs[key[3]] for key in keys]
+    opener = None if vorfeld is None else cs[vorfeld]
     return SurfaceOrder(
         clause_type=spec.clause_type,
-        vorfeld=vorfeld.id if vorfeld is not None else None,
+        vorfeld=None if opener is None else opener.id,
         mittelfeld=tuple(c.id for c in ordered),
-        rendered=_render(spec, ordered, vorfeld, focus),
-        keys=tuple((c.id, key) for key, c in keyed),
+        rendered=_render(spec, ordered, opener, None if focus is None else cs[focus].id),
+        keys=tuple((c.id, SortKey(*key)) for c, key in zip(ordered, keys)),
     )
 
 
-def _realized_surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
-    """The surface of one :meth:`CompiledClause.realize` result, from the untagged clause."""
-    cs = spec.constituents
-    keyed = [(SortKey(*key), cs[key[3]]) for key in keys]
-    return _build_surface(spec, keyed, None if vorfeld is None else cs[vorfeld], None if focus is None else cs[focus].id)
+def _carriers(spec: ClauseSpec, tags: TagAssignment):
+    """Input ordinals of a well-formed assignment's theme, rheme and focus (None if absent)."""
+    ordinals = {c.id: i for i, c in enumerate(spec.constituents)}
+    carriers = {tag: ordinals[cid] for cid, tag in tags.items()}
+    return carriers.get(Tag.THEME), carriers.get(Tag.RHEME), carriers.get(Tag.FOCUS)
 
 
 def linearize(
@@ -237,30 +194,42 @@ def linearize(
     V2: the Vorfeld pick is removed, the rest is sorted by slot key and the
     finite verb lands in second position.  VF: everything sorts into the
     Mittelfeld (a theme lands in the early theme slot) before the clause-final
-    verb cluster.
+    verb cluster.  The clause is compiled for this one assignment; every
+    element takes its first key (the early focus slot, for a focus).
     """
     table = table or build_slot_table()
-    tagged_spec = _apply_tags(spec, tags)
-    _check_clause(spec, tagged_spec, table)
+    clause = CompiledClause(spec, tags, lex, table, every_tag=False)
     assignment_violations = check_assignment(spec, tags)
     if assignment_violations:
         raise ValueError("invalid assignment: " + "; ".join(assignment_violations))
-    _check_theme_admissible(tagged_spec, table)
-    focus = next((cid for cid, tag in tags.items() if tag is Tag.FOCUS), None)
-
+    theme, rheme, focus = _carriers(spec, tags)
+    if theme is not None and clause.typically_rhematic[theme]:
+        raise InexpressibleTags(
+            f"{spec.constituents[theme].id} defaults to the late field and cannot be thematic; "
+            "it opens the clause only under contrastive focus"
+        )
+    vorfeld = None
     if spec.clause_type is ClauseType.V2:
-        vorfeld_id = select_vorfeld(spec, tags, lex, table)
-        theme = _tagged(tagged_spec, Tag.THEME)
-        if theme is not None and theme.id != vorfeld_id:
+        vorfeld = clause.vorfeld_pick(theme, rheme, focus)
+        if vorfeld is None:
+            raise NoVorfeld("no Vorfeld-capable constituent")
+        if theme is not None and theme != vorfeld:
             raise InexpressibleTags(
-                f"theme {theme.id} cannot occupy the Vorfeld and V2 clauses "
+                f"theme {spec.constituents[theme].id} cannot occupy the Vorfeld and V2 clauses "
                 "admit no Mittelfeld theme"
             )
-        keyed = _sorted_mittelfeld(tagged_spec, vorfeld_id, lex, table)
-        return _build_surface(spec, keyed, tagged_spec.by_id(vorfeld_id), focus)
-
-    keyed = _sorted_mittelfeld(tagged_spec, None, lex, table)
-    return _build_surface(spec, keyed, None, focus)
+    mittelfeld = []
+    for i, row in enumerate(clause.keys):
+        if i == vorfeld:
+            continue
+        column = 1 if i == theme else 2 if i == rheme else 3 if i == focus else 0
+        if row[column] is None:  # the compiled clause keeps no reason; recompute it
+            c, tag = spec.constituents[i], KEY_TAGS[column]
+            err = NoSlotError(c, tag, _lexical_veto(c, tag, lex) or "")
+            raise InexpressibleTags(str(err)) from err
+        mittelfeld.append(row[column][0])
+    mittelfeld.sort()
+    return _surface(spec, vorfeld, mittelfeld, focus)
 
 
 def realizations(
@@ -279,16 +248,11 @@ def realizations(
     unresolved lexicon keys.  The relation is :meth:`CompiledClause.realize`;
     this compiles the clause for one assignment.
     """
-    clause = CompiledClause(spec, tags, lex, table or build_slot_table())
+    clause = CompiledClause(spec, tags, lex, table or build_slot_table(), every_tag=False)
     if check_assignment(spec, tags):
         return []
-    ordinals = {c.id: i for i, c in enumerate(spec.constituents)}
-    carriers = {tag: ordinals[cid] for cid, tag in tags.items()}
-    focus = carriers.get(Tag.FOCUS)
-    return [
-        _realized_surface(spec, vorfeld, keys, focus)
-        for vorfeld, keys in clause.realize(carriers.get(Tag.THEME), carriers.get(Tag.RHEME), focus)
-    ]
+    theme, rheme, focus = _carriers(spec, tags)
+    return [_surface(spec, vorfeld, keys, focus) for vorfeld, keys in clause.realize(theme, rheme, focus)]
 
 
 #: The taggings :class:`CompiledClause` keys every constituent under, in
@@ -297,16 +261,18 @@ KEY_TAGS = (None, Tag.THEME, Tag.RHEME, Tag.FOCUS)
 
 
 class CompiledClause:
-    """An untagged clause, validated once, with every slot key precomputed.
+    """An untagged clause, validated once, with its slot keys precomputed.
 
     ``keys[i][j]`` holds the :func:`all_sort_keys` of the constituent with
     input ordinal ``i`` under ``KEY_TAGS[j]``, as plain tuples (which order
     like :class:`SortKey`), or None where that tagging has no slot.
     Assignments are given as input ordinals of the theme, rheme and focus
-    carriers, None for an absent tag.
+    carriers, None for an absent tag.  With ``every_tag`` false the clause is
+    compiled for the one assignment ``tags``: only the untagged column and
+    each carrier's own column are keyed, and every other entry is None.
 
     An invalid clause raises :class:`CooccurrenceViolation` or ``ValueError``;
-    ``tags`` matters only to the cooccurrence message of a clause with
+    ``tags`` matters there only to the cooccurrence message of a clause with
     duplicate ids.  Tags embedded in the constituents are ignored.  An
     unresolved lexicon key raises ``KeyError`` naming the first such
     constituent, whatever the assignment: every key is resolved here, before
@@ -317,25 +283,36 @@ class CompiledClause:
     # than a whole analysis.
     __slots__ = ("clause_type", "keys", "vorfeld_capable", "typically_rhematic", "subject")
 
-    def __init__(self, spec: ClauseSpec, tags: TagAssignment, lex: Lexicon, table: SlotTable):
-        _check_clause(spec, _apply_tags(spec, tags), table)
-        keys = []
+    def __init__(
+        self,
+        spec: ClauseSpec,
+        tags: TagAssignment,
+        lex: Lexicon,
+        table: SlotTable,
+        every_tag: bool = True,
+    ):
+        _check_clause(spec, tags, table)
+        keys, capable, rhematic = [], [], []
         for ordinal, c in enumerate(spec.constituents):
             if c.tag is not None:
                 c = c.with_tag(None)  # the untagged column must not fall back to c.tag
-            row = []
-            for tag in KEY_TAGS:
+            capable.append(vorfeld_capable(c, lex))
+            row = [None] * len(KEY_TAGS)
+            if every_tag:
+                columns = range(len(KEY_TAGS))
+            else:
+                columns = (0, KEY_TAGS.index(tags[c.id])) if c.id in tags else (0,)
+            for column in columns:
                 try:
-                    found = all_sort_keys(table, c, ordinal, tag=tag, lex=lex)
+                    row[column] = _slot_keys(table, c, ordinal, KEY_TAGS[column], lex)
                 except NoSlotError:
-                    row.append(None)
-                    continue
-                row.append(tuple((k.slot, k.sub_rank, k.hoberg, k.input_ordinal) for k in found))
+                    pass
             keys.append(tuple(row))
+            rhematic.append(_rhematic_by_default(table, c, None if row[0] is None else row[0][0][0]))
         self.clause_type = spec.clause_type
         self.keys = tuple(keys)
-        self.vorfeld_capable = tuple(vorfeld_capable(c, lex) for c in spec.constituents)
-        self.typically_rhematic = tuple(typically_rhematic(table, c) for c in spec.constituents)
+        self.vorfeld_capable = tuple(capable)
+        self.typically_rhematic = tuple(rhematic)
         self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)
 
     def carriers(self, tag: Tag) -> list[int]:
@@ -353,26 +330,39 @@ class CompiledClause:
             if (v2 and i == 0) or (row[column] is not None and not (v2 and tag is Tag.THEME))
         ]
 
+    def vorfeld_pick(self, theme: int | None, rheme: int | None, focus: int | None) -> int | None:
+        """The V2 Vorfeld rule: theme, else subject, else first capable element.
+
+        A theme that cannot open the clause (lexically Vorfeld-incapable)
+        falls through to the subject; a rheme never opens the clause.  Among
+        the other Vorfeld-capable elements with a slot for their tag, the one
+        with the lowest key opens.  None when nothing can.
+        """
+        if theme is not None and self.vorfeld_capable[theme]:
+            return theme
+        if self.subject is not None and self.subject != rheme:
+            return self.subject
+        best = pick = None
+        for i, row in enumerate(self.keys):
+            keys = row[3] if i == focus else row[0]
+            if i == rheme or not self.vorfeld_capable[i] or keys is None:
+                continue
+            if best is None or keys[0] < best:
+                best, pick = keys[0], i
+        return pick
+
     def _vorfelds(self, theme: int | None, rheme: int | None, focus: int | None) -> list[int | None]:
         """The assignment's Vorfeld candidates in order; ``[None]`` in VF.
 
         In V2 a theme must open the clause, if it can.  Without a theme the
-        :func:`select_vorfeld` pick comes first, then the focus carrier
-        (marked focus fronting).
+        :meth:`vorfeld_pick` comes first, then the focus carrier (marked focus
+        fronting).
         """
         if self.clause_type is not ClauseType.V2:
             return [None]
         if theme is not None:
             return [theme] if self.vorfeld_capable[theme] else []
-        pick = self.subject if self.subject != rheme else None
-        if pick is None:
-            best = None
-            for i, row in enumerate(self.keys):
-                keys = row[3] if i == focus else row[0]
-                if i == rheme or not self.vorfeld_capable[i] or keys is None:
-                    continue
-                if best is None or keys[0] < best:
-                    best, pick = keys[0], i
+        pick = self.vorfeld_pick(None, rheme, focus)
         vorfelds = [] if pick is None else [pick]
         if focus is not None and focus != pick and self.vorfeld_capable[focus]:
             vorfelds.append(focus)
@@ -503,7 +493,7 @@ def enumerate_orders(
                 assignment = tuple(sorted((ids[i], tag) for i, tag in tagged if i is not None))
             group = grouped.setdefault((vorfeld, *(key[3] for key in keys)), [None, False, []])
             if group[0] is None or (focus is None and not group[1]):
-                group[0] = _realized_surface(spec, vorfeld, keys, focus)
+                group[0] = _surface(spec, vorfeld, keys, focus)
                 group[1] = focus is None
             group[2].append(assignment)
     return tuple(OrderVariant(s.vorfeld, s.mittelfeld, s, tuple(a)) for s, _, a in grouped.values())

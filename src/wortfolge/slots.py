@@ -232,25 +232,13 @@ def sort_key(
 ) -> SortKey:
     """Position key of the first (lowest-ordinal) slot matching the constituent.
 
-    A tagged constituent matches only slots requiring its tag; an untagged one
-    only tag-free slots.  When a focused constituent matches both the early
-    and the general focus slot, the early one wins.  Raises
-    :class:`NoSlotError` when nothing matches (an inexpressible tagging).
+    The first of :func:`all_sort_keys`.  A tagged constituent matches only
+    slots requiring its tag; an untagged one only tag-free slots.  When a
+    focused constituent matches both the early and the general focus slot,
+    the early one wins.  Raises :class:`NoSlotError` when nothing matches
+    (an inexpressible tagging).
     """
-    if tag is None:
-        tag = c.tag
-    veto = _lexical_veto(c, tag, lex)
-    if veto:
-        raise NoSlotError(c, tag, veto)
-    for pattern in table.patterns:
-        if pattern.matches(c, tag):
-            return SortKey(
-                slot=pattern.slot,
-                sub_rank=pattern.sub_rank,
-                hoberg=c.hoberg_index or 0,
-                input_ordinal=input_ordinal,
-            )
-    raise NoSlotError(c, tag)
+    return all_sort_keys(table, c, input_ordinal, tag=tag, lex=lex)[0]
 
 
 def all_sort_keys(
@@ -266,6 +254,17 @@ def all_sort_keys(
     that fits both the early and the general focus slot yields both keys (the
     later one is the marked right-field realization).
     """
+    return tuple(SortKey(*key) for key in _slot_keys(table, c, input_ordinal, tag, lex))
+
+
+def _slot_keys(
+    table: SlotTable,
+    c: Constituent,
+    input_ordinal: int,
+    tag: Tag | None,
+    lex: Lexicon | None,
+) -> tuple[tuple[int, int, int, int], ...]:
+    """:func:`all_sort_keys` as plain tuples, which order like :class:`SortKey`."""
     if tag is None:
         tag = c.tag
     veto = _lexical_veto(c, tag, lex)
@@ -273,33 +272,17 @@ def all_sort_keys(
         raise NoSlotError(c, tag, veto)
     keys = []
     seen_slots = set()
+    hoberg = c.hoberg_index or 0
     for pattern in table.patterns:
         if pattern.slot in seen_slots or not pattern.matches(c, tag):
             continue
         seen_slots.add(pattern.slot)
-        keys.append(
-            SortKey(
-                slot=pattern.slot,
-                sub_rank=pattern.sub_rank,
-                hoberg=c.hoberg_index or 0,
-                input_ordinal=input_ordinal,
-            )
-        )
+        keys.append((pattern.slot, pattern.sub_rank, hoberg, input_ordinal))
         if tag is not Tag.FOCUS:
             break  # non-focus placements are unique: first match only
     if not keys:
         raise NoSlotError(c, tag)
     return tuple(keys)
-
-
-def compare(table: SlotTable, a: tuple[Constituent, SortKey], b: tuple[Constituent, SortKey]) -> int:
-    """-1/0/+1 ordering of two keyed constituents (never 0 for distinct ordinals)."""
-    ka, kb = a[1], b[1]
-    if ka < kb:
-        return -1
-    if kb < ka:
-        return 1
-    return 0
 
 
 def typically_rhematic(table: SlotTable, c: Constituent) -> bool:
@@ -310,13 +293,18 @@ def typically_rhematic(table: SlotTable, c: Constituent) -> bool:
     Nom/Adj) plus indefinite accusatives/datives.  Such elements open the
     clause only under contrastive focus.
     """
+    try:
+        slot = sort_key(table, c.with_tag(None), 0).slot
+    except NoSlotError:
+        slot = None
+    return _rhematic_by_default(table, c, slot)
+
+
+def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int | None) -> bool:
+    """The :func:`typically_rhematic` rule, given the untagged slot (None: no slot)."""
     if c.category in (Category.A, Category.D) and c.indefinite:
         return True
-    try:
-        key = sort_key(table, c.with_tag(None), 0)
-    except NoSlotError:
-        return False
-    return key.slot >= table.late_field_start
+    return slot is not None and slot >= table.late_field_start
 
 
 def check_cooccurrence(table: SlotTable, spec: ClauseSpec) -> list[str]:

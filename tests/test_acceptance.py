@@ -5,7 +5,6 @@ line (run ``pytest -s tests/test_acceptance.py`` to see them as they run).
 All checks are desk-scale and deterministic.
 """
 
-import functools
 import random
 from itertools import permutations
 
@@ -13,7 +12,6 @@ from wortfolge import (
     Tag,
     Verdict,
     analyze,
-    compare,
     enumerate_orders,
     explain_order,
     linearize,
@@ -248,24 +246,27 @@ def test_criterion_7_comparator_laws(lex, table):
             pool.append((con.with_tag(tag), key))
             ordinal += 1
 
+    def order(x, y):  # -1/0/+1 by SortKey ordering
+        return (x[1] > y[1]) - (x[1] < y[1])
+
     for _ in range(10_000):
         a, b, c_ = rng.sample(pool, 3)
-        ab, ba = compare(table, a, b), compare(table, b, a)
+        ab, ba = order(a, b), order(b, a)
         if ab != -ba:
             failures.append(f"antisymmetry broken for {a[1]} vs {b[1]}")
             break
-        if compare(table, a, b) <= 0 and compare(table, b, c_) <= 0:
-            if compare(table, a, c_) > 0:
+        if order(a, b) <= 0 and order(b, c_) <= 0:
+            if order(a, c_) > 0:
                 failures.append("transitivity broken")
                 break
 
     sample = rng.sample(pool, 50)
-    ordered = sorted(sample, key=functools.cmp_to_key(lambda x, y: compare(table, x, y)))
+    ordered = sorted(sample, key=lambda kc: kc[1])
     if sorted(id(x) for x, _ in ordered) != sorted(id(x) for x, _ in sample):
         failures.append("sort is not a permutation")
     for left, right in zip(ordered, ordered[1:]):
-        if compare(table, left, right) > 0:
-            failures.append("sorted output violates the comparator")
+        if order(left, right) > 0:
+            failures.append("sorted output violates the ordering")
             break
     _report("criterion 7, comparator laws over 10000 random triples", failures)
 

@@ -77,6 +77,20 @@ def test_empty_surface_reported(ex5_clause):
     assert any("empty surface" in v for v in validate_clause(bad))
 
 
+@pytest.mark.parametrize("token", ["", " ", "\t"])
+def test_blank_tokens_reported(ex5_clause, token):
+    blank_surface = replace(
+        ex5_clause,
+        constituents=tuple(
+            replace(con, surface=("den", token)) if con.id == "den-mann" else con
+            for con in ex5_clause.constituents
+        ),
+    )
+    assert any("den-mann: blank or non-string surface token" in v for v in validate_clause(blank_surface))
+    blank_verb = replace(ex5_clause, verb=VerbComplex(("habe",), (token,)))
+    assert "verb complex has a blank or non-string token" in validate_clause(blank_verb)
+
+
 def test_unresolved_features_on_full_noun_phrases():
     spec = ClauseSpec(
         ClauseType.V2,

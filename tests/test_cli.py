@@ -143,6 +143,28 @@ def test_analyze_ungrammatical_exit_code(tmp_path, capsys):
     assert report["verdict"] == "UNGRAMMATICAL"
 
 
+def _two_subjects(observed):
+    obs = json.loads(json.dumps(observed))
+    obs["constituents"].append({"id": "sie", "category": "N", "surface": ["sie"], "features": {"pronominal": True}})
+    return obs
+
+
+@pytest.mark.parametrize("command", ["analyze", "disambiguate"])
+def test_cooccurrence_violation_is_a_generation_error(tmp_path, capsys, command):
+    # The contract: exit 2 with the JSON error object on stdout, as for generate.
+    obs = _two_subjects(OBSERVED_2C)
+    if command == "analyze":
+        argv = ["analyze", "--observed", _write(tmp_path, "obs.json", obs)]
+    else:
+        argv = ["disambiguate", "--candidates", _write(tmp_path, "cands.json", [{"label": "two", "observed": obs}])]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "error": {"type": "CooccurrenceViolation", "message": "nominative alternatives cannot cooccur: er, sie"}
+    }
+    assert err == ""
+
+
 def test_analyze_grammatical(tmp_path, capsys):
     obs = json.loads(json.dumps(OBSERVED_2C))
     obs["constituents"][1], obs["constituents"][2] = obs["constituents"][2], obs["constituents"][1]

@@ -152,10 +152,15 @@ def _generate_doc(**edits):
         ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", ""]}), "surface tokens must be strings, none of them empty"),
         ("generate", _generate_doc(**{"verb.finite": [""]}), "verb.finite: must be a list of strings, none of them empty"),
         ("analyze", _analyze_doc(**{"verb.nonfinite": [""]}), "verb.nonfinite: must be a list of strings, none of them empty"),
+        ("generate", _generate_doc(**{"constituents.0.surface": [" "]}), "surface tokens must be strings, none of them empty or blank"),
+        ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", "\t"]}), "surface tokens must be strings, none of them empty or blank"),
+        ("generate", _generate_doc(**{"verb.finite": ["  "]}), "verb.finite: must be a list of strings, none of them empty or blank"),
+        ("analyze", _analyze_doc(**{"verb.nonfinite": [" "]}), "verb.nonfinite: must be a list of strings, none of them empty or blank"),
     ],
     ids=["stress-entry", "finite-token-analyze", "finite-token-generate", "nonfinite-token",
          "pronominal-string", "svc-string", "hoberg-bool", "empty-id", "empty-surface-token-generate",
-         "empty-surface-token-analyze", "empty-finite-token", "empty-nonfinite-token"],
+         "empty-surface-token-analyze", "empty-finite-token", "empty-nonfinite-token",
+         "blank-surface-token-generate", "blank-surface-token-analyze", "blank-finite-token", "blank-nonfinite-token"],
 )
 def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"

@@ -6,7 +6,8 @@ compiled clause: every assignment rebuilds the tagged clause, validates it
 again and keys every constituent again.  The engine must return equal
 results, or raise the same exception class with the same message.  The
 references use only the engine's primitives (validation, slot keys, the
-Vorfeld rule), never the realization code they check.
+Vorfeld rule), never the realization code they check; the generator helpers
+they were written with are frozen here too.
 """
 
 from __future__ import annotations
@@ -19,24 +20,93 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wortfolge import Category, ClauseType, Constituent, Tag, enumerate_orders, realizations
+from wortfolge import (
+    Category,
+    ClauseType,
+    Constituent,
+    Tag,
+    check_cooccurrence,
+    enumerate_orders,
+    realizations,
+    validate_clause,
+)
 from wortfolge.linearize import (
     MAX_SEARCH_CONSTITUENTS,
+    CooccurrenceViolation,
     InexpressibleTags,
     NoVorfeld,
     OrderVariant,
     SurfaceOrder,
-    _apply_tags,
-    _check_clause,
-    _check_theme_admissible,
-    _tagged,
     check_assignment,
-    select_vorfeld,
-    vorfeld_capable,
 )
-from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table
+from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table, sort_key, typically_rhematic
 
 from .strategies import _LEX, broken_clause, random_assignment, random_clause
+
+
+# Frozen copies of the generator helpers the references were written with,
+# as they stood before generation moved onto the compiled clause.
+
+def _reference_apply_tags(spec, tags):
+    """The clause with the assignment's tags in place of the embedded ones."""
+    return replace(spec, constituents=tuple(c.with_tag(tags.get(c.id)) for c in spec.constituents))
+
+
+def _reference_check_clause(spec, tagged_spec, table):
+    cooccurrence = check_cooccurrence(table, tagged_spec)
+    if cooccurrence:
+        raise CooccurrenceViolation(cooccurrence)
+    spec_violations = validate_clause(spec)
+    if spec_violations:
+        raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
+
+
+def _reference_vorfeld_capable(c, lex):
+    if c.lexicon_key is None:
+        return True
+    entry = lex.get(c.lexicon_key)
+    if entry is None:
+        raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
+    return entry.vorfeld_capable
+
+
+def _reference_tagged(tagged_spec, tag):
+    for c in tagged_spec.constituents:
+        if c.tag is tag:
+            return c
+    return None
+
+
+def reference_select_vorfeld(spec, tags, lex, table):
+    """The Vorfeld occupant: theme if capable, else subject unless rhematic, else the lowest capable key."""
+    tagged_spec = _reference_apply_tags(spec, tags)
+    theme = _reference_tagged(tagged_spec, Tag.THEME)
+    if theme is not None and _reference_vorfeld_capable(theme, lex):
+        return theme.id
+    subject = tagged_spec.subject()
+    if subject is not None and subject.tag is not Tag.RHEME:
+        return subject.id
+    candidates = []
+    for ordinal, c in enumerate(tagged_spec.constituents):
+        if c.tag is Tag.RHEME or not _reference_vorfeld_capable(c, lex):
+            continue
+        try:
+            key = sort_key(table, c, ordinal, tag=c.tag, lex=lex)
+        except NoSlotError:
+            continue
+        candidates.append((key, c.id))
+    if not candidates:
+        raise NoVorfeld("no Vorfeld-capable constituent")
+    return min(candidates)[1]
+
+
+def _reference_check_theme_admissible(tagged_spec, table):
+    theme = _reference_tagged(tagged_spec, Tag.THEME)
+    if theme is not None and typically_rhematic(table, theme):
+        raise InexpressibleTags(
+            f"{theme.id} defaults to the late field and cannot be thematic; "
+            "it opens the clause only under contrastive focus"
+        )
 
 
 def reference_assignments(spec):
@@ -98,29 +168,29 @@ def _reference_surface(tagged_spec, keyed, vorfeld):
 def reference_realizations(spec, tags, lex, table=None):
     """All surface orders the assignment licenses, by keying the tagged clause."""
     table = table or build_slot_table()
-    tagged_spec = _apply_tags(spec, tags)
-    _check_clause(spec, tagged_spec, table)
+    tagged_spec = _reference_apply_tags(spec, tags)
+    _reference_check_clause(spec, tagged_spec, table)
     if check_assignment(spec, tags):
         return []
     try:
-        _check_theme_admissible(tagged_spec, table)
+        _reference_check_theme_admissible(tagged_spec, table)
     except InexpressibleTags:
         return []
 
-    theme = _tagged(tagged_spec, Tag.THEME)
-    focus = _tagged(tagged_spec, Tag.FOCUS)
+    theme = _reference_tagged(tagged_spec, Tag.THEME)
+    focus = _reference_tagged(tagged_spec, Tag.FOCUS)
 
     if spec.clause_type is ClauseType.V2:
         vorfeld_ids = []
         if theme is not None:
-            if vorfeld_capable(theme, lex):
+            if _reference_vorfeld_capable(theme, lex):
                 vorfeld_ids.append(theme.id)
         else:
             try:
-                vorfeld_ids.append(select_vorfeld(spec, tags, lex, table))
+                vorfeld_ids.append(reference_select_vorfeld(spec, tags, lex, table))
             except NoVorfeld:
                 pass
-            if focus is not None and vorfeld_capable(focus, lex) and focus.id not in vorfeld_ids:
+            if focus is not None and _reference_vorfeld_capable(focus, lex) and focus.id not in vorfeld_ids:
                 vorfeld_ids.append(focus.id)
     else:
         vorfeld_ids = [None]

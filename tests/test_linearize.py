@@ -11,7 +11,6 @@ from wortfolge import (
     enumerate_orders,
     linearize,
     realizations,
-    select_vorfeld,
 )
 
 from .conftest import c, modifier
@@ -21,16 +20,17 @@ from .strategies import specs_with_tags
 # --- Vorfeld selection ---------------------------------------------------------
 
 def test_theme_takes_the_vorfeld(ex5_clause, lex):
-    assert select_vorfeld(ex5_clause, {"gestern": Tag.THEME}, lex) == "gestern"
+    assert linearize(ex5_clause, {"gestern": Tag.THEME}, lex).vorfeld == "gestern"
 
 
 def test_subject_default_without_theme(ex5_clause, lex):
-    assert select_vorfeld(ex5_clause, {}, lex) == "ich"
+    assert linearize(ex5_clause, {}, lex).vorfeld == "ich"
 
 
 def test_vorfeld_incapable_theme_falls_through_to_subject(ex2_clause, lex):
-    assert select_vorfeld(ex2_clause, {"ebenfalls": Tag.THEME}, lex) == "er"
-    with pytest.raises(InexpressibleTags):
+    assert linearize(ex2_clause, {}, lex).vorfeld == "er"
+    # The subject opens instead, so the theme is stranded (not NoVorfeld).
+    with pytest.raises(InexpressibleTags, match="theme ebenfalls cannot occupy the Vorfeld"):
         linearize(ex2_clause, {"ebenfalls": Tag.THEME}, lex)
 
 
@@ -42,7 +42,7 @@ def test_subjectless_clause_fronts_first_capable_element(lex):
         VerbComplex(("wurde",), ("getanzt",)),
         (modifier("gestern", "gestern", 26), modifier("oft", "oft", 37)),
     )
-    assert select_vorfeld(spec, {}, lex) == "gestern"
+    assert linearize(spec, {}, lex).vorfeld == "gestern"
     assert linearize(spec, {}, lex).text == "Gestern wurde oft getanzt"
 
 
@@ -55,7 +55,7 @@ def test_degenerate_clause_has_no_vorfeld(lex):
         (modifier("ebenfalls", "ebenfalls", 35),),  # lexically Vorfeld-incapable
     )
     with pytest.raises(NoVorfeld):
-        select_vorfeld(spec, {}, lex)
+        linearize(spec, {}, lex)
 
 
 # --- linearize -----------------------------------------------------------------
@@ -78,6 +78,11 @@ def test_verb_final_clause_with_theme_and_focus(ex5_vf_clause, lex):
     surface = linearize(ex5_vf_clause, {"gestern": Tag.THEME, "ich": Tag.FOCUS}, lex)
     assert surface.text == "weil gestern ICH den Mann gesehen habe"
     assert surface.vorfeld is None
+
+
+def test_focused_pronoun_takes_the_early_focus_slot(ex1_clause, lex):
+    surface = linearize(ex1_clause, {"morgen": Tag.THEME, "ihn": Tag.FOCUS}, lex)
+    assert surface.order == ("morgen", "ich", "ihn", "vielleicht")
 
 
 def test_modifier_band_order(ex6_clause, lex):

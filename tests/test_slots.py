@@ -11,7 +11,6 @@ from wortfolge.slots import (
     all_sort_keys,
     build_slot_table,
     check_cooccurrence,
-    compare,
     load_slot_table,
     sort_key,
     typically_rhematic,
@@ -120,24 +119,20 @@ def test_svc_part_matches_only_final_slot(table):
         sort_key(table, svc, 0, tag=Tag.RHEME)
 
 
-# --- compare -----------------------------------------------------------------
+# --- SortKey ordering -----------------------------------------------------------
 
 def test_modifier_indexes_order_within_a_band(table):
     dennoch = modifier("dennoch", "dennoch", 20)
     ebenfalls = modifier("ebenfalls", "ebenfalls", 35)
     ka = sort_key(table, dennoch, 0)
     kb = sort_key(table, ebenfalls, 1)
-    assert compare(table, (dennoch, ka), (ebenfalls, kb)) == -1
+    assert ka < kb
 
 
 def test_pragmatic_band_precedes_situative_band(table):
     deshalb = modifier("deshalb", "deshalb", 22)
     gestern = modifier("gestern", "gestern", 26)
-    assert compare(
-        table,
-        (deshalb, sort_key(table, deshalb, 0)),
-        (gestern, sort_key(table, gestern, 1)),
-    ) == -1
+    assert sort_key(table, deshalb, 0) < sort_key(table, gestern, 1)
 
 
 def test_equal_indexes_keep_input_order(table):
@@ -145,8 +140,8 @@ def test_equal_indexes_keep_input_order(table):
     damals = modifier("damals", "damals", 26)
     ka = sort_key(table, gestern, 0)
     kb = sort_key(table, damals, 1)
-    assert compare(table, (gestern, ka), (damals, kb)) == -1
-    assert compare(table, (damals, kb), (gestern, ka)) == 1
+    assert ka < kb
+    assert kb > ka and not kb < ka
 
 
 def test_untagged_sort_reproduces_the_three_modifier_order(table, ex6_clause):
