@@ -66,10 +66,8 @@ from .slots import (
     SortKey,
     all_sort_keys,
     build_slot_table,
-    check_cooccurrence,
     load_slot_table,
     sort_key,
-    typically_rhematic,
 )
 
 __version__ = "0.1.0"
@@ -107,7 +105,6 @@ __all__ = [
     "all_sort_keys",
     "analyze",
     "build_slot_table",
-    "check_cooccurrence",
     "detect_focus_constructions",
     "dump_lexicon",
     "enumerate_orders",
@@ -126,6 +123,5 @@ __all__ = [
     "recognize_theme",
     "sort_key",
     "spec_of",
-    "typically_rhematic",
     "validate_clause",
 ]

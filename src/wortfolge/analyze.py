@@ -17,6 +17,8 @@ element, and the Mittelfeld keys strictly increase along the observed order.
 Two marked constructions are additionally detected directly (a typically
 rhematic element in the Vorfeld, and a pronoun to the right of a modifier);
 the detections must agree with the key check and are reported alongside it.
+:func:`analyze` compiles the observed clause once and reads the explanations
+and both detectors off that one :class:`CompiledClause`.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from enum import Enum
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, VerbComplex
 from .lexicon import Lexicon
-from .linearize import (
-    MAX_SEARCH_CONSTITUENTS,
-    SurfaceOrder,
-    TagAssignment,
-    CompiledClause,
-)
-from .slots import NoSlotError, SlotTable, build_slot_table, sort_key, typically_rhematic
+from .linearize import CompiledClause, SurfaceOrder, TagAssignment, _check_search_size, iter_assignments
+from .slots import SlotTable, build_slot_table
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,17 @@ class AnalysisResult:
     detected_focus: tuple[str, ...] = ()
 
 
+def _stress_focus(obs: ObservedClause) -> TagAssignment | None:
+    """Check the size cap; return the FOCUS the stress marks fix (``{}`` without
+    marks, None for marks no assignment can carry: an unknown id, two ids)."""
+    _check_search_size(len(obs.constituents))
+    if not obs.stress:
+        return {}
+    if len(obs.stress) == 1 and obs.stress <= set(obs.order):
+        return {next(iter(obs.stress)): Tag.FOCUS}
+    return None
+
+
 def explain_order(
     obs: ObservedClause,
     lex: Lexicon,
@@ -122,35 +130,24 @@ def explain_order(
     the marked constituents, so marks no assignment can carry (an unknown id,
     two ids) explain nothing and the clause is not even validated.
     """
-    n = len(obs.constituents)
-    if n > MAX_SEARCH_CONSTITUENTS:
-        raise ValueError(
-            f"clause has {n} constituents; "
-            f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}"
-        )
-    ids = obs.order
-    if not obs.stress:
-        fixed = {}
-    elif len(obs.stress) == 1 and obs.stress <= set(ids):
-        fixed = {next(iter(obs.stress)): Tag.FOCUS}
-    else:
+    fixed = _stress_focus(obs)
+    if fixed is None:
         return ()
     clause = CompiledClause(spec_of(obs), fixed, lex, table or build_slot_table())
+    return _explanations(clause, obs.order, fixed)
+
+
+def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[TagAssignment, ...]:
+    """:func:`explain_order` on the compiled clause, given the stress-fixed focus."""
     # Skipping carriers that can license nothing keeps iter_assignments order.
     themes = [None, *clause.carriers(Tag.THEME)]
     rhemes = [None, *clause.carriers(Tag.RHEME)]
     focuses = [ids.index(cid) for cid in fixed] if fixed else [None, *clause.carriers(Tag.FOCUS)]
     out = []
-    for theme in themes:
-        for rheme in rhemes:
-            if rheme is not None and rheme == theme:
-                continue
-            for focus in focuses:
-                if focus is not None and focus in (theme, rheme):
-                    continue
-                if clause.realizes_input_order(theme, rheme, focus):
-                    carriers = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
-                    out.append({ids[i]: tag for i, tag in carriers if i is not None})
+    for theme, rheme, focus in iter_assignments(themes, rhemes, focuses):
+        if clause.realizes_input_order(theme, rheme, focus):
+            carriers = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
+            out.append({ids[i]: tag for i, tag in carriers if i is not None})
     return tuple(out)
 
 
@@ -165,49 +162,38 @@ def detect_focus_constructions(
     expansive complements, late-field categories, indefinite objects) although
     the clause offers an unmarked opener;
     (b) an early-field pronoun stands to the right of a modifier, which such
-    pronouns never do in unmarked orders.
+    pronouns never do in unmarked orders.  An invalid clause raises.
     """
-    from .linearize import vorfeld_capable
-
     table = table or build_slot_table()
+    return _detections(CompiledClause(spec_of(obs), {}, lex, table), obs, table)
 
-    def rheme_expressible(c: Constituent) -> bool:
-        try:
-            sort_key(table, c.with_tag(None), 0, tag=Tag.RHEME, lex=lex)
-        except (NoSlotError, KeyError):
-            return False
-        return True
 
+def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -> tuple[str, ...]:
+    """:func:`detect_focus_constructions` read off the compiled clause."""
+    keys, rhematic = clause.keys, clause.typically_rhematic
     hits: list[str] = []
-    if obs.clause_type is ClauseType.V2 and obs.constituents:
-        vorfeld = obs.constituents[0]
-        if typically_rhematic(table, vorfeld):
-            # Fronting a late-field element is only marked when something else
-            # would have opened the clause unmarked: an early-field element
-            # that no tag can move out of the way (a rheme tag could).
-            has_unmarked_opener = any(
-                not typically_rhematic(table, c)
-                and vorfeld_capable(c, lex)
-                and not rheme_expressible(c)
-                for c in obs.constituents[1:]
-            )
-            if has_unmarked_opener:
-                hits.append(vorfeld.id)
+    if obs.clause_type is ClauseType.V2 and keys and rhematic[0]:
+        # Fronting a late-field element is only marked when something else
+        # would have opened the clause unmarked: an early-field element that
+        # no tag can move out of the way (a rheme tag could).
+        if any(
+            not rhematic[i] and clause.vorfeld_capable[i] and keys[i][2] is None
+            for i in range(1, len(keys))
+        ):
+            hits.append(obs.constituents[0].id)
     # Pattern (b) concerns Mittelfeld order; the Vorfeld occupant is outside
     # it.  Only pronouns whose default slot precedes the modifier bands have
     # the leftward tendency the construction relies on, and rheme-capable
     # ones (genitive pronouns) can stand late without stress.
     start = 1 if obs.clause_type is ClauseType.V2 else 0
     seen_modifier = False
-    for c in obs.constituents[start:]:
+    for i in range(start, len(keys)):
+        c = obs.constituents[i]
         if c.category is Category.M:
             seen_modifier = True
-        elif c.features.pronominal and seen_modifier and c.id not in hits:
-            try:
-                default = sort_key(table, c.with_tag(None), 0)
-            except NoSlotError:
-                continue
-            if default.slot < table.modifier_band_start and not rheme_expressible(c):
+        elif c.features.pronominal and seen_modifier:
+            default = keys[i][0]
+            if default is not None and default[0][0] < table.modifier_band_start and keys[i][2] is None:
                 hits.append(c.id)
     return tuple(hits)
 
@@ -276,13 +262,20 @@ def analyze(
     lex: Lexicon,
     table: SlotTable | None = None,
 ) -> AnalysisResult:
-    """Full pipeline: explanations, verdict, then focus, theme and rheme."""
+    """Full pipeline: explanations, verdict, then focus, theme and rheme.
+
+    The clause is compiled once, whatever its stress marks, so an invalid
+    clause raises even under marks no assignment can carry; such marks leave
+    a valid clause without explanations (UNGRAMMATICAL).
+    """
     table = table or build_slot_table()
-    explanations = explain_order(obs, lex, table)
+    fixed = _stress_focus(obs)
+    clause = CompiledClause(spec_of(obs), fixed or {}, lex, table)
+    explanations = () if fixed is None else _explanations(clause, obs.order, fixed)
     focus, focus_options = recognize_focus(obs, lex, explanations)
     theme = recognize_theme(obs, focus_ids=focus_options)
     rheme = recognize_rheme(obs, lex)
-    detected = detect_focus_constructions(obs, lex, table)
+    detected = _detections(clause, obs, table)
 
     costs = [sum(1 for t in tags.values() if t is Tag.FOCUS) for tags in explanations]
     markedness_cost = min(costs) if costs else 0

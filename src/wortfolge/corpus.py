@@ -61,17 +61,36 @@ class CorpusSummary:
         }
 
 
+#: The JSON type of each optional case field and ``expected`` field (lists hold strings).
+_CASE_FIELDS = dict(flags=dict, expected=dict, printed=list, printed_order=list, printed_stress=list)
+_EXPECTED_FIELDS = dict(
+    analysis=dict, printed_analysis=dict, readings=dict, rendered=list, ranking=list, rejected=list,
+    excluded=list,
+)
+
+
+def _check_fields(raw: dict, kinds: dict, where: str):
+    for key, kind in kinds.items():
+        value = raw.get(key, kind())
+        if kind is dict and not isinstance(value, dict):
+            raise DocumentError(f"{where}.{key}: must be an object")
+        if kind is list and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise DocumentError(f"{where}.{key}: must be a list of strings")
+
+
 def load_corpus(text: str) -> tuple[CorpusCase, ...]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError(f"corpus: invalid JSON ({err})") from None
-    if not isinstance(raw, dict) or "cases" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("cases"), list):
         raise DocumentError("corpus: expected an object with a 'cases' list")
     cases = []
     seen = set()
     for i, raw_case in enumerate(raw["cases"]):
         where = f"cases[{i}]"
+        if not isinstance(raw_case, dict):
+            raise DocumentError(f"{where}: expected an object")
         case_id = raw_case.get("case_id")
         if not isinstance(case_id, str) or not case_id:
             raise DocumentError(f"{where}: missing case_id")
@@ -81,13 +100,20 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         if "doc" not in raw_case:
             raise DocumentError(f"{where}: missing doc")
         doc = parse_document(raw_case["doc"])
-        flags = raw_case.get("flags", {})
+        _check_fields(raw_case, _CASE_FIELDS, where)
+        expected = raw_case.get("expected", {})
+        _check_fields(expected, _EXPECTED_FIELDS, f"{where}.expected")
+        readings = expected.get("readings", {})
+        _check_fields(readings, dict.fromkeys(readings, dict), f"{where}.expected.readings")
+        printed_order = set(raw_case.get("printed_order", []))
+        if doc.mode is Mode.GENERATE and not printed_order <= {c.id for c in doc.clause.constituents}:
+            raise DocumentError(f"{where}.printed_order: names an unknown constituent")
         cases.append(
             CorpusCase(
                 case_id=case_id,
                 doc=doc,
                 expected=raw_case.get("expected", {}),
-                expected_mismatch=bool(flags.get("expected_mismatch", False)),
+                expected_mismatch=bool(raw_case.get("flags", {}).get("expected_mismatch", False)),
                 printed=tuple(raw_case.get("printed", [])),
                 printed_order=tuple(raw_case.get("printed_order", [])),
                 printed_stress=frozenset(raw_case.get("printed_stress", [])),
@@ -140,18 +166,27 @@ def _observed_from_order(spec, order, stress=frozenset()) -> ObservedClause:
 
 
 def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> CaseResult:
-    table = table or build_slot_table()
-    failures: list[str] = []
     doc = case.doc
+    single = doc.clause or doc.observed
+    clauses = [single] if single is not None else [candidate.clause for candidate in doc.candidates]
+    # Lexicon problems are input errors, as in the CLI: the engine never sees them.
+    failures = [problem for clause in clauses for problem in verify_lexicon_keys(clause.constituents, lex)]
+    if not failures:
+        try:
+            _check_case(case, lex, table or build_slot_table(), failures)
+        except (LinearizeError, ValueError) as err:
+            failures.append(f"analysis failed: {err}")
+    return CaseResult(case.case_id, not failures, case.expected_mismatch, failures)
 
+
+def _check_case(case: CorpusCase, lex: Lexicon, table: SlotTable, failures: list[str]):
+    doc = case.doc
     if doc.mode is Mode.GENERATE:
-        problems = verify_lexicon_keys(doc.clause.constituents, lex)
-        failures.extend(problems)
         try:
             surface = linearize(doc.clause, doc.tags or {}, lex, table)
         except (LinearizeError, ValueError) as err:
             failures.append(f"linearize failed: {err}")
-            return CaseResult(case.case_id, False, case.expected_mismatch, failures)
+            return
         if "rendered" in case.expected and list(surface.rendered) != case.expected["rendered"]:
             failures.append(
                 f"rendered: expected {' '.join(case.expected['rendered'])!r}, got {surface.text!r}"
@@ -176,15 +211,9 @@ def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> 
                     failures,
                     prefix="printed_analysis",
                 )
-
     elif doc.mode is Mode.ANALYZE:
-        failures.extend(verify_lexicon_keys(doc.observed.constituents, lex))
-        result = analyze(doc.observed, lex, table)
-        _check_analysis(case.expected.get("analysis", {}), result, failures)
-
+        _check_analysis(case.expected.get("analysis", {}), analyze(doc.observed, lex, table), failures)
     else:
-        for candidate in doc.candidates:
-            failures.extend(verify_lexicon_keys(candidate.clause.constituents, lex))
         ranked = rank_readings(doc.candidates, lex, table)
         if "ranking" in case.expected:
             actual = [r.reading.label for r in ranked]
@@ -204,8 +233,6 @@ def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> 
                 failures.append(f"readings.{label}: no such candidate")
                 continue
             _check_analysis(expected_analysis, matching[0].result, failures, prefix=f"readings.{label}")
-
-    return CaseResult(case.case_id, not failures, case.expected_mismatch, failures)
 
 
 def run_corpus(

@@ -207,8 +207,8 @@ def parse_candidates(raw, where="candidates"):
             f"{where}[{i}].observed",
         )
         context = raw_candidate.get("constraint_context", [])
-        if not isinstance(context, list):
-            raise DocumentError(f"{where}[{i}].constraint_context: must be a list")
+        if not isinstance(context, list) or not all(isinstance(atom, str) for atom in context):
+            raise DocumentError(f"{where}[{i}].constraint_context: must be a list of strings")
         candidates.append(
             CandidateReading(
                 label=label,

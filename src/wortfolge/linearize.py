@@ -23,25 +23,32 @@ assignment; enumeration and analysis key every constituent under every tag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, validate_clause
+from .clause import VERBAL_CATEGORIES, Category, ClauseSpec, ClauseType, Constituent, Tag, validate_clause
 from .lexicon import Lexicon
 from .slots import (
     NoSlotError,
     SlotTable,
     SortKey,
+    _entry,
     _lexical_veto,
     _rhematic_by_default,
     _slot_keys,
     build_slot_table,
-    check_cooccurrence,
 )
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
 
 MAX_SEARCH_CONSTITUENTS = 10
+
+
+def _check_search_size(n: int):
+    """Raise ``ValueError`` for a clause of ``n`` constituents past the search cap."""
+    if n > MAX_SEARCH_CONSTITUENTS:
+        raise ValueError(f"clause has {n} constituents; "
+                         f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}")
 
 
 class LinearizeError(Exception):
@@ -96,17 +103,14 @@ def check_assignment(spec: ClauseSpec, tags: TagAssignment) -> list[str]:
     return violations
 
 
-def _check_clause(spec: ClauseSpec, tags: TagAssignment, table: SlotTable):
+def _check_clause(spec: ClauseSpec, tags: TagAssignment):
     """Raise for a clause no assignment can order.
 
     Cooccurrence violations (slash groups, tag cardinality) outrank other
-    spec defects: they carry their own error class and exit code.  They are
-    checked with the assignment's tags in place of the embedded ones.
+    spec defects: they carry their own error class and exit code.  Focus is
+    counted from the assignment, not from the embedded tags.
     """
-    tagged = tuple(
-        c if c.tag is tags.get(c.id) else c.with_tag(tags.get(c.id)) for c in spec.constituents
-    )
-    cooccurrence = check_cooccurrence(table, replace(spec, constituents=tagged))
+    cooccurrence = _cooccurrence_violations(spec, tags)
     if cooccurrence:
         raise CooccurrenceViolation(cooccurrence)
     spec_violations = validate_clause(spec)
@@ -114,18 +118,26 @@ def _check_clause(spec: ClauseSpec, tags: TagAssignment, table: SlotTable):
         raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
 
 
-def _entry_for(c: Constituent, lex: Lexicon):
-    if c.lexicon_key is None:
-        return None
-    entry = lex.get(c.lexicon_key)
-    if entry is None:
-        raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
-    return entry
-
-
-def vorfeld_capable(c: Constituent, lex: Lexicon) -> bool:
-    entry = _entry_for(c, lex)
-    return True if entry is None else entry.vorfeld_capable
+def _cooccurrence_violations(spec: ClauseSpec, tags: TagAssignment) -> list[str]:
+    """Clause-level slash-group violations (exclusive alternatives)."""
+    violations = []
+    n_members = [c.id for c in spec.constituents if c.category is Category.N]
+    if len(n_members) > 1:
+        violations.append(f"nominative alternatives cannot cooccur: {', '.join(n_members)}")
+    exclusives = [
+        c.id
+        for c in spec.constituents
+        if c.category in (Category.SIT, Category.DIR, Category.EXP)
+    ]
+    if len(exclusives) > 1:
+        violations.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
+    focused = [c.id for c in spec.constituents if tags.get(c.id) is Tag.FOCUS]
+    if len(focused) > 1:
+        violations.append(f"focus slot admits one constituent: {', '.join(focused)}")
+    for c in spec.constituents:
+        if c.category in VERBAL_CATEGORIES:
+            violations.append(f"{c.id}: verbs are not orderable constituents")
+    return violations
 
 
 def _render(
@@ -225,7 +237,7 @@ def linearize(
         column = 1 if i == theme else 2 if i == rheme else 3 if i == focus else 0
         if row[column] is None:  # the compiled clause keeps no reason; recompute it
             c, tag = spec.constituents[i], KEY_TAGS[column]
-            err = NoSlotError(c, tag, _lexical_veto(c, tag, lex) or "")
+            err = NoSlotError(c, tag, _lexical_veto(tag, _entry(c, lex)) or "")
             raise InexpressibleTags(str(err)) from err
         mittelfeld.append(row[column][0])
     mittelfeld.sort()
@@ -265,18 +277,20 @@ class CompiledClause:
 
     ``keys[i][j]`` holds the :func:`all_sort_keys` of the constituent with
     input ordinal ``i`` under ``KEY_TAGS[j]``, as plain tuples (which order
-    like :class:`SortKey`), or None where that tagging has no slot.
+    like :class:`SortKey`), or None where that tagging has no slot.  With
+    ``vorfeld_capable``, ``typically_rhematic`` and ``subject`` they are all
+    that generation, enumeration and analysis (its detectors included) read.
     Assignments are given as input ordinals of the theme, rheme and focus
     carriers, None for an absent tag.  With ``every_tag`` false the clause is
     compiled for the one assignment ``tags``: only the untagged column and
     each carrier's own column are keyed, and every other entry is None.
 
     An invalid clause raises :class:`CooccurrenceViolation` or ``ValueError``;
-    ``tags`` matters there only to the cooccurrence message of a clause with
-    duplicate ids.  Tags embedded in the constituents are ignored.  An
-    unresolved lexicon key raises ``KeyError`` naming the first such
-    constituent, whatever the assignment: every key is resolved here, before
-    any assignment is tried.
+    ``tags`` counts there as the focus, so two FOCUS carriers are a
+    cooccurrence violation.  Tags embedded in the constituents are ignored.
+    This is the one place the engine resolves lexicon keys, each once: an
+    unresolved key raises ``KeyError`` naming the first such constituent,
+    whatever the assignment.
     """
 
     # A plain class: creating a dataclass takes milliseconds at import, more
@@ -291,12 +305,13 @@ class CompiledClause:
         table: SlotTable,
         every_tag: bool = True,
     ):
-        _check_clause(spec, tags, table)
+        _check_clause(spec, tags)
         keys, capable, rhematic = [], [], []
         for ordinal, c in enumerate(spec.constituents):
             if c.tag is not None:
                 c = c.with_tag(None)  # the untagged column must not fall back to c.tag
-            capable.append(vorfeld_capable(c, lex))
+            entry = _entry(c, lex)
+            capable.append(entry is None or entry.vorfeld_capable)
             row = [None] * len(KEY_TAGS)
             if every_tag:
                 columns = range(len(KEY_TAGS))
@@ -304,7 +319,7 @@ class CompiledClause:
                 columns = (0, KEY_TAGS.index(tags[c.id])) if c.id in tags else (0,)
             for column in columns:
                 try:
-                    row[column] = _slot_keys(table, c, ordinal, KEY_TAGS[column], lex)
+                    row[column] = _slot_keys(table, c, ordinal, KEY_TAGS[column], entry)
                 except NoSlotError:
                     pass
             keys.append(tuple(row))
@@ -430,18 +445,17 @@ class CompiledClause:
         return True
 
 
-def iter_assignments(n: int):
-    """Every tag assignment of n constituents within the cardinality limits.
+def iter_assignments(themes, rhemes, focuses):
+    """Every tag assignment of the candidate carriers within the cardinality limits.
 
-    Yields ``(theme, rheme, focus)`` carrier ordinals, None for an absent
-    tag, the empty assignment first.
+    Yields ``(theme, rheme, focus)`` carrier ordinals, None for an absent tag,
+    in the nesting order of the candidates; no constituent carries two tags.
     """
-    carriers = (None, *range(n))
-    for theme in carriers:
-        for rheme in carriers:
+    for theme in themes:
+        for rheme in rhemes:
             if rheme is not None and rheme == theme:
                 continue
-            for focus in carriers:
+            for focus in focuses:
                 if focus is None or focus not in (theme, rheme):
                     yield theme, rheme, focus
 
@@ -476,16 +490,13 @@ def enumerate_orders(
     surface is that of its first focus-free assignment, if it has one (no
     focus caps).  Clause size is capped to keep the search desk-scale.
     """
-    if len(spec.constituents) > MAX_SEARCH_CONSTITUENTS:
-        raise ValueError(
-            f"clause has {len(spec.constituents)} constituents; "
-            f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}"
-        )
+    _check_search_size(len(spec.constituents))
     clause = CompiledClause(spec, {}, lex, table or build_slot_table())
     ids = [c.id for c in spec.constituents]
     # order -> [surface, whether the surface is focus-free, assignments]
     grouped: dict[tuple, list] = {}
-    for theme, rheme, focus in iter_assignments(len(ids)):
+    carriers = (None, *range(len(ids)))
+    for theme, rheme, focus in iter_assignments(carriers, carriers, carriers):
         assignment = None
         for vorfeld, keys in clause.realize(theme, rheme, focus):
             if assignment is None:

@@ -17,15 +17,7 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 
-from .clause import (
-    Category,
-    ClauseSpec,
-    Constituent,
-    MINUS,
-    PLUS,
-    Tag,
-    VERBAL_CATEGORIES,
-)
+from .clause import Category, Constituent, MINUS, PLUS, Tag
 from .lexicon import Lexicon
 
 
@@ -210,12 +202,19 @@ def build_slot_table() -> SlotTable:
     return load_slot_table(text)
 
 
-def _lexical_veto(c: Constituent, tag: Tag | None, lex: Lexicon | None) -> str | None:
-    if lex is None or c.lexicon_key is None or tag is None:
+def _entry(c: Constituent, lex: Lexicon):
+    """The constituent's lexicon entry, None without a key; an unresolved key raises."""
+    if c.lexicon_key is None:
         return None
     entry = lex.get(c.lexicon_key)
     if entry is None:
         raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
+    return entry
+
+
+def _lexical_veto(tag: Tag | None, entry) -> str | None:
+    if entry is None or tag is None:
+        return None
     if tag is Tag.RHEME and not entry.rhematic:
         return f"{entry.lemma} is lexically non-rhematic"
     if tag is Tag.FOCUS and not entry.focusable:
@@ -254,7 +253,10 @@ def all_sort_keys(
     that fits both the early and the general focus slot yields both keys (the
     later one is the marked right-field realization).
     """
-    return tuple(SortKey(*key) for key in _slot_keys(table, c, input_ordinal, tag, lex))
+    if tag is None:
+        tag = c.tag
+    entry = None if tag is None or lex is None else _entry(c, lex)
+    return tuple(SortKey(*key) for key in _slot_keys(table, c, input_ordinal, tag, entry))
 
 
 def _slot_keys(
@@ -262,12 +264,11 @@ def _slot_keys(
     c: Constituent,
     input_ordinal: int,
     tag: Tag | None,
-    lex: Lexicon | None,
+    entry,
 ) -> tuple[tuple[int, int, int, int], ...]:
-    """:func:`all_sort_keys` as plain tuples, which order like :class:`SortKey`."""
-    if tag is None:
-        tag = c.tag
-    veto = _lexical_veto(c, tag, lex)
+    """:func:`all_sort_keys` under exactly ``tag``, as plain tuples (which order
+    like :class:`SortKey`), given the constituent's resolved lexicon entry."""
+    veto = _lexical_veto(tag, entry)
     if veto:
         raise NoSlotError(c, tag, veto)
     keys = []
@@ -285,45 +286,14 @@ def _slot_keys(
     return tuple(keys)
 
 
-def typically_rhematic(table: SlotTable, c: Constituent) -> bool:
-    """Whether the constituent's default position lies in the late field.
-
-    Covers complements whose untagged slot falls in the prepositional/final
-    rows (PO, SIT/DIR/EXP, nominal genitives, SVC parts, non-pronominal
-    Nom/Adj) plus indefinite accusatives/datives.  Such elements open the
-    clause only under contrastive focus.
-    """
-    try:
-        slot = sort_key(table, c.with_tag(None), 0).slot
-    except NoSlotError:
-        slot = None
-    return _rhematic_by_default(table, c, slot)
-
-
 def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int | None) -> bool:
-    """The :func:`typically_rhematic` rule, given the untagged slot (None: no slot)."""
+    """Whether the constituent is typically rhematic, given its untagged slot (None: no slot).
+
+    Covers complements whose untagged slot falls in the late field (the
+    prepositional/final rows: PO, SIT/DIR/EXP, nominal genitives, SVC parts,
+    non-pronominal Nom/Adj) plus indefinite accusatives/datives.  Such
+    elements open the clause only under contrastive focus.
+    """
     if c.category in (Category.A, Category.D) and c.indefinite:
         return True
     return slot is not None and slot >= table.late_field_start
-
-
-def check_cooccurrence(table: SlotTable, spec: ClauseSpec) -> list[str]:
-    """Report clause-level slash-group violations (exclusive alternatives)."""
-    violations = []
-    n_members = [c.id for c in spec.constituents if c.category is Category.N]
-    if len(n_members) > 1:
-        violations.append(f"nominative alternatives cannot cooccur: {', '.join(n_members)}")
-    exclusives = [
-        c.id
-        for c in spec.constituents
-        if c.category in (Category.SIT, Category.DIR, Category.EXP)
-    ]
-    if len(exclusives) > 1:
-        violations.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
-    focused = [c.id for c in spec.constituents if c.tag is Tag.FOCUS]
-    if len(focused) > 1:
-        violations.append(f"focus slot admits one constituent: {', '.join(focused)}")
-    for c in spec.constituents:
-        if c.category in VERBAL_CATEGORIES:
-            violations.append(f"{c.id}: verbs are not orderable constituents")
-    return violations

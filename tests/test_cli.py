@@ -149,10 +149,16 @@ def _two_subjects(observed):
     return obs
 
 
-@pytest.mark.parametrize("command", ["analyze", "disambiguate"])
-def test_cooccurrence_violation_is_a_generation_error(tmp_path, capsys, command):
-    # The contract: exit 2 with the JSON error object on stdout, as for generate.
+@pytest.mark.parametrize(
+    "command, stress",
+    [("analyze", []), ("disambiguate", []), ("analyze", ["er", "sie"]), ("disambiguate", ["er", "sie"])],
+    ids=["analyze", "disambiguate", "analyze-two-marks", "disambiguate-two-marks"],
+)
+def test_cooccurrence_violation_is_a_generation_error(tmp_path, capsys, command, stress):
+    # The contract: exit 2 with the JSON error object on stdout, as for generate,
+    # also when the stress marks alone would leave the clause unexplained.
     obs = _two_subjects(OBSERVED_2C)
+    obs["stress"] = stress
     if command == "analyze":
         argv = ["analyze", "--observed", _write(tmp_path, "obs.json", obs)]
     else:
@@ -163,6 +169,16 @@ def test_cooccurrence_violation_is_a_generation_error(tmp_path, capsys, command)
         "error": {"type": "CooccurrenceViolation", "message": "nominative alternatives cannot cooccur: er, sie"}
     }
     assert err == ""
+
+
+def test_invalid_clause_with_two_stress_marks_is_an_input_error(tmp_path, capsys):
+    obs = json.loads(json.dumps(OBSERVED_2C))
+    obs["constituents"].append({"id": "kaum", "category": "M", "surface": ["kaum"], "hoberg_index": 50})
+    obs["stress"] = ["er", "kaum"]
+    assert main(["analyze", "--observed", _write(tmp_path, "obs.json", obs)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: invalid clause spec: kaum: Hoberg index 50 outside 1..44\n"
 
 
 def test_analyze_grammatical(tmp_path, capsys):
@@ -252,6 +268,65 @@ def test_corpus_failing_case_names_it(tmp_path, capsys):
     assert main(["corpus", "run", path]) == 4
     out = capsys.readouterr().out
     assert "synthetic-fail: FAIL" in out
+
+
+def _corpus_case(**fields):
+    case = {
+        "case_id": "synthetic",
+        "doc": {"schema_version": "1", "mode": "GENERATE",
+                "payload": {"clause": GENERATE_5A["payload"]["clause"], "tags": {}}},
+    }
+    case.update(fields)
+    return case
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ({"cases": 5}, "corpus: expected an object with a 'cases' list"),
+        ({"cases": [5]}, "cases[0]: expected an object"),
+        ({"cases": [_corpus_case(flags=[])]}, "cases[0].flags: must be an object"),
+        ({"cases": [_corpus_case(expected="x")]}, "cases[0].expected: must be an object"),
+        ({"cases": [_corpus_case(printed="ich")]}, "cases[0].printed: must be a list of strings"),
+        ({"cases": [_corpus_case(printed_order=[1])]}, "cases[0].printed_order: must be a list of strings"),
+        ({"cases": [_corpus_case(printed_stress=[["ich"]])]}, "cases[0].printed_stress: must be a list of strings"),
+        ({"cases": [_corpus_case(expected={"analysis": None})]}, "cases[0].expected.analysis: must be an object"),
+        ({"cases": [_corpus_case(expected={"rendered": [1]})]}, "cases[0].expected.rendered: must be a list of strings"),
+        ({"cases": [_corpus_case(expected={"readings": {"a": 1}})]}, "cases[0].expected.readings.a: must be an object"),
+        ({"cases": [_corpus_case(printed_order=["du"])]}, "cases[0].printed_order: names an unknown constituent"),
+    ],
+    ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
+         "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id"],
+)
+def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
+    assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "extra, failure",
+    [
+        ({"id": "sie", "category": "N", "surface": ["sie"], "features": {"pronominal": True}},
+         "failed: nominative alternatives cannot cooccur: ich, sie"),
+        ({"id": "bald", "category": "M", "surface": ["bald"], "hoberg_index": 25, "lexicon_key": "bald#25"},
+         "bald: lexicon has no reading 'bald#25' (lemma 'bald')"),
+    ],
+    ids=["cooccurrence", "unresolved-key"],
+)
+@pytest.mark.parametrize("mode", ["GENERATE", "ANALYZE"])
+def test_engine_refusal_fails_the_corpus_case(tmp_path, capsys, extra, failure, mode):
+    clause = json.loads(json.dumps(GENERATE_5A["payload"]["clause"]))
+    clause["constituents"].append(extra)
+    key = "clause" if mode == "GENERATE" else "observed"
+    case = _corpus_case(expected={"analysis": {"verdict": "GRAMMATICAL_UNMARKED"}})
+    case["doc"] = {"schema_version": "1", "mode": mode, "payload": {key: clause}}
+    assert main(["corpus", "run", _write(tmp_path, "corpus.json", {"cases": [case]})]) == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "synthetic: FAIL"
+    assert out.splitlines()[1].endswith(failure)
+    assert err == ""
 
 
 def test_lexicon_env_var(clause_file, tmp_path, capsys, monkeypatch):

@@ -112,6 +112,12 @@ def test_candidate_exclusion_at_construction():
     assert excluded == (("adjunct", "pronominal heads take no NP adjunct"),)
 
 
+def test_non_string_constraint_context_rejected():
+    candidates = [{"label": "a", "observed": CLAUSE_JSON, "constraint_context": [{"x": 1}]}]
+    with pytest.raises(DocumentError, match=r"candidates\[0\].constraint_context: must be a list of strings"):
+        parse_candidates(candidates)
+
+
 def test_verify_lexicon_keys(lex):
     ok = c("gestern", "M", "gestern", hoberg=26, key="gestern#26")
     unresolved = c("bald", "M", "bald", hoberg=25, key="bald#25")

@@ -25,7 +25,6 @@ from wortfolge import (
     ClauseType,
     Constituent,
     Tag,
-    check_cooccurrence,
     enumerate_orders,
     realizations,
     validate_clause,
@@ -39,7 +38,8 @@ from wortfolge.linearize import (
     SurfaceOrder,
     check_assignment,
 )
-from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table, sort_key, typically_rhematic
+from wortfolge.clause import VERBAL_CATEGORIES
+from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table, sort_key
 
 from .strategies import _LEX, broken_clause, random_assignment, random_clause
 
@@ -52,8 +52,41 @@ def _reference_apply_tags(spec, tags):
     return replace(spec, constituents=tuple(c.with_tag(tags.get(c.id)) for c in spec.constituents))
 
 
+def reference_typically_rhematic(table, c):
+    """Whether the constituent is an indefinite object or its untagged slot lies in the late field."""
+    try:
+        slot = sort_key(table, c.with_tag(None), 0).slot
+    except NoSlotError:
+        slot = None
+    if c.category in (Category.A, Category.D) and c.indefinite:
+        return True
+    return slot is not None and slot >= table.late_field_start
+
+
+def reference_check_cooccurrence(spec):
+    """Clause-level slash-group violations, focus counted from the embedded tags."""
+    violations = []
+    n_members = [c.id for c in spec.constituents if c.category is Category.N]
+    if len(n_members) > 1:
+        violations.append(f"nominative alternatives cannot cooccur: {', '.join(n_members)}")
+    exclusives = [
+        c.id
+        for c in spec.constituents
+        if c.category in (Category.SIT, Category.DIR, Category.EXP)
+    ]
+    if len(exclusives) > 1:
+        violations.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
+    focused = [c.id for c in spec.constituents if c.tag is Tag.FOCUS]
+    if len(focused) > 1:
+        violations.append(f"focus slot admits one constituent: {', '.join(focused)}")
+    for c in spec.constituents:
+        if c.category in VERBAL_CATEGORIES:
+            violations.append(f"{c.id}: verbs are not orderable constituents")
+    return violations
+
+
 def _reference_check_clause(spec, tagged_spec, table):
-    cooccurrence = check_cooccurrence(table, tagged_spec)
+    cooccurrence = reference_check_cooccurrence(tagged_spec)
     if cooccurrence:
         raise CooccurrenceViolation(cooccurrence)
     spec_violations = validate_clause(spec)
@@ -102,7 +135,7 @@ def reference_select_vorfeld(spec, tags, lex, table):
 
 def _reference_check_theme_admissible(tagged_spec, table):
     theme = _reference_tagged(tagged_spec, Tag.THEME)
-    if theme is not None and typically_rhematic(table, theme):
+    if theme is not None and reference_typically_rhematic(table, theme):
         raise InexpressibleTags(
             f"{theme.id} defaults to the late field and cannot be thematic; "
             "it opens the clause only under contrastive focus"

@@ -3,17 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from wortfolge import Category, Tag
+from wortfolge import Category, ClauseSpec, ClauseType, Tag, VerbComplex
+from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
     NoSlotError,
     SlotTableError,
     SortKey,
     all_sort_keys,
     build_slot_table,
-    check_cooccurrence,
     load_slot_table,
     sort_key,
-    typically_rhematic,
 )
 
 from .conftest import c, modifier
@@ -183,19 +182,24 @@ def test_late_focus_slot_follows_every_row5_slot(table):
     assert all(table.focus_slots[-1] > slot for slot in row5_slots)
 
 
-def test_typically_rhematic_geometry(table):
-    assert typically_rhematic(table, c("x", "DIR", "nach Rom"))
-    assert typically_rhematic(table, c("x", "PO", "darauf", pron=True))
-    assert typically_rhematic(table, c("x", "A", "einen Inder", definite="-", animate="+"))
-    assert typically_rhematic(table, c("x", "G", "des Hauses", definite="+", animate="-"))
-    assert not typically_rhematic(table, c("x", "N", "der Mann", definite="+", animate="+"))
-    assert not typically_rhematic(table, modifier("x", "dennoch", 20))
-    assert not typically_rhematic(table, c("x", "A", "den Mann", definite="+", animate="+"))
+def _typically_rhematic(table, lex, constituent):
+    spec = ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), (constituent,))
+    return CompiledClause(spec, {}, lex, table).typically_rhematic[0]
+
+
+def test_typically_rhematic_geometry(table, lex):
+    assert _typically_rhematic(table, lex, c("x", "DIR", "nach Rom"))
+    assert _typically_rhematic(table, lex, c("x", "PO", "darauf", pron=True))
+    assert _typically_rhematic(table, lex, c("x", "A", "einen Inder", definite="-", animate="+"))
+    assert _typically_rhematic(table, lex, c("x", "G", "des Hauses", definite="+", animate="-"))
+    assert not _typically_rhematic(table, lex, c("x", "N", "der Mann", definite="+", animate="+"))
+    assert not _typically_rhematic(table, lex, modifier("x", "dennoch", 20))
+    assert not _typically_rhematic(table, lex, c("x", "A", "den Mann", definite="+", animate="+"))
 
 
 # --- cooccurrence -------------------------------------------------------------
 
-def test_sit_dir_cooccurrence_flagged(table, ex5_clause):
+def test_sit_dir_cooccurrence_flagged(table, lex, ex5_clause):
     from dataclasses import replace
 
     spec = replace(
@@ -203,12 +207,12 @@ def test_sit_dir_cooccurrence_flagged(table, ex5_clause):
         constituents=ex5_clause.constituents
         + (c("hier", "SIT", "hier"), c("nach-rom", "DIR", "nach Rom")),
     )
-    assert any("SIT/DIR/EXP" in v for v in check_cooccurrence(table, spec))
+    with pytest.raises(CooccurrenceViolation) as err:
+        CompiledClause(spec, {}, lex, table)
+    assert any("SIT/DIR/EXP" in v for v in err.value.violations)
 
 
-def test_arrow_group_members_cooccur(table):
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex
-
+def test_arrow_group_members_cooccur(table, lex):
     spec = ClauseSpec(
         ClauseType.V2,
         VerbComplex(("gibt",)),
@@ -218,11 +222,11 @@ def test_arrow_group_members_cooccur(table):
             c("dem-mann", "D", "dem Mann", definite="+", animate="+"),
         ),
     )
-    assert check_cooccurrence(table, spec) == []
+    CompiledClause(spec, {}, lex, table)  # raises on a cooccurrence violation
 
 
-def test_example_seven_clause_cooccurs(table, ex7_clause):
-    assert check_cooccurrence(table, ex7_clause) == []
+def test_example_seven_clause_cooccurs(table, lex, ex7_clause):
+    CompiledClause(ex7_clause, {}, lex, table)  # raises on a cooccurrence violation
 
 
 # --- comparator laws (hypothesis) ---------------------------------------------
