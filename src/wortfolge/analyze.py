@@ -29,7 +29,7 @@ from enum import Enum
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, VerbComplex
 from .lexicon import Lexicon
 from .linearize import CompiledClause, SurfaceOrder, TagAssignment, _check_search_size, iter_assignments
-from .slots import SlotTable, build_slot_table
+from .slots import SlotTable, _entry, build_slot_table
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,21 @@ class ObservedClause:
 
 
 def spec_of(obs: ObservedClause) -> ClauseSpec:
-    """The observed clause with its order erased (tags stripped)."""
+    """The observed clause with its order erased."""
     return ClauseSpec(
         clause_type=obs.clause_type,
         verb=obs.verb,
-        constituents=tuple(c.with_tag(None) for c in obs.constituents),
+        constituents=obs.constituents,
         complementizer=obs.complementizer,
     )
 
 
 def observe(spec: ClauseSpec, surface: SurfaceOrder) -> ObservedClause:
-    """Turn a generated order into an observation: keep order, erase tags."""
+    """Turn a generated order into an observation: the constituents in surface order."""
     return ObservedClause(
         clause_type=spec.clause_type,
         verb=spec.verb,
-        constituents=tuple(spec.by_id(cid).with_tag(None) for cid in surface.order),
+        constituents=tuple(spec.by_id(cid) for cid in surface.order),
         complementizer=spec.complementizer,
     )
 
@@ -234,20 +234,17 @@ def recognize_theme(obs: ObservedClause, focus_ids=()) -> str | None:
 
 
 def _inherently_non_rhematic(c: Constituent, lex: Lexicon) -> bool:
-    if c.features.pronominal:
-        return True
-    if c.lexicon_key is not None:
-        entry = lex.get(c.lexicon_key)
-        if entry is not None and not entry.rhematic:
-            return True
-    return False
+    """A pronoun or a lexically non-rhematic entry; an unresolved key raises ``KeyError``."""
+    entry = _entry(c, lex)
+    return c.features.pronominal or (entry is not None and not entry.rhematic)
 
 
 def recognize_rheme(obs: ObservedClause, lex: Lexicon) -> str | None:
     """The final constituent, unless it is inherently non-rhematic.
 
     Verbs are never candidates; the clause-final verb cluster is skipped by
-    construction since only constituents are considered.
+    construction since only constituents are considered.  An unresolved
+    lexicon key on the final constituent raises ``KeyError``.
     """
     if not obs.constituents:
         return None
@@ -280,12 +277,13 @@ def analyze(
     costs = [sum(1 for t in tags.values() if t is Tag.FOCUS) for tags in explanations]
     markedness_cost = min(costs) if costs else 0
 
+    # With constituents, no rheme means the final one is inherently non-rhematic.
     warning = None
     if (
         explanations
         and obs.clause_type is ClauseType.V2
         and obs.constituents
-        and _inherently_non_rhematic(obs.constituents[-1], lex)
+        and rheme is None
         and obs.constituents[-1].id not in focus_options
     ):
         warning = StressWarning(

@@ -1,9 +1,11 @@
 """Core clause-domain types: categories, features, constituents, clause specs.
 
 Everything here is immutable value data with no behaviour beyond construction
-and validation, so instances are safe to share freely.  Validation collects
-violations into a list instead of raising; an empty list means the clause is
-well formed.
+and validation, so instances are safe to share freely.  A clause carries no
+tags: theme, rheme and focus are given separately, as an assignment from
+constituent ids to tags.  One pass checks a clause and its assignment; it
+collects violations into lists instead of raising, and empty lists mean the
+clause is well formed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ FEATURE_KEYED_CATEGORIES = frozenset(
 
 
 class Tag(str, Enum):
-    """Information-structure tag a constituent may carry (at most one)."""
+    """Information-structure tag an assignment gives a constituent (at most one)."""
 
     THEME = "THEME"
     RHEME = "RHEME"
@@ -102,16 +104,9 @@ class Constituent:
     features: FeatureBundle = FeatureBundle()
     hoberg_index: int | None = None
     lexicon_key: str | None = None
-    tag: Tag | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "surface", tuple(self.surface))
-
-    def with_tag(self, tag: Tag | None) -> "Constituent":
-        # Built directly: dataclasses.replace costs several times more.
-        return Constituent(
-            self.id, self.category, self.surface, self.features, self.hoberg_index, self.lexicon_key, tag
-        )
 
     @property
     def indefinite(self) -> bool:
@@ -158,10 +153,6 @@ class ClauseSpec:
                 return c
         return None
 
-    def embedded_tags(self) -> dict[str, Tag]:
-        """Tags carried on the constituents themselves, as an assignment."""
-        return {c.id: c.tag for c in self.constituents if c.tag is not None}
-
 
 _EXCLUSIVE_ADVERBIALS = (Category.SIT, Category.DIR, Category.EXP)
 
@@ -174,66 +165,80 @@ def _all_words(tokens) -> bool:
 def validate_clause(spec: ClauseSpec) -> list[str]:
     """Check a clause spec against the domain invariants.
 
-    Returns every violated invariant as a human-readable string; an empty
-    list means the clause is well formed.  This is a total function: malformed
-    input produces violations, never exceptions.
+    Returns every violated invariant as a human-readable string, slash-group
+    conflicts first; an empty list means the clause is well formed.  This is
+    a total function: malformed input produces violations, never exceptions.
     """
-    violations = []
+    cooccurrence, invalid, _ = _violations(spec, {})
+    return cooccurrence + invalid
 
+
+def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], list[str]]:
+    """Every defect of the clause under the assignment ``tags``, in one pass.
+
+    Returns three lists of violations: cooccurrence (the slash groups, the
+    focus slot holding more than one constituent, verbs among the
+    constituents), which no assignment can order; the spec's own defects; and
+    the assignment's (unknown ids, two carriers of one tag).
+    """
+    invalid = []
     if not spec.verb.finite:
-        violations.append("verb complex has no finite part")
+        invalid.append("verb complex has no finite part")
     if not _all_words(spec.verb.finite + spec.verb.nonfinite):
-        violations.append("verb complex has a blank or non-string token")
+        invalid.append("verb complex has a blank or non-string token")
     if spec.complementizer is not None and spec.clause_type is not ClauseType.VF:
-        violations.append("complementizer requires a verb-final clause")
+        invalid.append("complementizer requires a verb-final clause")
 
     seen_ids = set()
-    n_count = 0
-    exclusive_count = 0
-    tag_counts = {Tag.THEME: 0, Tag.RHEME: 0, Tag.FOCUS: 0}
+    nominatives, exclusives, focused, verbs = [], [], [], []
     for c in spec.constituents:
         if c.id in seen_ids:
-            violations.append(f"duplicate constituent id {c.id!r}")
+            invalid.append(f"duplicate constituent id {c.id!r}")
         seen_ids.add(c.id)
+        if tags.get(c.id) is Tag.FOCUS:
+            focused.append(c.id)
         if c.category in VERBAL_CATEGORIES:
-            violations.append(f"{c.id}: verbs belong in the verb complex, not the constituent set")
+            verbs.append(f"{c.id}: verbs are not orderable constituents")
             continue
+        if c.category is Category.N:
+            nominatives.append(c.id)
+        elif c.category in _EXCLUSIVE_ADVERBIALS:
+            exclusives.append(c.id)
         if not c.surface:
-            violations.append(f"{c.id}: empty surface")
+            invalid.append(f"{c.id}: empty surface")
         elif not _all_words(c.surface):
-            violations.append(f"{c.id}: blank or non-string surface token")
+            invalid.append(f"{c.id}: blank or non-string surface token")
         if c.category is Category.M:
             if c.hoberg_index is None:
-                violations.append(f"{c.id}: modifier without Hoberg index")
+                invalid.append(f"{c.id}: modifier without Hoberg index")
             elif not 1 <= c.hoberg_index <= 44:
-                violations.append(f"{c.id}: Hoberg index {c.hoberg_index} outside 1..44")
+                invalid.append(f"{c.id}: Hoberg index {c.hoberg_index} outside 1..44")
         elif c.hoberg_index is not None:
-            violations.append(f"{c.id}: Hoberg index on non-modifier")
-        if c.category is Category.N:
-            n_count += 1
-        if c.category in _EXCLUSIVE_ADVERBIALS:
-            exclusive_count += 1
+            invalid.append(f"{c.id}: Hoberg index on non-modifier")
         if (
             c.category in FEATURE_KEYED_CATEGORIES
             and not c.features.pronominal
             and not c.features.svc
         ):
             if c.features.definite == NA or c.features.animate == NA:
-                violations.append(
+                invalid.append(
                     f"{c.id}: {c.category.value} requires resolved definiteness/animacy"
                 )
-        if c.tag is not None:
-            tag_counts[c.tag] += 1
 
-    if n_count > 1:
-        violations.append("duplicate nominative")
-    if exclusive_count > 1:
-        violations.append("SIT/DIR/EXP cannot cooccur")
-    if tag_counts[Tag.THEME] > 1:
-        violations.append("theme cardinality")
-    if tag_counts[Tag.RHEME] > 1:
-        violations.append("rheme cardinality")
-    if tag_counts[Tag.FOCUS] > 1:
-        violations.append("focus cardinality")
+    cooccurrence = []
+    if len(nominatives) > 1:
+        cooccurrence.append(f"nominative alternatives cannot cooccur: {', '.join(nominatives)}")
+    if len(exclusives) > 1:
+        cooccurrence.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
+    if len(focused) > 1:
+        cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
+    cooccurrence += verbs
 
-    return violations
+    assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in seen_ids]
+    carriers = {tag: [] for tag in Tag}
+    for cid, tag in tags.items():
+        carriers[tag].append(cid)
+    for tag, ids in carriers.items():
+        if len(ids) > 1:
+            assignment.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(ids))}")
+    return cooccurrence, invalid, assignment

@@ -211,6 +211,13 @@ def _cmd_generate(args) -> int:
         raise _InputError("; ".join(problems))
 
     if args.all_variants:
+        if tags:
+            # Enumeration ignores the assignment, but refuses a malformed one
+            # as plain generation does; an inexpressible one is not an error.
+            try:
+                linearize(clause, tags, lex, table)
+            except (InexpressibleTags, NoVorfeld):
+                pass
         variants = enumerate_orders(clause, lex, table)
         report = {
             "variants": [

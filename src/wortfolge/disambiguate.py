@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analyze import AnalysisResult, ObservedClause, Verdict, analyze
 from .lexicon import Lexicon, NO_NEGATION
-from .slots import SlotTable, build_slot_table
+from .slots import SlotTable, _entry, build_slot_table
 
 #: Context atom: the ambiguous item stands in the scope of negation.
 NEGATED = "NEGATED"
@@ -41,17 +41,13 @@ class RankedReading:
 
 
 def filter_constraints(candidate: CandidateReading, lex: Lexicon) -> bool:
-    """False iff a lexicon constraint of any constituent is violated in context."""
+    """False iff a lexicon constraint of any constituent is violated in context.
+
+    An unresolved lexicon key raises ``KeyError`` naming the key and the constituent.
+    """
     for c in candidate.clause.constituents:
-        if c.lexicon_key is None:
-            continue
-        entry = lex.get(c.lexicon_key)
-        if entry is None:
-            raise KeyError(
-                f"unresolved lexicon key {c.lexicon_key!r} on {c.id} "
-                f"in reading {candidate.label!r}"
-            )
-        if NO_NEGATION in entry.constraints and NEGATED in candidate.constraint_context:
+        entry = _entry(c, lex)
+        if entry is not None and NO_NEGATION in entry.constraints and NEGATED in candidate.constraint_context:
             return False
     return True
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .clause import VERBAL_CATEGORIES, Category, ClauseSpec, ClauseType, Constituent, Tag, validate_clause
+from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _violations
 from .lexicon import Lexicon
 from .slots import (
     NoSlotError,
@@ -87,57 +87,6 @@ class SurfaceOrder:
     @property
     def text(self) -> str:
         return " ".join(self.rendered)
-
-
-def check_assignment(spec: ClauseSpec, tags: TagAssignment) -> list[str]:
-    """Violations of assignment well-formedness (ids exist, one tag each kind)."""
-    violations = []
-    known = {c.id for c in spec.constituents}
-    for cid in tags:
-        if cid not in known:
-            violations.append(f"unknown constituent id {cid!r}")
-    for tag in Tag:
-        carriers = [cid for cid, t in tags.items() if t is tag]
-        if len(carriers) > 1:
-            violations.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carriers))}")
-    return violations
-
-
-def _check_clause(spec: ClauseSpec, tags: TagAssignment):
-    """Raise for a clause no assignment can order.
-
-    Cooccurrence violations (slash groups, tag cardinality) outrank other
-    spec defects: they carry their own error class and exit code.  Focus is
-    counted from the assignment, not from the embedded tags.
-    """
-    cooccurrence = _cooccurrence_violations(spec, tags)
-    if cooccurrence:
-        raise CooccurrenceViolation(cooccurrence)
-    spec_violations = validate_clause(spec)
-    if spec_violations:
-        raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
-
-
-def _cooccurrence_violations(spec: ClauseSpec, tags: TagAssignment) -> list[str]:
-    """Clause-level slash-group violations (exclusive alternatives)."""
-    violations = []
-    n_members = [c.id for c in spec.constituents if c.category is Category.N]
-    if len(n_members) > 1:
-        violations.append(f"nominative alternatives cannot cooccur: {', '.join(n_members)}")
-    exclusives = [
-        c.id
-        for c in spec.constituents
-        if c.category in (Category.SIT, Category.DIR, Category.EXP)
-    ]
-    if len(exclusives) > 1:
-        violations.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
-    focused = [c.id for c in spec.constituents if tags.get(c.id) is Tag.FOCUS]
-    if len(focused) > 1:
-        violations.append(f"focus slot admits one constituent: {', '.join(focused)}")
-    for c in spec.constituents:
-        if c.category in VERBAL_CATEGORIES:
-            violations.append(f"{c.id}: verbs are not orderable constituents")
-    return violations
 
 
 def _render(
@@ -211,9 +160,8 @@ def linearize(
     """
     table = table or build_slot_table()
     clause = CompiledClause(spec, tags, lex, table, every_tag=False)
-    assignment_violations = check_assignment(spec, tags)
-    if assignment_violations:
-        raise ValueError("invalid assignment: " + "; ".join(assignment_violations))
+    if clause.assignment_violations:
+        raise ValueError("invalid assignment: " + "; ".join(clause.assignment_violations))
     theme, rheme, focus = _carriers(spec, tags)
     if theme is not None and clause.typically_rhematic[theme]:
         raise InexpressibleTags(
@@ -261,7 +209,7 @@ def realizations(
     this compiles the clause for one assignment.
     """
     clause = CompiledClause(spec, tags, lex, table or build_slot_table(), every_tag=False)
-    if check_assignment(spec, tags):
+    if clause.assignment_violations:
         return []
     theme, rheme, focus = _carriers(spec, tags)
     return [_surface(spec, vorfeld, keys, focus) for vorfeld, keys in clause.realize(theme, rheme, focus)]
@@ -285,17 +233,20 @@ class CompiledClause:
     compiled for the one assignment ``tags``: only the untagged column and
     each carrier's own column are keyed, and every other entry is None.
 
-    An invalid clause raises :class:`CooccurrenceViolation` or ``ValueError``;
-    ``tags`` counts there as the focus, so two FOCUS carriers are a
-    cooccurrence violation.  Tags embedded in the constituents are ignored.
-    This is the one place the engine resolves lexicon keys, each once: an
-    unresolved key raises ``KeyError`` naming the first such constituent,
-    whatever the assignment.
+    The clause and ``tags`` are checked in one pass.  An invalid clause
+    raises :class:`CooccurrenceViolation` or ``ValueError``; ``tags`` counts
+    there as the focus, so two FOCUS carriers are a cooccurrence violation.
+    The assignment's own defects (unknown ids, two carriers of one tag) are
+    kept in ``assignment_violations`` for the caller to refuse.  Every
+    lexicon key is resolved here, once: an unresolved key raises ``KeyError``
+    naming the first such constituent, whatever the assignment.
     """
 
     # A plain class: creating a dataclass takes milliseconds at import, more
     # than a whole analysis.
-    __slots__ = ("clause_type", "keys", "vorfeld_capable", "typically_rhematic", "subject")
+    __slots__ = (
+        "clause_type", "keys", "vorfeld_capable", "typically_rhematic", "subject", "assignment_violations"
+    )
 
     def __init__(
         self,
@@ -305,11 +256,13 @@ class CompiledClause:
         table: SlotTable,
         every_tag: bool = True,
     ):
-        _check_clause(spec, tags)
+        cooccurrence, invalid, self.assignment_violations = _violations(spec, tags)
+        if cooccurrence:
+            raise CooccurrenceViolation(cooccurrence)
+        if invalid:
+            raise ValueError("invalid clause spec: " + "; ".join(invalid))
         keys, capable, rhematic = [], [], []
         for ordinal, c in enumerate(spec.constituents):
-            if c.tag is not None:
-                c = c.with_tag(None)  # the untagged column must not fall back to c.tag
             entry = _entry(c, lex)
             capable.append(entry is None or entry.vorfeld_capable)
             row = [None] * len(KEY_TAGS)

@@ -253,8 +253,6 @@ def all_sort_keys(
     that fits both the early and the general focus slot yields both keys (the
     later one is the marked right-field realization).
     """
-    if tag is None:
-        tag = c.tag
     entry = None if tag is None or lex is None else _entry(c, lex)
     return tuple(SortKey(*key) for key in _slot_keys(table, c, input_ordinal, tag, entry))
 

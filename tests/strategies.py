@@ -8,7 +8,7 @@ number of valid samples rather than a search budget).
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from hypothesis import strategies as st
 
@@ -148,6 +148,23 @@ def broken_clause(rng: random.Random, spec: ClauseSpec) -> ClauseSpec:
     else:
         extra = (Constituent("kaum", Category.M, ("kaum",)),)
     return replace(spec, constituents=spec.constituents + extra)
+
+
+@dataclass(frozen=True)
+class TaggedConstituent(Constituent):
+    """A constituent carrying its information-structure tag.
+
+    The engine takes tags only as an assignment; the reference
+    implementations and the comparator-law pool model a tagged clause as its
+    constituents with the tag attached.
+    """
+
+    tag: Tag | None = None
+
+
+def with_tag(c: Constituent, tag: Tag | None) -> TaggedConstituent:
+    """``c`` carrying ``tag`` (None: untagged)."""
+    return TaggedConstituent(c.id, c.category, c.surface, c.features, c.hoberg_index, c.lexicon_key, tag)
 
 
 # hypothesis strategies ------------------------------------------------------

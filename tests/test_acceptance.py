@@ -23,7 +23,7 @@ from wortfolge.analyze import ObservedClause
 from wortfolge.corpus import load_default_corpus, run_case
 from wortfolge.documents import Mode
 
-from .strategies import random_clause, sample_valid_pairs
+from .strategies import random_clause, sample_valid_pairs, with_tag
 
 
 def _report(label, failures):
@@ -243,7 +243,7 @@ def test_criterion_7_comparator_laws(lex, table):
                 key = sort_key(table, con, ordinal, tag=tag, lex=lex)
             except Exception:
                 continue
-            pool.append((con.with_tag(tag), key))
+            pool.append((with_tag(con, tag), key))
             ordinal += 1
 
     def order(x, y):  # -1/0/+1 by SortKey ordering

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wortfolge import (
     Tag,
     Verdict,
@@ -152,6 +154,15 @@ def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
     spec = replace(ex5_clause, clause_type=ex5_clause.clause_type)
     obs = observed(spec, ["den-mann", "gestern", "ich"])
     assert recognize_rheme(obs, lex) is None
+
+
+@pytest.mark.parametrize("recognize", [recognize_rheme, analyze])
+def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, recognize):
+    from dataclasses import replace
+
+    spec = replace(ex5_clause, constituents=ex5_clause.constituents + (modifier("bald", "bald", 25),))
+    with pytest.raises(KeyError, match="unresolved lexicon key 'bald#25' on bald"):
+        recognize(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex)
 
 
 # --- full pipeline ---------------------------------------------------------------------

@@ -43,7 +43,7 @@ def reference_detect_focus_constructions(obs, lex, table=None):
 
     def rheme_expressible(c):
         try:
-            sort_key(table, c.with_tag(None), 0, tag=Tag.RHEME, lex=lex)
+            sort_key(table, c, 0, tag=Tag.RHEME, lex=lex)
         except (NoSlotError, KeyError):
             return False
         return True
@@ -67,7 +67,7 @@ def reference_detect_focus_constructions(obs, lex, table=None):
             seen_modifier = True
         elif c.features.pronominal and seen_modifier and c.id not in hits:
             try:
-                default = sort_key(table, c.with_tag(None), 0)
+                default = sort_key(table, c, 0)
             except NoSlotError:
                 continue
             if default.slot < table.modifier_band_start and not rheme_expressible(c):

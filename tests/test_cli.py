@@ -5,6 +5,8 @@ import pytest
 
 from wortfolge.cli import main
 
+CORPUS = resources.files("wortfolge.data").joinpath("corpus.json")
+
 GENERATE_5A = {
     "schema_version": "1",
     "mode": "GENERATE",
@@ -81,12 +83,36 @@ def test_generate_honours_document_embedded_tags(tmp_path, capsys):
     assert report["text"] == "Ich habe gestern den Mann gesehen"
 
 
-def test_generate_all_variants(clause_file, capsys):
+def test_generate_all_variants(clause_file, tmp_path, capsys):
     assert main(["generate", "--clause", clause_file, "--all-variants"]) == 0
     report = json.loads(capsys.readouterr().out)
     rendered = {tuple(v["order"]) for v in report["variants"]}
     assert ("ich", "den-mann", "gestern") in rendered
     assert ("gestern", "ich", "den-mann") in rendered
+
+    # A malformed assignment is refused as in plain generation, with the
+    # same exit code and output; a valid one stays ignored.
+    cases = json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]
+    clause = _write(tmp_path, "ex1e.json", next(c["doc"] for c in cases if c["case_id"] == "ex-1e"))
+    cooccurrence = {"error": {"message": "focus slot admits one constituent: ich, ihn",
+                              "type": "CooccurrenceViolation"}}
+    invalid = "input error: invalid assignment: "
+    for tags, code, out, err in [
+        ({"niemand": "THEME"}, 1, "", invalid + "unknown constituent id 'niemand'\n"),
+        ({"ich": "RHEME", "ihn": "RHEME"}, 1, "", invalid + "rheme cardinality: ich, ihn\n"),
+        ({"ich": "FOCUS", "ihn": "FOCUS"}, 2, json.dumps(cooccurrence, sort_keys=True) + "\n", ""),
+        ({"ich": "FOCUS", "niemand": "FOCUS"}, 1, "",
+         invalid + "unknown constituent id 'niemand'; focus cardinality: ich, niemand\n"),
+    ]:
+        argv = ["generate", "--clause", clause, "--tags", _write(tmp_path, "tags.json", tags)]
+        for extra in ([], ["--all-variants"]):
+            assert main(argv + extra) == code, (tags, extra)
+            assert capsys.readouterr() == (out, err), (tags, extra)
+    argv = ["generate", "--clause", clause, "--tags", _write(tmp_path, "tags.json", {"ihn": "RHEME"})]
+    assert main(argv) == 2
+    capsys.readouterr()
+    assert main(argv + ["--all-variants"]) == 0
+    assert json.loads(capsys.readouterr().out)["variant_count"] == 12
 
 
 def test_json_flag_is_the_default_output(clause_file, capsys):

@@ -5,9 +5,10 @@ generate-and-test implementations that ran before both moved onto the
 compiled clause: every assignment rebuilds the tagged clause, validates it
 again and keys every constituent again.  The engine must return equal
 results, or raise the same exception class with the same message.  The
-references use only the engine's primitives (validation, slot keys, the
-Vorfeld rule), never the realization code they check; the generator helpers
-they were written with are frozen here too.
+references use only the engine's slot keys, never the validation or
+realization code they check; the validators and generator helpers they were
+written with are frozen here too, and a tagged clause is modelled with the
+test-local ``with_tag``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from wortfolge import (
     Tag,
     enumerate_orders,
     realizations,
-    validate_clause,
 )
 from wortfolge.linearize import (
     MAX_SEARCH_CONSTITUENTS,
@@ -36,26 +36,94 @@ from wortfolge.linearize import (
     NoVorfeld,
     OrderVariant,
     SurfaceOrder,
-    check_assignment,
 )
-from wortfolge.clause import VERBAL_CATEGORIES
+from wortfolge.clause import FEATURE_KEYED_CATEGORIES, NA, VERBAL_CATEGORIES
 from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table, sort_key
 
-from .strategies import _LEX, broken_clause, random_assignment, random_clause
+from .strategies import _LEX, broken_clause, random_assignment, random_clause, with_tag
 
 
-# Frozen copies of the generator helpers the references were written with,
-# as they stood before generation moved onto the compiled clause.
+# Frozen copies of the validators and generator helpers the references were
+# written with, as they stood before generation moved onto the compiled
+# clause and validation into one pass.
+
+def reference_validate_clause(spec):
+    """Every violated domain invariant of the clause, less the counts of
+    embedded tags (a clause carries none)."""
+    violations = []
+
+    if not spec.verb.finite:
+        violations.append("verb complex has no finite part")
+    if not all(isinstance(tok, str) and tok.strip() for tok in spec.verb.finite + spec.verb.nonfinite):
+        violations.append("verb complex has a blank or non-string token")
+    if spec.complementizer is not None and spec.clause_type is not ClauseType.VF:
+        violations.append("complementizer requires a verb-final clause")
+
+    seen_ids = set()
+    n_count = 0
+    exclusive_count = 0
+    for c in spec.constituents:
+        if c.id in seen_ids:
+            violations.append(f"duplicate constituent id {c.id!r}")
+        seen_ids.add(c.id)
+        if c.category in VERBAL_CATEGORIES:
+            violations.append(f"{c.id}: verbs belong in the verb complex, not the constituent set")
+            continue
+        if not c.surface:
+            violations.append(f"{c.id}: empty surface")
+        elif not all(isinstance(tok, str) and tok.strip() for tok in c.surface):
+            violations.append(f"{c.id}: blank or non-string surface token")
+        if c.category is Category.M:
+            if c.hoberg_index is None:
+                violations.append(f"{c.id}: modifier without Hoberg index")
+            elif not 1 <= c.hoberg_index <= 44:
+                violations.append(f"{c.id}: Hoberg index {c.hoberg_index} outside 1..44")
+        elif c.hoberg_index is not None:
+            violations.append(f"{c.id}: Hoberg index on non-modifier")
+        if c.category is Category.N:
+            n_count += 1
+        if c.category in (Category.SIT, Category.DIR, Category.EXP):
+            exclusive_count += 1
+        if (
+            c.category in FEATURE_KEYED_CATEGORIES
+            and not c.features.pronominal
+            and not c.features.svc
+        ):
+            if c.features.definite == NA or c.features.animate == NA:
+                violations.append(
+                    f"{c.id}: {c.category.value} requires resolved definiteness/animacy"
+                )
+
+    if n_count > 1:
+        violations.append("duplicate nominative")
+    if exclusive_count > 1:
+        violations.append("SIT/DIR/EXP cannot cooccur")
+    return violations
+
+
+def reference_check_assignment(spec, tags):
+    """Violations of assignment well-formedness (ids exist, one tag each kind)."""
+    violations = []
+    known = {c.id for c in spec.constituents}
+    for cid in tags:
+        if cid not in known:
+            violations.append(f"unknown constituent id {cid!r}")
+    for tag in Tag:
+        carriers = [cid for cid, t in tags.items() if t is tag]
+        if len(carriers) > 1:
+            violations.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carriers))}")
+    return violations
+
 
 def _reference_apply_tags(spec, tags):
-    """The clause with the assignment's tags in place of the embedded ones."""
-    return replace(spec, constituents=tuple(c.with_tag(tags.get(c.id)) for c in spec.constituents))
+    """The clause with each constituent carrying its tag in the assignment."""
+    return replace(spec, constituents=tuple(with_tag(c, tags.get(c.id)) for c in spec.constituents))
 
 
 def reference_typically_rhematic(table, c):
     """Whether the constituent is an indefinite object or its untagged slot lies in the late field."""
     try:
-        slot = sort_key(table, c.with_tag(None), 0).slot
+        slot = sort_key(table, c, 0).slot
     except NoSlotError:
         slot = None
     if c.category in (Category.A, Category.D) and c.indefinite:
@@ -89,7 +157,7 @@ def _reference_check_clause(spec, tagged_spec, table):
     cooccurrence = reference_check_cooccurrence(tagged_spec)
     if cooccurrence:
         raise CooccurrenceViolation(cooccurrence)
-    spec_violations = validate_clause(spec)
+    spec_violations = reference_validate_clause(spec)
     if spec_violations:
         raise ValueError("invalid clause spec: " + "; ".join(spec_violations))
 
@@ -203,7 +271,7 @@ def reference_realizations(spec, tags, lex, table=None):
     table = table or build_slot_table()
     tagged_spec = _reference_apply_tags(spec, tags)
     _reference_check_clause(spec, tagged_spec, table)
-    if check_assignment(spec, tags):
+    if reference_check_assignment(spec, tags):
         return []
     try:
         _reference_check_theme_admissible(tagged_spec, table)
@@ -291,19 +359,14 @@ def _outcome(fn, *args):
 def _clause_and_tags(seed):
     """A clause of 0 to 8 constituents, one in ten broken, and an assignment.
 
-    One clause in ten carries a tag on a constituent, which only validation
-    may see.  One assignment in five gets one more carrier, which may be an
-    unknown id or repeat a tag kind.
+    One assignment in five gets one more carrier, which may be an unknown id
+    or repeat a tag kind.
     """
     rng = random.Random(seed)
     spec = random_clause(rng, 8)
     spec = replace(spec, constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
     if rng.random() < 0.1:
         spec = broken_clause(rng, spec)
-    if spec.constituents and rng.random() < 0.1:
-        i = rng.randrange(len(spec.constituents))
-        embedded = spec.constituents[i].with_tag(rng.choice(list(Tag)))
-        spec = replace(spec, constituents=spec.constituents[:i] + (embedded,) + spec.constituents[i + 1 :])
     tags = random_assignment(rng, spec)
     if rng.random() < 0.2:
         ids = [c.id for c in spec.constituents if c.id not in tags]

@@ -5,8 +5,8 @@ onto the compiled clause: it rebuilds the tagged clause, picks the Vorfeld
 with its own rule, keys the Mittelfeld one constituent at a time and stops at
 the first refusal.  The engine must return an equal ``SurfaceOrder``, or
 raise the same exception class with the same message.  The reference uses
-only the engine's primitives (validation, slot keys) and the frozen helpers
-of ``test_enumerate_differential``, never the code it checks.
+only the engine's slot keys and the frozen validators and helpers of
+``test_enumerate_differential``, never the code it checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wortfolge import Category, ClauseType, Constituent, Tag, linearize
-from wortfolge.linearize import InexpressibleTags, check_assignment
+from wortfolge.linearize import InexpressibleTags
 from wortfolge.slots import NoSlotError, build_slot_table, sort_key
 
 from .test_enumerate_differential import (
@@ -29,6 +29,7 @@ from .test_enumerate_differential import (
     _reference_check_theme_admissible,
     _reference_surface,
     _reference_tagged,
+    reference_check_assignment,
     reference_select_vorfeld,
 )
 
@@ -52,7 +53,7 @@ def reference_linearize(spec, tags, lex, table=None):
     table = table or build_slot_table()
     tagged_spec = _reference_apply_tags(spec, tags)
     _reference_check_clause(spec, tagged_spec, table)
-    assignment_violations = check_assignment(spec, tags)
+    assignment_violations = reference_check_assignment(spec, tags)
     if assignment_violations:
         raise ValueError("invalid assignment: " + "; ".join(assignment_violations))
     _reference_check_theme_admissible(tagged_spec, table)
