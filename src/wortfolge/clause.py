@@ -186,8 +186,11 @@ def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], lis
         invalid.append("verb complex has no finite part")
     if not _all_words(spec.verb.finite + spec.verb.nonfinite):
         invalid.append("verb complex has a blank or non-string token")
-    if spec.complementizer is not None and spec.clause_type is not ClauseType.VF:
-        invalid.append("complementizer requires a verb-final clause")
+    if spec.complementizer is not None:
+        if spec.clause_type is not ClauseType.VF:
+            invalid.append("complementizer requires a verb-final clause")
+        if not _all_words((spec.complementizer,)):
+            invalid.append("blank or non-string complementizer")
 
     seen_ids = set()
     nominatives, exclusives, focused, verbs = [], [], [], []

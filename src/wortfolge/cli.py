@@ -1,5 +1,14 @@
 """Command-line front-end: generate, analyze, disambiguate, corpus harness.
 
+Every input file is read as a clause document of the command's mode: a full
+``{"schema_version": "1", "mode": ..., "payload": ...}`` document (any input
+with one of those three fields), a payload keyed by its field
+(``{"clause": ...}`` with optional ``"tags"``, ``{"observed": ...}``,
+``{"candidates": ...}``), or the bare value of that field.  The last two are
+wrapped into a document of the mode, so all three are checked by the same
+parser; a document of another mode is an input error.  ``generate --tags``
+replaces the document's assignment.
+
 Exit codes: 0 ok, 1 input error, 2 generation error, 3 ungrammatical verdict,
 4 corpus failure.  A generation error (inexpressible tags, no Vorfeld, a
 cooccurrence violation) prints ``{"error": {"message": ..., "type": ...}}``
@@ -19,19 +28,20 @@ import os
 import sys
 from pathlib import Path
 
-from .analyze import AnalysisResult, Verdict, analyze
+from .analyze import Verdict, analyze
 from .corpus import load_corpus, run_corpus
 from .disambiguate import rank_readings
 from .clause import Category, ClauseType, Tag
 from .documents import (
+    PAYLOAD_FIELDS,
+    SCHEMA_VERSION,
+    ClauseDocument,
     DocumentError,
     Mode,
-    parse_candidates,
-    parse_clause,
+    analysis_report,
     parse_document,
-    parse_observed,
     parse_tags,
-    verify_lexicon_keys,
+    verify_document_keys,
 )
 from .lexicon import LexiconError, load_default_lexicon, load_lexicon
 from .linearize import (
@@ -71,33 +81,28 @@ def _load_json(path: str):
         raise _InputError(f"{path}: invalid JSON ({err})") from None
 
 
-def _is_document(raw) -> bool:
-    return isinstance(raw, dict) and "mode" in raw and "payload" in raw
+#: An input with any of these fields is a full document, checked as it stands.
+_ENVELOPE = {"schema_version", "mode", "payload"}
 
 
-def _unwrap_payload(raw, expected_mode: Mode, key: str):
-    """Accept either a bare payload or a full clause document of the mode."""
-    if _is_document(raw):
-        if raw.get("mode") != expected_mode.value:
-            raise _InputError(f"document mode {raw.get('mode')!r}, expected {expected_mode.value}")
-        payload = raw["payload"]
-        return payload.get(key, payload) if isinstance(payload, dict) else payload
-    if isinstance(raw, dict) and key in raw and key not in ("clause",):
-        return raw[key]
-    return raw
+def _read_document(path: str, mode: Mode) -> ClauseDocument:
+    """Parse a full document, a keyed payload or a bare payload as a document of ``mode``."""
+    raw = _load_json(path)
+    if not (isinstance(raw, dict) and _ENVELOPE & raw.keys()):
+        field = PAYLOAD_FIELDS[mode]
+        payload = raw if isinstance(raw, dict) and field in raw else {field: raw}
+        raw = {"schema_version": SCHEMA_VERSION, "mode": mode.value, "payload": payload}
+    doc = parse_document(raw)
+    if doc.mode is not mode:
+        raise _InputError(f"document mode {doc.mode.value}, expected {mode.value}")
+    return doc
 
 
-def _resolve_lexicon(args):
-    path = args.lexicon or os.environ.get(LEXICON_ENV)
-    if path:
-        return load_lexicon(_read_file(path))
-    return load_default_lexicon()
-
-
-def _resolve_table(args):
-    if args.slot_table:
-        return load_slot_table(_read_file(args.slot_table))
-    return build_slot_table()
+def _check_keys(doc: ClauseDocument, lex):
+    """Lexicon inconsistencies are input errors; the engine never sees them."""
+    problems = verify_document_keys(doc, lex)
+    if problems:
+        raise _InputError("; ".join(problems))
 
 
 def _emit(payload, pretty_lines, pretty: bool):
@@ -165,50 +170,13 @@ def _generation_segments(clause, tags, surface):
     return segments
 
 
-def _analysis_report(result: AnalysisResult) -> dict:
-    return {
-        "verdict": result.verdict.value,
-        "theme": result.theme,
-        "rheme": result.rheme,
-        "focus": result.focus,
-        "focus_options": list(result.focus_options),
-        "explanation_count": len(result.explanations),
-        "explanations": [
-            {cid: tag.value for cid, tag in assignment} for assignment in result.explanations
-        ],
-        "markedness_cost": result.markedness_cost,
-        "warning": (
-            None
-            if result.warning is None
-            else {
-                "verb": result.warning.verb_candidate,
-                "vorfeld": result.warning.vorfeld_candidate,
-            }
-        ),
-        "detected_focus": list(result.detected_focus),
-    }
-
-
-def _cmd_generate(args) -> int:
-    lex = _resolve_lexicon(args)
-    table = _resolve_table(args)
-    raw = _load_json(args.clause)
-    if _is_document(raw):
-        doc = parse_document(raw)
-        if doc.mode is not Mode.GENERATE:
-            raise _InputError(f"document mode {doc.mode.value}, expected GENERATE")
-        clause, tags = doc.clause, dict(doc.tags or {})
-    else:
-        clause = parse_clause(_unwrap_payload(raw, Mode.GENERATE, "clause"))
-        tags = {}
-    if args.tags:
-        tags = parse_tags(_load_json(args.tags))
-
+def _cmd_generate(args, lex, table) -> int:
+    doc = _read_document(args.clause, Mode.GENERATE)
+    clause = doc.clause
+    tags = parse_tags(_load_json(args.tags)) if args.tags else doc.tags
     # Cooccurrence and tagging defects are generation errors (exit 2), raised
     # by the engine itself; only lexicon inconsistencies are input errors.
-    problems = verify_lexicon_keys(clause.constituents, lex)
-    if problems:
-        raise _InputError("; ".join(problems))
+    _check_keys(doc, lex)
 
     if args.all_variants:
         if tags:
@@ -264,16 +232,12 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    lex = _resolve_lexicon(args)
-    table = _resolve_table(args)
-    observed = parse_observed(_unwrap_payload(_load_json(args.observed), Mode.ANALYZE, "observed"))
-    problems = verify_lexicon_keys(observed.constituents, lex)
-    if problems:
-        raise _InputError("; ".join(problems))
-
+def _cmd_analyze(args, lex, table) -> int:
+    doc = _read_document(args.observed, Mode.ANALYZE)
+    _check_keys(doc, lex)
+    observed = doc.observed
     result = analyze(observed, lex, table)
-    report = _analysis_report(result)
+    report = analysis_report(result)
 
     def recovered_tag(cid):
         if cid == result.focus:
@@ -318,19 +282,13 @@ def _cmd_analyze(args) -> int:
     return EXIT_UNGRAMMATICAL if result.verdict is Verdict.UNGRAMMATICAL else EXIT_OK
 
 
-def _cmd_disambiguate(args) -> int:
-    lex = _resolve_lexicon(args)
-    table = _resolve_table(args)
-    raw = _unwrap_payload(_load_json(args.candidates), Mode.DISAMBIGUATE, "candidates")
-    candidates, excluded = parse_candidates(raw)
-    for candidate in candidates:
-        problems = verify_lexicon_keys(candidate.clause.constituents, lex)
-        if problems:
-            raise _InputError("; ".join(problems))
-    if not candidates:
+def _cmd_disambiguate(args, lex, table) -> int:
+    doc = _read_document(args.candidates, Mode.DISAMBIGUATE)
+    _check_keys(doc, lex)
+    if not doc.candidates:
         raise _InputError("no constructible candidate readings")
 
-    ranked = rank_readings(candidates, lex, table)
+    ranked = rank_readings(doc.candidates, lex, table)
     report = {
         "readings": [
             {
@@ -343,7 +301,7 @@ def _cmd_disambiguate(args) -> int:
             }
             for r in ranked
         ],
-        "excluded": [{"label": label, "reason": reason} for label, reason in excluded],
+        "excluded": [{"label": label, "reason": reason} for label, reason in doc.excluded],
     }
     lines = []
     for r in ranked:
@@ -352,15 +310,13 @@ def _cmd_disambiguate(args) -> int:
             f"{r.rank}. {r.reading.label}: {r.result.verdict.value}, "
             f"focus cost {r.result.markedness_cost}{flag}"
         )
-    for label, reason in excluded:
+    for label, reason in doc.excluded:
         lines.append(f"-- {label}: excluded ({reason})")
     _emit(report, lines, args.pretty)
     return EXIT_OK
 
 
-def _cmd_corpus(args) -> int:
-    lex = _resolve_lexicon(args)
-    table = _resolve_table(args)
+def _cmd_corpus(args, lex, table) -> int:
     cases = load_corpus(_read_file(args.corpus_file))
     summary = run_corpus(cases, lex, table, filter_id=args.filter)
     for result in summary.results:
@@ -435,7 +391,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        lexicon_path = args.lexicon or os.environ.get(LEXICON_ENV)
+        lex = load_lexicon(_read_file(lexicon_path)) if lexicon_path else load_default_lexicon()
+        table = load_slot_table(_read_file(args.slot_table)) if args.slot_table else build_slot_table()
+        return args.func(args, lex, table)
     except (_InputError, DocumentError, LexiconError, SlotTableError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .analyze import AnalysisResult, ObservedClause, analyze
-from .documents import ClauseDocument, DocumentError, Mode, parse_document, verify_lexicon_keys
+from .documents import (
+    ClauseDocument,
+    DocumentError,
+    Mode,
+    analysis_report,
+    parse_document,
+    verify_document_keys,
+)
 from .disambiguate import rank_readings
 from .lexicon import Lexicon
 from .linearize import LinearizeError, linearize
@@ -129,30 +136,11 @@ def load_default_corpus() -> tuple[CorpusCase, ...]:
 
 
 def _check_analysis(expected: dict, result: AnalysisResult, failures: list, prefix: str = "analysis"):
-    def check(field_name, actual):
-        if field_name in expected and expected[field_name] != actual:
-            failures.append(f"{prefix}.{field_name}: expected {expected[field_name]!r}, got {actual!r}")
-
-    check("verdict", result.verdict.value)
-    check("theme", result.theme)
-    check("rheme", result.rheme)
-    check("focus", result.focus)
-    check("markedness_cost", result.markedness_cost)
-    if "focus_options" in expected:
-        check("focus_options", list(result.focus_options))
-    if "detected_focus" in expected:
-        check("detected_focus", list(result.detected_focus))
-    if "warning" in expected:
-        actual_warning = (
-            None
-            if result.warning is None
-            else {"verb": result.warning.verb_candidate, "vorfeld": result.warning.vorfeld_candidate}
-        )
-        check("warning", actual_warning)
-    if "has_empty_explanation" in expected:
-        check("has_empty_explanation", () in result.explanations)
-    if "explanation_count" in expected:
-        check("explanation_count", len(result.explanations))
+    """Compare each expected field with the JSON form ``analyze`` prints."""
+    actual = {**analysis_report(result), "has_empty_explanation": () in result.explanations}
+    for name, value in expected.items():
+        if name not in actual or actual[name] != value:
+            failures.append(f"{prefix}.{name}: expected {value!r}, got {actual.get(name)!r}")
 
 
 def _observed_from_order(spec, order, stress=frozenset()) -> ObservedClause:
@@ -166,11 +154,8 @@ def _observed_from_order(spec, order, stress=frozenset()) -> ObservedClause:
 
 
 def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> CaseResult:
-    doc = case.doc
-    single = doc.clause or doc.observed
-    clauses = [single] if single is not None else [candidate.clause for candidate in doc.candidates]
     # Lexicon problems are input errors, as in the CLI: the engine never sees them.
-    failures = [problem for clause in clauses for problem in verify_lexicon_keys(clause.constituents, lex)]
+    failures = verify_document_keys(case.doc, lex)
     if not failures:
         try:
             _check_case(case, lex, table or build_slot_table(), failures)

@@ -3,7 +3,9 @@
 A document is ``{"schema_version": "1", "mode": ..., "payload": ...}`` where
 mode is GENERATE (clause spec + tag assignment), ANALYZE (observed clause) or
 DISAMBIGUATE (candidate readings).  Field names mirror the domain types in
-snake_case; the format is deliberately diff-friendly for corpus files.
+snake_case; the format is deliberately diff-friendly for corpus files.  The
+JSON form of an analysis, which ``analyze`` prints and the corpus compares
+against, is built here too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .analyze import ObservedClause
+from .analyze import AnalysisResult, ObservedClause
 from .clause import (
     Category,
     ClauseSpec,
@@ -36,6 +38,10 @@ class Mode(str, Enum):
     DISAMBIGUATE = "DISAMBIGUATE"
 
 
+#: The payload field that holds each mode's input.
+PAYLOAD_FIELDS = {Mode.GENERATE: "clause", Mode.ANALYZE: "observed", Mode.DISAMBIGUATE: "candidates"}
+
+
 class DocumentError(Exception):
     """Malformed document; the message names the offending location."""
 
@@ -48,6 +54,13 @@ class ClauseDocument:
     observed: ObservedClause | None = None
     candidates: tuple[CandidateReading, ...] = ()
     excluded: tuple[tuple[str, str], ...] = ()  # (label, reason) dropped at construction
+
+    @property
+    def clauses(self) -> tuple:
+        """Every clause the document carries: its clause spec, its observed
+        clause, or each candidate's observed clause."""
+        single = self.clause or self.observed
+        return (single,) if single is not None else tuple(c.clause for c in self.candidates)
 
 
 def _require(obj, key, where, kind=None):
@@ -128,8 +141,8 @@ def _parse_clause_common(raw, where):
         raise DocumentError(f"{where}: unknown clause_type {raw_type!r}") from None
     verb = _parse_verb(_require(raw, "verb", where), f"{where}.verb")
     complementizer = raw.get("complementizer")
-    if complementizer is not None and not isinstance(complementizer, str):
-        raise DocumentError(f"{where}.complementizer: must be a string")
+    if complementizer is not None and not (isinstance(complementizer, str) and complementizer.strip()):
+        raise DocumentError(f"{where}.complementizer: must be a string, neither empty nor blank")
     constituents = [
         _parse_constituent(c, f"{where}.constituents[{i}]")
         for i, c in enumerate(_require(raw, "constituents", where, list))
@@ -231,18 +244,12 @@ def parse_document(raw) -> ClauseDocument:
     except ValueError:
         raise DocumentError(f"document: unknown mode {raw_mode!r}") from None
     payload = _require(raw, "payload", "document", dict)
+    value = _require(payload, PAYLOAD_FIELDS[mode], "payload")
     if mode is Mode.GENERATE:
-        return ClauseDocument(
-            mode=mode,
-            clause=parse_clause(_require(payload, "clause", "payload")),
-            tags=parse_tags(payload.get("tags")),
-        )
+        return ClauseDocument(mode=mode, clause=parse_clause(value), tags=parse_tags(payload.get("tags")))
     if mode is Mode.ANALYZE:
-        return ClauseDocument(
-            mode=mode,
-            observed=parse_observed(_require(payload, "observed", "payload")),
-        )
-    candidates, excluded = parse_candidates(_require(payload, "candidates", "payload"))
+        return ClauseDocument(mode=mode, observed=parse_observed(value))
+    candidates, excluded = parse_candidates(value)
     return ClauseDocument(mode=mode, candidates=candidates, excluded=excluded)
 
 
@@ -275,3 +282,35 @@ def verify_lexicon_keys(constituents, lex: Lexicon) -> list[str]:
                 f"{entry.key} (class {entry.hoberg_index})"
             )
     return problems
+
+
+def verify_document_keys(doc: ClauseDocument, lex: Lexicon) -> list[str]:
+    """:func:`verify_lexicon_keys` over every clause of the document, each
+    problem once (candidate readings often share constituents)."""
+    problems = (problem for clause in doc.clauses for problem in verify_lexicon_keys(clause.constituents, lex))
+    return list(dict.fromkeys(problems))
+
+
+def analysis_report(result: AnalysisResult) -> dict:
+    """The JSON form of an analysis result."""
+    return {
+        "verdict": result.verdict.value,
+        "theme": result.theme,
+        "rheme": result.rheme,
+        "focus": result.focus,
+        "focus_options": list(result.focus_options),
+        "explanation_count": len(result.explanations),
+        "explanations": [
+            {cid: tag.value for cid, tag in assignment} for assignment in result.explanations
+        ],
+        "markedness_cost": result.markedness_cost,
+        "warning": (
+            None
+            if result.warning is None
+            else {
+                "verb": result.warning.verb_candidate,
+                "vorfeld": result.warning.vorfeld_candidate,
+            }
+        ),
+        "detected_focus": list(result.detected_focus),
+    }

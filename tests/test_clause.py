@@ -40,6 +40,16 @@ def test_complementizer_requires_verb_final(ex5_clause):
     assert any("complementizer" in v for v in validate_clause(bad))
 
 
+@pytest.mark.parametrize("complementizer", ["", "  ", 5])
+def test_blank_complementizer_reported(ex5_vf_clause, lex, complementizer):
+    # Rendered, a blank complementizer would open the clause with spaces and
+    # an empty one would vanish.
+    bad = replace(ex5_vf_clause, complementizer=complementizer)
+    assert validate_clause(bad) == ["blank or non-string complementizer"]
+    with pytest.raises(ValueError, match="^invalid clause spec: blank or non-string complementizer$"):
+        linearize(bad, {}, lex)
+
+
 def test_hoberg_index_iff_modifier(ex5_clause):
     no_index = replace(
         ex5_clause,

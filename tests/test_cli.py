@@ -365,3 +365,102 @@ def test_lexicon_env_var(clause_file, tmp_path, capsys, monkeypatch):
 def test_explicit_slot_table(clause_file, capsys):
     path = str(resources.files("wortfolge.data").joinpath("slot_table.tsv"))
     assert main(["--slot-table", path, "generate", "--clause", clause_file]) == 0
+
+
+OBSERVED_DOC = {"schema_version": "1", "mode": "ANALYZE", "payload": {"observed": OBSERVED_2C}}
+CANDIDATES_DOC = {
+    "schema_version": "1",
+    "mode": "DISAMBIGUATE",
+    "payload": {"candidates": [{"label": "only", "observed": OBSERVED_2C}]},
+}
+#: Per mode: the command's file flag and the payload field that holds its input.
+INPUTS = {
+    "GENERATE": ("--clause", "clause"),
+    "ANALYZE": ("--observed", "observed"),
+    "DISAMBIGUATE": ("--candidates", "candidates"),
+}
+#: Per mode: a valid document, its payload with the field missing (the value
+#: the field would hold, or one candidate), and a document of another mode.
+ENVELOPES = {
+    "GENERATE": (GENERATE_5A, GENERATE_5A["payload"]["clause"], OBSERVED_DOC),
+    "ANALYZE": (OBSERVED_DOC, OBSERVED_2C, GENERATE_5A),
+    "DISAMBIGUATE": (CANDIDATES_DOC, CANDIDATES_DOC["payload"]["candidates"][0], GENERATE_5A),
+}
+ENVELOPE_ERRORS = {
+    "version-2": "document: unsupported schema_version '2'",
+    "no-version": "document: missing field 'schema_version'",
+    "no-field": "payload: missing field {field!r}",
+    "other-mode": "document mode {other}, expected {mode}",
+    "no-payload": "document: missing field 'payload'",
+}
+
+
+@pytest.mark.parametrize("mode", list(ENVELOPES))
+@pytest.mark.parametrize("case", list(ENVELOPE_ERRORS))
+def test_every_command_checks_the_document_envelope(tmp_path, capsys, mode, case):
+    # An input with any envelope field is read as a full document, whatever
+    # the command, and refused with the parser's message.
+    doc, unkeyed, other = ENVELOPES[mode]
+    doc = json.loads(json.dumps(other if case == "other-mode" else doc))
+    if case == "version-2":
+        doc["schema_version"] = "2"
+    elif case == "no-version":
+        del doc["schema_version"]
+    elif case == "no-field":
+        doc["payload"] = unkeyed
+    elif case == "no-payload":
+        doc.update(doc.pop("payload"))
+    flag, field = INPUTS[mode]
+    message = ENVELOPE_ERRORS[case].format(field=field, other=other["mode"], mode=mode)
+    assert main([mode.lower(), flag, _write(tmp_path, "doc.json", doc)]) == 1
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_full_keyed_and_bare_inputs_are_read_alike(tmp_path, capsys):
+    # Every shipped corpus document, run as a full document, as its payload
+    # object ({field: value}, for GENERATE with its tags) and as the bare
+    # field value (for GENERATE with its tags in a --tags file).
+    for case in json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]:
+        doc = case["doc"]
+        flag, field = INPUTS[doc["mode"]]
+        command = [doc["mode"].lower(), flag]
+        full = _run(command + [_write(tmp_path, "full.json", doc)], capsys)
+        keyed = _run(command + [_write(tmp_path, "keyed.json", doc["payload"])], capsys)
+        bare = command + [_write(tmp_path, "bare.json", doc["payload"][field])]
+        if doc["payload"].get("tags"):
+            bare += ["--tags", _write(tmp_path, "tags.json", doc["payload"]["tags"])]
+        assert full == keyed == _run(bare, capsys), case["case_id"]
+        assert full[1], case["case_id"]
+
+
+@pytest.mark.parametrize("complementizer", ["", "  ", 5])
+@pytest.mark.parametrize("mode", ["GENERATE", "ANALYZE"])
+def test_blank_complementizer_is_an_input_error(tmp_path, capsys, mode, complementizer):
+    clause = json.loads(json.dumps(GENERATE_5A["payload"]["clause"]))
+    clause.update(clause_type="VF", complementizer=complementizer)
+    flag, field = INPUTS[mode]
+    assert main([mode.lower(), flag, _write(tmp_path, "clause.json", clause)]) == 1
+    assert capsys.readouterr() == (
+        "", f"input error: {field}.complementizer: must be a string, neither empty nor blank\n"
+    )
+
+
+def test_disambiguate_reports_the_key_problems_of_every_candidate_once(tmp_path, capsys):
+    unresolved = {"id": "bald", "category": "M", "surface": ["bald"], "hoberg_index": 25, "lexicon_key": "bald#25"}
+    mismatched = {"id": "eher", "category": "M", "surface": ["eher"], "hoberg_index": 5, "lexicon_key": "eher#26"}
+    candidates = []
+    for label, extra in (("a", [unresolved]), ("b", [unresolved, mismatched])):
+        observed = json.loads(json.dumps(OBSERVED_2C))
+        observed["constituents"] += extra
+        candidates.append({"label": label, "observed": observed})
+    assert main(["disambiguate", "--candidates", _write(tmp_path, "cands.json", candidates)]) == 1
+    assert capsys.readouterr() == ("", (
+        "input error: bald: lexicon has no reading 'bald#25' (lemma 'bald'); "
+        "eher: hoberg_index 5 contradicts eher#26 (class 26)\n"
+    ))

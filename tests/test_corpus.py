@@ -116,3 +116,21 @@ def test_failing_synthetic_case_is_reported(corpus, lex, table):
     result = run_case(broken, lex, table)
     assert not result.passed
     assert result.failures
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["verdict", "theme", "rheme", "focus", "focus_options", "markedness_cost", "detected_focus",
+     "warning", "has_empty_explanation", "explanation_count"],
+)
+def test_each_corrupted_analysis_field_fails_its_case(corpus, lex, table, field):
+    import dataclasses
+
+    case = next(c for c in corpus if c.case_id == "ex-2c")
+    assert run_case(case, lex, table).passed
+    analysis = {**case.expected["analysis"], field: "corrupted"}
+    broken = dataclasses.replace(case, expected={**case.expected, "analysis": analysis})
+    result = run_case(broken, lex, table)
+    assert not result.passed
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith(f"analysis.{field}: expected 'corrupted', got ")
