@@ -15,9 +15,6 @@ from .analyze import (
     detect_focus_constructions,
     explain_order,
     observe,
-    recognize_focus,
-    recognize_rheme,
-    recognize_theme,
     spec_of,
 )
 from .clause import (
@@ -34,8 +31,6 @@ from .disambiguate import (
     NEGATED,
     CandidateReading,
     RankedReading,
-    filter_constraints,
-    np_adjunct_possible,
     rank_readings,
 )
 from .lexicon import (
@@ -109,18 +104,13 @@ __all__ = [
     "dump_lexicon",
     "enumerate_orders",
     "explain_order",
-    "filter_constraints",
     "linearize",
     "load_default_lexicon",
     "load_lexicon",
     "load_slot_table",
-    "np_adjunct_possible",
     "observe",
     "rank_readings",
     "realizations",
-    "recognize_focus",
-    "recognize_rheme",
-    "recognize_theme",
     "sort_key",
     "spec_of",
     "validate_clause",

@@ -17,8 +17,9 @@ element, and the Mittelfeld keys strictly increase along the observed order.
 Two marked constructions are additionally detected directly (a typically
 rhematic element in the Vorfeld, and a pronoun to the right of a modifier);
 the detections must agree with the key check and are reported alongside it.
-:func:`analyze` compiles the observed clause once and reads the explanations
-and both detectors off that one :class:`CompiledClause`.
+:func:`analyze` compiles the observed clause once and reads the explanations,
+both detectors and the final constituent's lexicon entry off that one
+:class:`CompiledClause`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import Enum
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, VerbComplex
 from .lexicon import Lexicon
 from .linearize import CompiledClause, SurfaceOrder, TagAssignment, _check_search_size, iter_assignments
-from .slots import SlotTable, _entry, build_slot_table
+from .slots import SlotTable, build_slot_table
 
 
 @dataclass(frozen=True)
@@ -198,62 +199,6 @@ def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -
     return tuple(hits)
 
 
-def recognize_focus(
-    obs: ObservedClause,
-    lex: Lexicon,
-    explanations,
-) -> tuple[str | None, tuple[str, ...]]:
-    """Obligatory focus from the explanation set.
-
-    Returns ``(focus_id, options)``: the id when every explanation focuses the
-    same constituent; when explanations disagree about which constituent is
-    focused, the id is None and all candidates are listed.
-    """
-    if not explanations:
-        return None, ()
-    focused_per_explanation = []
-    for tags in explanations:
-        focused = [cid for cid, t in tags.items() if t is Tag.FOCUS]
-        if not focused:
-            return None, ()  # a focus-free explanation exists: no obligatory focus
-        focused_per_explanation.append(focused[0])
-    unique = sorted(set(focused_per_explanation))
-    if len(unique) == 1:
-        return unique[0], tuple(unique)
-    return None, tuple(unique)
-
-
-def recognize_theme(obs: ObservedClause, focus_ids=()) -> str | None:
-    """The clause-initial constituent, unless it was identified as the focus."""
-    if not obs.constituents:
-        return None
-    first = obs.constituents[0]
-    if first.id in focus_ids:
-        return None
-    return first.id
-
-
-def _inherently_non_rhematic(c: Constituent, lex: Lexicon) -> bool:
-    """A pronoun or a lexically non-rhematic entry; an unresolved key raises ``KeyError``."""
-    entry = _entry(c, lex)
-    return c.features.pronominal or (entry is not None and not entry.rhematic)
-
-
-def recognize_rheme(obs: ObservedClause, lex: Lexicon) -> str | None:
-    """The final constituent, unless it is inherently non-rhematic.
-
-    Verbs are never candidates; the clause-final verb cluster is skipped by
-    construction since only constituents are considered.  An unresolved
-    lexicon key on the final constituent raises ``KeyError``.
-    """
-    if not obs.constituents:
-        return None
-    last = obs.constituents[-1]
-    if _inherently_non_rhematic(last, lex):
-        return None
-    return last.id
-
-
 def analyze(
     obs: ObservedClause,
     lex: Lexicon,
@@ -261,17 +206,33 @@ def analyze(
 ) -> AnalysisResult:
     """Full pipeline: explanations, verdict, then focus, theme and rheme.
 
-    The clause is compiled once, whatever its stress marks, so an invalid
-    clause raises even under marks no assignment can carry; such marks leave
-    a valid clause without explanations (UNGRAMMATICAL).
+    Focus is obligatory when every explanation focuses the same constituent;
+    when explanations disagree, ``focus`` is None and ``focus_options`` lists
+    the candidates.  The clause is compiled once, whatever its stress marks,
+    so an invalid clause raises even under marks no assignment can carry;
+    such marks leave a valid clause without explanations (UNGRAMMATICAL).
     """
-    table = table or build_slot_table()
+    return _analyze(obs, lex, table or build_slot_table())[1]
+
+
+def _analyze(obs: ObservedClause, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
+    """:func:`analyze`, also returning the compiled clause it read everything off."""
     fixed = _stress_focus(obs)
     clause = CompiledClause(spec_of(obs), fixed or {}, lex, table)
     explanations = () if fixed is None else _explanations(clause, obs.order, fixed)
-    focus, focus_options = recognize_focus(obs, lex, explanations)
-    theme = recognize_theme(obs, focus_ids=focus_options)
-    rheme = recognize_rheme(obs, lex)
+
+    focus_options: tuple[str, ...] = ()
+    if explanations and all(Tag.FOCUS in tags.values() for tags in explanations):
+        focused = {cid for tags in explanations for cid, t in tags.items() if t is Tag.FOCUS}
+        focus_options = tuple(sorted(focused))
+    focus = focus_options[0] if len(focus_options) == 1 else None
+    theme = rheme = None
+    if obs.constituents:
+        first, last, entry = obs.constituents[0], obs.constituents[-1], clause.entries[-1]
+        if first.id not in focus_options:
+            theme = first.id
+        if not (last.features.pronominal or (entry is not None and not entry.rhematic)):
+            rheme = last.id
     detected = _detections(clause, obs, table)
 
     costs = [sum(1 for t in tags.values() if t is Tag.FOCUS) for tags in explanations]
@@ -299,7 +260,7 @@ def analyze(
         verdict = Verdict.GRAMMATICAL_UNMARKED
 
     frozen = tuple(tuple(sorted(tags.items())) for tags in explanations)
-    return AnalysisResult(
+    return clause, AnalysisResult(
         verdict=verdict,
         theme=theme,
         rheme=rheme,

@@ -250,9 +250,10 @@ def _cmd_analyze(args, lex, table) -> int:
 
     segments = []
     constituents = list(observed.constituents)
-    if observed.clause_type is ClauseType.V2 and constituents:
-        first = constituents.pop(0)
-        segments.append((" ".join(first.surface), _constituent_gloss(first, recovered_tag(first.id))))
+    if observed.clause_type is ClauseType.V2:
+        if constituents:
+            first = constituents.pop(0)
+            segments.append((" ".join(first.surface), _constituent_gloss(first, recovered_tag(first.id))))
         segments.append((" ".join(observed.verb.finite), "V"))
     elif observed.complementizer:
         segments.append((observed.complementizer, "C"))

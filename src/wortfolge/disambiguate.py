@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyze import AnalysisResult, ObservedClause, Verdict, analyze
+from .analyze import AnalysisResult, ObservedClause, Verdict, _analyze
 from .lexicon import Lexicon, NO_NEGATION
-from .slots import SlotTable, _entry, build_slot_table
+from .slots import SlotTable, build_slot_table
 
 #: Context atom: the ambiguous item stands in the scope of negation.
 NEGATED = "NEGATED"
@@ -40,27 +40,6 @@ class RankedReading:
     rank: int
 
 
-def filter_constraints(candidate: CandidateReading, lex: Lexicon) -> bool:
-    """False iff a lexicon constraint of any constituent is violated in context.
-
-    An unresolved lexicon key raises ``KeyError`` naming the key and the constituent.
-    """
-    for c in candidate.clause.constituents:
-        entry = _entry(c, lex)
-        if entry is not None and NO_NEGATION in entry.constraints and NEGATED in candidate.constraint_context:
-            return False
-    return True
-
-
-def np_adjunct_possible(head_is_pronoun: bool) -> bool:
-    """Whether a PP can attach as adjunct to the preceding NP.
-
-    Pronouns take no adjuncts, so a pronominal head rules the reading out at
-    candidate-construction time.
-    """
-    return not head_is_pronoun
-
-
 def rank_readings(
     candidates,
     lex: Lexicon,
@@ -71,6 +50,9 @@ def rank_readings(
     Constraint-violating candidates sort last and are flagged rejected;
     among the survivors ungrammatical readings rank below marked ones, and
     grammatical readings ascend by markedness cost.  Ties keep caller order.
+    Each candidate is compiled once, and its constraints are read off the
+    lexicon entries its compiled clause resolved.  An invalid candidate
+    raises its clause error, and an unresolved lexicon key ``KeyError``.
     """
     candidates = list(candidates)
     if not candidates:
@@ -79,8 +61,10 @@ def rank_readings(
 
     scored = []
     for index, candidate in enumerate(candidates):
-        ok = filter_constraints(candidate, lex)
-        result = analyze(candidate.clause, lex, table)
+        clause, result = _analyze(candidate.clause, lex, table)
+        ok = NEGATED not in candidate.constraint_context or not any(
+            entry is not None and NO_NEGATION in entry.constraints for entry in clause.entries
+        )
         ungrammatical = result.verdict is Verdict.UNGRAMMATICAL
         sort_key = (0 if ok else 1, 1 if ungrammatical else 0, result.markedness_cost, index)
         scored.append((sort_key, candidate, ok, result))

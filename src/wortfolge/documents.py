@@ -25,7 +25,7 @@ from .clause import (
     Tag,
     VerbComplex,
 )
-from .disambiguate import CandidateReading, np_adjunct_possible
+from .disambiguate import CandidateReading
 from .lexicon import Lexicon
 from .linearize import TagAssignment
 
@@ -209,10 +209,8 @@ def parse_candidates(raw, where="candidates"):
         label = _require(raw_candidate, "label", f"{where}[{i}]", str)
         attachment = raw_candidate.get("np_attachment")
         if attachment is not None:
-            head_is_pronoun = bool(
-                _require(attachment, "head_is_pronoun", f"{where}[{i}].np_attachment")
-            )
-            if not np_adjunct_possible(head_is_pronoun):
+            # Pronouns take no adjuncts, so the reading cannot be built.
+            if _require(attachment, "head_is_pronoun", f"{where}[{i}].np_attachment", bool):
                 excluded.append((label, "pronominal heads take no NP adjunct"))
                 continue
         observed = parse_observed(

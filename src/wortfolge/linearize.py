@@ -27,16 +27,7 @@ from dataclasses import dataclass
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _violations
 from .lexicon import Lexicon
-from .slots import (
-    NoSlotError,
-    SlotTable,
-    SortKey,
-    _entry,
-    _lexical_veto,
-    _rhematic_by_default,
-    _slot_keys,
-    build_slot_table,
-)
+from .slots import SlotTable, SortKey, _entry, _no_slot, _rhematic_by_default, _slot_keys, build_slot_table
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
@@ -183,9 +174,8 @@ def linearize(
         if i == vorfeld:
             continue
         column = 1 if i == theme else 2 if i == rheme else 3 if i == focus else 0
-        if row[column] is None:  # the compiled clause keeps no reason; recompute it
-            c, tag = spec.constituents[i], KEY_TAGS[column]
-            err = NoSlotError(c, tag, _lexical_veto(tag, _entry(c, lex)) or "")
+        if row[column] is None:
+            err = _no_slot(spec.constituents[i], KEY_TAGS[column], clause.entries[i])
             raise InexpressibleTags(str(err)) from err
         mittelfeld.append(row[column][0])
     mittelfeld.sort()
@@ -225,9 +215,10 @@ class CompiledClause:
 
     ``keys[i][j]`` holds the :func:`all_sort_keys` of the constituent with
     input ordinal ``i`` under ``KEY_TAGS[j]``, as plain tuples (which order
-    like :class:`SortKey`), or None where that tagging has no slot.  With
+    like :class:`SortKey`), or None where that tagging has no slot.
+    ``entries[i]`` is its lexicon entry (None without a key).  With
     ``vorfeld_capable``, ``typically_rhematic`` and ``subject`` they are all
-    that generation, enumeration and analysis (its detectors included) read.
+    that generation, enumeration, analysis and disambiguation read.
     Assignments are given as input ordinals of the theme, rheme and focus
     carriers, None for an absent tag.  With ``every_tag`` false the clause is
     compiled for the one assignment ``tags``: only the untagged column and
@@ -238,14 +229,16 @@ class CompiledClause:
     there as the focus, so two FOCUS carriers are a cooccurrence violation.
     The assignment's own defects (unknown ids, two carriers of one tag) are
     kept in ``assignment_violations`` for the caller to refuse.  Every
-    lexicon key is resolved here, once: an unresolved key raises ``KeyError``
-    naming the first such constituent, whatever the assignment.
+    lexicon key is resolved here, once, and nowhere else in the engine: an
+    unresolved key raises ``KeyError`` naming the first such constituent,
+    whatever the assignment.
     """
 
     # A plain class: creating a dataclass takes milliseconds at import, more
     # than a whole analysis.
     __slots__ = (
-        "clause_type", "keys", "vorfeld_capable", "typically_rhematic", "subject", "assignment_violations"
+        "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
+        "assignment_violations",
     )
 
     def __init__(
@@ -261,9 +254,10 @@ class CompiledClause:
             raise CooccurrenceViolation(cooccurrence)
         if invalid:
             raise ValueError("invalid clause spec: " + "; ".join(invalid))
-        keys, capable, rhematic = [], [], []
+        keys, entries, capable, rhematic = [], [], [], []
         for ordinal, c in enumerate(spec.constituents):
             entry = _entry(c, lex)
+            entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
             row = [None] * len(KEY_TAGS)
             if every_tag:
@@ -271,14 +265,12 @@ class CompiledClause:
             else:
                 columns = (0, KEY_TAGS.index(tags[c.id])) if c.id in tags else (0,)
             for column in columns:
-                try:
-                    row[column] = _slot_keys(table, c, ordinal, KEY_TAGS[column], entry)
-                except NoSlotError:
-                    pass
+                row[column] = _slot_keys(table, c, ordinal, KEY_TAGS[column], entry) or None
             keys.append(tuple(row))
             rhematic.append(_rhematic_by_default(table, c, None if row[0] is None else row[0][0][0]))
         self.clause_type = spec.clause_type
         self.keys = tuple(keys)
+        self.entries = tuple(entries)
         self.vorfeld_capable = tuple(capable)
         self.typically_rhematic = tuple(rhematic)
         self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)

@@ -254,7 +254,15 @@ def all_sort_keys(
     later one is the marked right-field realization).
     """
     entry = None if tag is None or lex is None else _entry(c, lex)
-    return tuple(SortKey(*key) for key in _slot_keys(table, c, input_ordinal, tag, entry))
+    keys = _slot_keys(table, c, input_ordinal, tag, entry)
+    if not keys:
+        raise _no_slot(c, tag, entry)
+    return tuple(SortKey(*key) for key in keys)
+
+
+def _no_slot(c: Constituent, tag: Tag | None, entry) -> NoSlotError:
+    """The refusal for a tagging without a slot, with the lexical veto as its reason."""
+    return NoSlotError(c, tag, _lexical_veto(tag, entry) or "")
 
 
 def _slot_keys(
@@ -265,10 +273,10 @@ def _slot_keys(
     entry,
 ) -> tuple[tuple[int, int, int, int], ...]:
     """:func:`all_sort_keys` under exactly ``tag``, as plain tuples (which order
-    like :class:`SortKey`), given the constituent's resolved lexicon entry."""
-    veto = _lexical_veto(tag, entry)
-    if veto:
-        raise NoSlotError(c, tag, veto)
+    like :class:`SortKey`), given the constituent's resolved lexicon entry;
+    ``()`` when the lexicon vetoes the tag or no slot matches."""
+    if _lexical_veto(tag, entry):
+        return ()
     keys = []
     seen_slots = set()
     hoberg = c.hoberg_index or 0
@@ -279,8 +287,6 @@ def _slot_keys(
         keys.append((pattern.slot, pattern.sub_rank, hoberg, input_ordinal))
         if tag is not Tag.FOCUS:
             break  # non-focus placements are unique: first match only
-    if not keys:
-        raise NoSlotError(c, tag)
     return tuple(keys)
 
 

@@ -11,8 +11,6 @@ from wortfolge import (
     explain_order,
     linearize,
     observe,
-    recognize_focus,
-    recognize_rheme,
 )
 
 from .conftest import c, modifier, observed
@@ -74,25 +72,19 @@ def test_stress_marks_are_hard_constraints(ex8_clause, lex):
 
 def test_directional_vorfeld_is_recognized_as_focus(ex8_clause, lex):
     obs = observed(ex8_clause, ["nach-frankreich", "vahe"])
-    explanations = explain_order(obs, lex)
-    focus, options = recognize_focus(obs, lex, explanations)
-    assert focus == "nach-frankreich"
+    assert analyze(obs, lex).focus == "nach-frankreich"
     assert detect_focus_constructions(obs, lex) == ("nach-frankreich",)
 
 
 def test_indefinite_object_vorfeld_is_recognized_as_focus(ex9_clause, lex):
     obs = observed(ex9_clause, ["einen-inder", "anne"])
-    explanations = explain_order(obs, lex)
-    focus, _ = recognize_focus(obs, lex, explanations)
-    assert focus == "einen-inder"
+    assert analyze(obs, lex).focus == "einen-inder"
     assert detect_focus_constructions(obs, lex) == ("einen-inder",)
 
 
 def test_default_order_has_no_focus(ex5_clause, lex):
-    obs = observed(ex5_clause, ["ich", "den-mann", "gestern"])
-    explanations = explain_order(obs, lex)
-    focus, options = recognize_focus(obs, lex, explanations)
-    assert focus is None and options == ()
+    result = analyze(observed(ex5_clause, ["ich", "den-mann", "gestern"]), lex)
+    assert result.focus is None and result.focus_options == ()
 
 
 # --- theme recognition ----------------------------------------------------------------
@@ -140,12 +132,12 @@ def test_focused_initial_element_is_not_a_theme(ex8_clause, lex):
 
 def test_final_object_is_rheme(ex5_clause, lex):
     obs = observed(ex5_clause, ["ich", "gestern", "den-mann"])
-    assert recognize_rheme(obs, lex) == "den-mann"
+    assert analyze(obs, lex).rheme == "den-mann"
 
 
 def test_lexically_non_rhematic_final_modifier_gives_no_rheme(ex12_clause, lex):
     obs = observed(ex12_clause, ["er", "den-artikel", "dann", "wohl"])
-    assert recognize_rheme(obs, lex) is None
+    assert analyze(obs, lex).rheme is None
 
 
 def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
@@ -153,10 +145,10 @@ def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
 
     spec = replace(ex5_clause, clause_type=ex5_clause.clause_type)
     obs = observed(spec, ["den-mann", "gestern", "ich"])
-    assert recognize_rheme(obs, lex) is None
+    assert analyze(obs, lex).rheme is None
 
 
-@pytest.mark.parametrize("recognize", [recognize_rheme, analyze])
+@pytest.mark.parametrize("recognize", [analyze, explain_order, detect_focus_constructions])
 def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, recognize):
     from dataclasses import replace
 

@@ -1,9 +1,11 @@
 """Differential test: ``analyze`` against the pipeline that ran before it read the compiled clause.
 
 ``reference_analyze`` is the earlier ``analyze``: explanations from the
-generate-and-test search (``reference_explain_order``), then the direct focus
-detectors, which re-key every constituent and look its lexicon key up again
-(``reference_detect_focus_constructions``).  The engine must return an equal
+generate-and-test search (``reference_explain_order``), focus, theme and rheme
+from the recognizers as they stood before ``analyze`` read them off the
+compiled clause (frozen below, with the rheme's own lexicon lookup), then the
+direct focus detectors, which re-key every constituent and look its lexicon
+key up again (``reference_detect_focus_constructions``).  The engine must return an equal
 ``AnalysisResult``, or raise the same exception class with the same message.
 
 One difference is intended.  The earlier pipeline never validated a clause
@@ -21,20 +23,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wortfolge import Category, ClauseType, Tag, analyze, detect_focus_constructions
-from wortfolge.analyze import (
-    AnalysisResult,
-    StressWarning,
-    Verdict,
-    _inherently_non_rhematic,
-    recognize_focus,
-    recognize_rheme,
-    recognize_theme,
-)
+from wortfolge.analyze import AnalysisResult, StressWarning, Verdict
 from wortfolge.slots import NoSlotError, build_slot_table, sort_key
 
 from .strategies import _LEX
 from .test_enumerate_differential import _reference_vorfeld_capable, reference_typically_rhematic
 from .test_explain_differential import _observation, _outcome, reference_explain_order
+
+
+def reference_recognize_focus(explanations):
+    """Obligatory focus: ``(id, options)`` when every explanation focuses the
+    same constituent, ``(None, candidates)`` when they disagree."""
+    if not explanations:
+        return None, ()
+    focused_per_explanation = []
+    for tags in explanations:
+        focused = [cid for cid, t in tags.items() if t is Tag.FOCUS]
+        if not focused:
+            return None, ()  # a focus-free explanation exists: no obligatory focus
+        focused_per_explanation.append(focused[0])
+    unique = sorted(set(focused_per_explanation))
+    if len(unique) == 1:
+        return unique[0], tuple(unique)
+    return None, tuple(unique)
+
+
+def reference_recognize_theme(obs, focus_ids=()):
+    """The clause-initial constituent, unless it was identified as the focus."""
+    if not obs.constituents:
+        return None
+    first = obs.constituents[0]
+    if first.id in focus_ids:
+        return None
+    return first.id
+
+
+def reference_inherently_non_rhematic(c, lex):
+    """A pronoun or a lexically non-rhematic entry; an unresolved key raises ``KeyError``."""
+    entry = None
+    if c.lexicon_key is not None:
+        entry = lex.get(c.lexicon_key)
+        if entry is None:
+            raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
+    return c.features.pronominal or (entry is not None and not entry.rhematic)
+
+
+def reference_recognize_rheme(obs, lex):
+    """The final constituent, unless it is inherently non-rhematic."""
+    if not obs.constituents:
+        return None
+    last = obs.constituents[-1]
+    if reference_inherently_non_rhematic(last, lex):
+        return None
+    return last.id
 
 
 def reference_detect_focus_constructions(obs, lex, table=None):
@@ -79,9 +120,9 @@ def reference_analyze(obs, lex, table=None):
     """Explanations, verdict, focus, theme and rheme, then the detectors."""
     table = table or build_slot_table()
     explanations = reference_explain_order(obs, lex, table)
-    focus, focus_options = recognize_focus(obs, lex, explanations)
-    theme = recognize_theme(obs, focus_ids=focus_options)
-    rheme = recognize_rheme(obs, lex)
+    focus, focus_options = reference_recognize_focus(explanations)
+    theme = reference_recognize_theme(obs, focus_ids=focus_options)
+    rheme = reference_recognize_rheme(obs, lex)
     detected = reference_detect_focus_constructions(obs, lex, table)
 
     costs = [sum(1 for t in tags.values() if t is Tag.FOCUS) for tags in explanations]
@@ -92,7 +133,7 @@ def reference_analyze(obs, lex, table=None):
         explanations
         and obs.clause_type is ClauseType.V2
         and obs.constituents
-        and _inherently_non_rhematic(obs.constituents[-1], lex)
+        and reference_inherently_non_rhematic(obs.constituents[-1], lex)
         and obs.constituents[-1].id not in focus_options
     ):
         warning = StressWarning(

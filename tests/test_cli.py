@@ -169,6 +169,12 @@ def test_analyze_ungrammatical_exit_code(tmp_path, capsys):
     assert report["verdict"] == "UNGRAMMATICAL"
 
 
+
+def test_analyze_pretty_prints_the_finite_verb_of_an_empty_v2_clause(tmp_path, capsys):
+    obs = {"clause_type": "V2", "verb": {"finite": ["regnet"]}, "constituents": []}
+    assert main(["analyze", "--observed", _write(tmp_path, "obs.json", obs), "--pretty"]) == 3
+    assert capsys.readouterr().out.splitlines()[:3] == ["regnet", "V", "verdict: UNGRAMMATICAL"]
+
 def _two_subjects(observed):
     obs = json.loads(json.dumps(observed))
     obs["constituents"].append({"id": "sie", "category": "N", "surface": ["sie"], "features": {"pronominal": True}})

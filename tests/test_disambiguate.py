@@ -7,10 +7,9 @@ from wortfolge import (
     ObservedClause,
     Verdict,
     VerbComplex,
-    filter_constraints,
-    np_adjunct_possible,
     rank_readings,
 )
+from wortfolge.documents import parse_candidates
 
 from .conftest import c, modifier
 
@@ -40,20 +39,24 @@ def _pp_reading(label, constituents, stress=()):
 
 # --- constraints -------------------------------------------------------------
 
+def _constraint_ok(reading, lex):
+    (ranked,) = rank_readings([reading], lex)
+    return ranked.constraint_ok
+
+
 def test_negated_preference_reading_rejected(lex):
-    assert filter_constraints(_eher_reading(5), lex) is False
+    assert _constraint_ok(_eher_reading(5), lex) is False
 
 
 def test_temporal_reading_survives_negation(lex):
-    assert filter_constraints(_eher_reading(26), lex) is True
+    assert _constraint_ok(_eher_reading(26), lex) is True
 
 
 def test_preference_reading_fine_without_negation(lex):
-    assert filter_constraints(_eher_reading(5, context=()), lex) is True
+    assert _constraint_ok(_eher_reading(5, context=()), lex) is True
 
 
 def test_unresolved_lexicon_key_names_the_lemma(lex):
-    reading = _eher_reading(26)
     broken = CandidateReading(
         label="broken",
         clause=ObservedClause(
@@ -63,7 +66,7 @@ def test_unresolved_lexicon_key_names_the_lemma(lex):
         ),
     )
     with pytest.raises(KeyError, match="plotzlich"):
-        filter_constraints(broken, lex)
+        rank_readings([broken], lex)
 
 
 # --- ranking ------------------------------------------------------------------
@@ -106,8 +109,18 @@ def test_pp_attachment_prefers_the_focus_free_reading(lex):
 
 
 def test_pronominal_head_blocks_the_adjunct_reading(lex):
-    assert np_adjunct_possible(head_is_pronoun=True) is False
-    assert np_adjunct_possible(head_is_pronoun=False) is True
+    observed = {
+        "clause_type": "V2",
+        "verb": {"finite": ["hat"], "nonfinite": ["gesehen"]},
+        "constituents": [{"id": "er", "category": "N", "surface": ["er"], "features": {"pronominal": True}}],
+    }
+    raw = [
+        {"label": label, "np_attachment": {"head_is_pronoun": pronoun}, "observed": observed}
+        for label, pronoun in (("pronoun-head", True), ("noun-head", False))
+    ]
+    candidates, excluded = parse_candidates(raw)
+    assert [cand.label for cand in candidates] == ["noun-head"]
+    assert excluded == (("pronoun-head", "pronominal heads take no NP adjunct"),)
     survivor = _pp_reading(
         "sentence-modifier",
         (

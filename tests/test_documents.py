@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -176,3 +177,19 @@ def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, messa
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_non_boolean_head_is_pronoun_is_an_input_error(tmp_path, capsys, flag):
+    # A JSON string "false" used to count as true and exclude the reading.
+    candidates = [
+        {"label": "adjunct", "np_attachment": {"head_is_pronoun": flag}, "observed": CLAUSE_JSON},
+        {"label": "modifier", "observed": CLAUSE_JSON},
+    ]
+    message = f"candidates[0].np_attachment.head_is_pronoun: unexpected type {type(flag).__name__}"
+    with pytest.raises(DocumentError, match=rf"^{re.escape(message)}$"):
+        parse_candidates(candidates)
+    path = tmp_path / "cands.json"
+    path.write_text(json.dumps(candidates), encoding="utf-8")
+    assert main(["disambiguate", "--candidates", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message}\n")

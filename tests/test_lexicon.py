@@ -106,3 +106,45 @@ def test_unknown_constraint_rejected():
 def test_bad_boolean_rejected():
     with pytest.raises(LexiconError, match="rhematic"):
         load_lexicon("x\t1\t1\t2\t1\t1\t-\t0\tgloss\n")
+
+
+def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
+    # analyze, rank_readings and a refused linearize read every entry off
+    # their one compiled clause: one lookup per keyed constituent.
+    from importlib import resources
+
+    from wortfolge import InexpressibleTags, Tag, analyze, linearize, rank_readings
+    from wortfolge.analyze import spec_of
+    from wortfolge.corpus import load_corpus
+    from wortfolge.lexicon import Lexicon
+
+    lookups = []
+    get = Lexicon.get
+    monkeypatch.setattr(Lexicon, "get", lambda self, key: lookups.append(key) or get(self, key))
+
+    def keyed(clauses):
+        return sum(c.lexicon_key is not None for clause in clauses for c in clause.constituents)
+
+    corpus = resources.files("wortfolge.data").joinpath("corpus.json").read_text("utf-8")
+    docs = {case.case_id: case.doc for case in load_corpus(corpus)}
+    analyzed = 0
+    for doc in docs.values():
+        if doc.observed is not None:
+            lookups.clear()
+            analyze(doc.observed, lex, table)
+            assert len(lookups) == keyed([doc.observed])
+            analyzed += 1
+    assert analyzed > 0
+
+    for case_id, expected in (("ex-13", 4), ("ex-14", 3), ("ex-15", 2)):
+        candidates = docs[case_id].candidates
+        assert keyed(cand.clause for cand in candidates) == expected
+        lookups.clear()
+        rank_readings(candidates, lex, table)
+        assert len(lookups) == expected, case_id
+
+    spec = spec_of(docs["ex-12a"].observed)
+    lookups.clear()
+    with pytest.raises(InexpressibleTags, match="wohl is lexically non-rhematic"):
+        linearize(spec, {"wohl": Tag.RHEME}, lex, table)
+    assert len(lookups) == keyed([spec]) == 2
