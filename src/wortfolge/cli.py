@@ -31,7 +31,7 @@ from pathlib import Path
 from .analyze import Verdict, analyze
 from .corpus import load_corpus, run_corpus
 from .disambiguate import rank_readings
-from .clause import Category, ClauseType, Tag
+from .clause import Category, Tag
 from .documents import (
     PAYLOAD_FIELDS,
     SCHEMA_VERSION,
@@ -44,14 +44,7 @@ from .documents import (
     verify_document_keys,
 )
 from .lexicon import LexiconError, load_default_lexicon, load_lexicon
-from .linearize import (
-    CooccurrenceViolation,
-    InexpressibleTags,
-    LinearizeError,
-    NoVorfeld,
-    enumerate_orders,
-    linearize,
-)
+from .linearize import InexpressibleTags, LinearizeError, NoVorfeld, _fields, enumerate_orders, linearize
 from .slots import SlotTableError, build_slot_table, load_slot_table
 
 EXIT_OK = 0
@@ -130,44 +123,24 @@ def _constituent_gloss(c, tag=None) -> str:
     return base
 
 
-def _interlinear(segments) -> list[str]:
-    """Two aligned rows: surface text above, category/tag glosses below."""
+def _interlinear(clause, ordered, tag_of, rendered=None) -> list[str]:
+    """Two aligned rows over the clause's fields: surface text above,
+    category/tag glosses below.
+
+    ``ordered`` holds the constituents in surface order and ``tag_of`` maps an
+    id to its tag (or None).  A field's text is its own tokens, or, given
+    ``rendered``, the same number of tokens taken from there.
+    """
     top, bottom = [], []
-    for text, gloss in segments:
+    for owner, tokens in _fields(clause, ordered):
+        if rendered is not None:
+            tokens, rendered = rendered[: len(tokens)], rendered[len(tokens):]
+        text = " ".join(tokens)
+        gloss = owner if isinstance(owner, str) else _constituent_gloss(owner, tag_of(owner.id))
         width = max(len(text), len(gloss))
         top.append(text.ljust(width))
         bottom.append(gloss.ljust(width))
     return ["  ".join(top).rstrip(), "  ".join(bottom).rstrip()]
-
-
-def _generation_segments(clause, tags, surface):
-    tokens = list(surface.rendered)
-    segments = []
-
-    def take(count, gloss):
-        nonlocal tokens
-        text, tokens = " ".join(tokens[:count]), tokens[count:]
-        segments.append((text, gloss))
-
-    if clause.clause_type is ClauseType.V2:
-        vorfeld = clause.by_id(surface.vorfeld)
-        take(len(vorfeld.surface), _constituent_gloss(vorfeld, tags.get(vorfeld.id)))
-        take(len(clause.verb.finite), "V")
-        for cid in surface.mittelfeld:
-            con = clause.by_id(cid)
-            take(len(con.surface), _constituent_gloss(con, tags.get(cid)))
-        if clause.verb.nonfinite:
-            take(len(clause.verb.nonfinite), "V")
-    else:
-        if clause.complementizer:
-            take(1, "C")
-        for cid in surface.mittelfeld:
-            con = clause.by_id(cid)
-            take(len(con.surface), _constituent_gloss(con, tags.get(cid)))
-        if clause.verb.nonfinite:
-            take(len(clause.verb.nonfinite), "V")
-        take(len(clause.verb.finite), "V")
-    return segments
 
 
 def _cmd_generate(args, lex, table) -> int:
@@ -223,7 +196,7 @@ def _cmd_generate(args, lex, table) -> int:
             for cid, key in surface.keys
         },
     }
-    lines = _interlinear(_generation_segments(clause, tags, surface))
+    lines = _interlinear(clause, [clause.by_id(cid) for cid in surface.order], tags.get, surface.rendered)
     if surface.vorfeld is not None:
         lines.append(f"vorfeld: {surface.vorfeld}")
     keys = "  ".join(f"{cid}[{key.slot}.{key.sub_rank}.{key.hoberg}]" for cid, key in surface.keys)
@@ -248,24 +221,7 @@ def _cmd_analyze(args, lex, table) -> int:
             return Tag.RHEME
         return None
 
-    segments = []
-    constituents = list(observed.constituents)
-    if observed.clause_type is ClauseType.V2:
-        if constituents:
-            first = constituents.pop(0)
-            segments.append((" ".join(first.surface), _constituent_gloss(first, recovered_tag(first.id))))
-        segments.append((" ".join(observed.verb.finite), "V"))
-    elif observed.complementizer:
-        segments.append((observed.complementizer, "C"))
-    for con in constituents:
-        segments.append((" ".join(con.surface), _constituent_gloss(con, recovered_tag(con.id))))
-    if observed.clause_type is ClauseType.V2:
-        if observed.verb.nonfinite:
-            segments.append((" ".join(observed.verb.nonfinite), "V"))
-    else:
-        segments.append((" ".join(observed.verb.nonfinite + observed.verb.finite), "V"))
-
-    lines = _interlinear(segments)
+    lines = _interlinear(observed, observed.constituents, recovered_tag)
     lines += [
         f"verdict: {result.verdict.value}",
         f"theme: {result.theme or '-'}   rheme: {result.rheme or '-'}   focus: {result.focus or '-'}",
@@ -399,7 +355,7 @@ def main(argv=None) -> int:
     except (_InputError, DocumentError, LexiconError, SlotTableError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (InexpressibleTags, CooccurrenceViolation, NoVorfeld) as err:
+    except LinearizeError as err:
         print(
             json.dumps(
                 {"error": {"type": type(err).__name__, "message": str(err)}},
@@ -407,9 +363,6 @@ def main(argv=None) -> int:
                 ensure_ascii=False,
             )
         )
-        return EXIT_GENERATION
-    except LinearizeError as err:
-        print(f"generation error: {err}", file=sys.stderr)
         return EXIT_GENERATION
 
 

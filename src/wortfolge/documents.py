@@ -25,7 +25,7 @@ from .clause import (
     Tag,
     VerbComplex,
 )
-from .disambiguate import CandidateReading
+from .disambiguate import NEGATED, CandidateReading
 from .lexicon import Lexicon
 from .linearize import TagAssignment
 
@@ -220,6 +220,10 @@ def parse_candidates(raw, where="candidates"):
         context = raw_candidate.get("constraint_context", [])
         if not isinstance(context, list) or not all(isinstance(atom, str) for atom in context):
             raise DocumentError(f"{where}[{i}].constraint_context: must be a list of strings")
+        for atom in context:
+            # Only NEGATED constrains a reading; a misspelt atom would drop the constraint.
+            if atom != NEGATED:
+                raise DocumentError(f"{where}[{i}].constraint_context: unknown atom {atom!r}")
         candidates.append(
             CandidateReading(
                 label=label,

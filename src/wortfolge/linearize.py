@@ -80,34 +80,39 @@ class SurfaceOrder:
         return " ".join(self.rendered)
 
 
-def _render(
-    spec: ClauseSpec,
-    ordered: list[Constituent],
-    vorfeld: Constituent | None,
-    focus: str | None,
-) -> tuple[str, ...]:
-    def emit(c: Constituent):
-        if c.id == focus:
-            return tuple(tok.upper() for tok in c.surface)
-        return c.surface
+def _fields(clause, ordered) -> list:
+    """The clause frame: the topological fields of a clause in surface order.
 
+    ``clause`` is a :class:`ClauseSpec` or an observed clause, and ``ordered``
+    its constituents in surface order, Vorfeld first.  Each field is an
+    ``(owner, tokens)`` pair; the owner is the constituent itself, or ``"V"``
+    for verb material and ``"C"`` for the complementizer.  In V2 the first
+    constituent opens the clause and the finite verb follows it; in VF the
+    complementizer opens the clause and the non-finite verbs precede the
+    finite one at its end.  Empty fields are dropped: validation leaves only
+    the non-finite verbs possibly empty.
+    """
+    verb = clause.verb
+    fields = [(c, c.surface) for c in ordered]
+    if clause.clause_type is ClauseType.V2:
+        fields.insert(1, ("V", verb.finite))
+    elif clause.complementizer:
+        fields.insert(0, ("C", (clause.complementizer,)))
+    if verb.nonfinite:
+        fields.append(("V", verb.nonfinite))
+    if clause.clause_type is ClauseType.VF:
+        fields.append(("V", verb.finite))
+    return fields
+
+
+def _render(spec: ClauseSpec, ordered: list[Constituent], focus: Constituent | None) -> tuple[str, ...]:
+    """The clause's tokens: :func:`_fields` flattened, the ``focus`` in caps
+    and the first token of a V2 clause capitalized."""
     tokens: list[str] = []
+    for owner, field in _fields(spec, ordered):
+        tokens += [tok.upper() for tok in field] if owner is focus else field
     if spec.clause_type is ClauseType.V2:
-        assert vorfeld is not None
-        tokens += emit(vorfeld)
-        tokens += spec.verb.finite
-        for c in ordered:
-            tokens += emit(c)
-        tokens += spec.verb.nonfinite
-        if tokens and tokens[0]:
-            tokens[0] = tokens[0][0].upper() + tokens[0][1:]
-    else:
-        if spec.complementizer:
-            tokens.append(spec.complementizer)
-        for c in ordered:
-            tokens += emit(c)
-        tokens += spec.verb.nonfinite
-        tokens += spec.verb.finite
+        tokens[0] = tokens[0][0].upper() + tokens[0][1:]
     return tuple(tokens)
 
 
@@ -118,12 +123,12 @@ def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> 
     """
     cs = spec.constituents
     ordered = [cs[key[3]] for key in keys]
-    opener = None if vorfeld is None else cs[vorfeld]
+    opener = [] if vorfeld is None else [cs[vorfeld]]
     return SurfaceOrder(
         clause_type=spec.clause_type,
-        vorfeld=None if opener is None else opener.id,
+        vorfeld=None if vorfeld is None else cs[vorfeld].id,
         mittelfeld=tuple(c.id for c in ordered),
-        rendered=_render(spec, ordered, opener, None if focus is None else cs[focus].id),
+        rendered=_render(spec, opener + ordered, None if focus is None else cs[focus]),
         keys=tuple((c.id, SortKey(*key)) for c, key in zip(ordered, keys)),
     )
 

@@ -94,29 +94,26 @@ class SlotTable:
         if slots != list(range(1, len(slots) + 1)):
             raise SlotTableError("slot ordinals must be dense from 1")
         self.slot_count = len(slots)
-        self.theme_slot = self._only_slot(Tag.THEME, expect_one=True)
-        rheme_slots = sorted({p.slot for p in self.patterns if p.required_tag is Tag.RHEME})
-        if len(rheme_slots) != 1:
-            raise SlotTableError("expected exactly one RHEME slot")
-        self.rheme_slot = rheme_slots[0]
-        focus_slots = sorted({p.slot for p in self.patterns if p.required_tag is Tag.FOCUS})
-        if len(focus_slots) != 2:
+        tag_slots = {tag: sorted({p.slot for p in self.patterns if p.required_tag is tag}) for tag in Tag}
+        for tag in (Tag.THEME, Tag.RHEME):
+            if len(tag_slots[tag]) != 1:
+                raise SlotTableError(f"expected exactly one {tag.value} slot")
+        if len(tag_slots[Tag.FOCUS]) != 2:
             raise SlotTableError("expected the early and the general FOCUS slots")
-        self.focus_slots = tuple(focus_slots)
+        (self.theme_slot,), (self.rheme_slot,) = tag_slots[Tag.THEME], tag_slots[Tag.RHEME]
+        self.focus_slots = tuple(tag_slots[Tag.FOCUS])
         if not self.theme_slot < self.rheme_slot < self.focus_slots[-1]:
             raise SlotTableError("THEME slot must precede RHEME slot must precede general FOCUS slot")
         row5_slots = [p.slot for p in self.patterns if p.row >= 5]
+        if not row5_slots:
+            raise SlotTableError("no row-5+ pattern marks the late field")
         self.late_field_start = min(row5_slots)
         band_slots = [
             p.slot for p in self.patterns if p.category is Category.M and p.required_tag is None
         ]
+        if not band_slots:
+            raise SlotTableError("no untagged M pattern marks the modifier band")
         self.modifier_band_start = min(band_slots)
-
-    def _only_slot(self, tag, expect_one=False):
-        slots = sorted({p.slot for p in self.patterns if p.required_tag is tag})
-        if expect_one and len(slots) != 1:
-            raise SlotTableError(f"expected exactly one {tag.value} slot")
-        return slots[0]
 
 
 def _parse_features(raw: str, lineno: int):
@@ -166,9 +163,15 @@ def load_slot_table(source) -> SlotTable:
             row, slot, sub_rank = int(raw_row), int(raw_slot), int(raw_sub)
         except ValueError:
             raise SlotTableError(f"line {lineno}: bad row/slot/sub_rank") from None
-        category = None if raw_cat == "*" else Category(raw_cat)
+        try:
+            category = None if raw_cat == "*" else Category(raw_cat)
+        except ValueError:
+            raise SlotTableError(f"line {lineno}: unknown category {raw_cat!r}") from None
         definite, animate, pron, svc = _parse_features(raw_feats, lineno)
-        required_tag = None if raw_tag == "-" else Tag(raw_tag)
+        try:
+            required_tag = None if raw_tag == "-" else Tag(raw_tag)
+        except ValueError:
+            raise SlotTableError(f"line {lineno}: unknown tag {raw_tag!r}") from None
         hoberg_lo = hoberg_hi = None
         if raw_range != "-":
             try:

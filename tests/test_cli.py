@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -174,6 +175,33 @@ def test_analyze_pretty_prints_the_finite_verb_of_an_empty_v2_clause(tmp_path, c
     obs = {"clause_type": "V2", "verb": {"finite": ["regnet"]}, "constituents": []}
     assert main(["analyze", "--observed", _write(tmp_path, "obs.json", obs), "--pretty"]) == 3
     assert capsys.readouterr().out.splitlines()[:3] == ["regnet", "V", "verdict: UNGRAMMATICAL"]
+
+
+def _columns(pretty_out):
+    """The interlinear columns of a ``--pretty`` report: (lowercased text, gloss without its tag)."""
+    top, bottom = pretty_out.splitlines()[:2]
+    glosses = [re.sub(r"\+(theme|rheme|focus)$", "", gloss) for gloss in bottom.split()]
+    return list(zip(re.split(r" {2,}", top.lower()), glosses))
+
+
+def test_generate_and_analyze_pretty_print_the_same_fields(tmp_path, capsys):
+    # ex-5d is verb-final with a non-finite verb: both commands lay out the
+    # same fields, each verb part in its own column.
+    case = next(case for case in json.loads(CORPUS.read_text("utf-8"))["cases"] if case["case_id"] == "ex-5d")
+    clause_path = _write(tmp_path, "clause.json", case["doc"])
+    assert main(["generate", "--clause", clause_path]) == 0
+    order = json.loads(capsys.readouterr().out)["mittelfeld"]
+    assert main(["generate", "--clause", clause_path, "--pretty"]) == 0
+    generated = _columns(capsys.readouterr().out)
+    clause = case["doc"]["payload"]["clause"]
+    by_id = {con["id"]: con for con in clause["constituents"]}
+    observed = dict(clause, constituents=[by_id[cid] for cid in order])
+    assert main(["analyze", "--observed", _write(tmp_path, "obs.json", observed), "--pretty"]) == 0
+    analyzed = _columns(capsys.readouterr().out)
+    assert generated == analyzed == [
+        ("weil", "C"), ("gestern", "M26"), ("ich", "N:pron"), ("den mann", "A+d+a"), ("gesehen", "V"), ("habe", "V"),
+    ]
+
 
 def _two_subjects(observed):
     obs = json.loads(json.dumps(observed))

@@ -119,6 +119,22 @@ def test_non_string_constraint_context_rejected():
         parse_candidates(candidates)
 
 
+@pytest.mark.parametrize("atom", ["negated", "NEGATION", ""])
+def test_unknown_constraint_atom_is_an_input_error(tmp_path, capsys, atom):
+    # A misspelt atom used to be ignored, so the reading escaped its constraint.
+    candidates = [
+        {"label": "a", "observed": CLAUSE_JSON, "constraint_context": ["NEGATED"]},
+        {"label": "b", "observed": CLAUSE_JSON, "constraint_context": ["NEGATED", atom]},
+    ]
+    message = f"candidates[1].constraint_context: unknown atom {atom!r}"
+    with pytest.raises(DocumentError, match=rf"^{re.escape(message)}$"):
+        parse_candidates(candidates)
+    path = tmp_path / "cands.json"
+    path.write_text(json.dumps(candidates), encoding="utf-8")
+    assert main(["disambiguate", "--candidates", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 def test_verify_lexicon_keys(lex):
     ok = c("gestern", "M", "gestern", hoberg=26, key="gestern#26")
     unresolved = c("bald", "M", "bald", hoberg=25, key="bald#25")

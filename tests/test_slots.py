@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wortfolge import Category, ClauseSpec, ClauseType, Tag, VerbComplex
+from wortfolge.cli import main
 from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
     NoSlotError,
@@ -250,15 +252,55 @@ def test_key_comparison_is_a_total_order(a, b, c_):
 
 # --- loader errors -------------------------------------------------------------
 
-def test_loader_rejects_sparse_ordinals():
-    text = "1\t1\t1\tN\tpron\t-\t-\t-\n1\t3\t1\t*\t-\tTHEME\t-\t-\n"
-    with pytest.raises(SlotTableError, match="dense"):
-        load_slot_table(text)
+#: A minimal well-formed table (THEME 2 < RHEME 5 < general FOCUS 7, late
+#: field from slot 6, modifier band from slot 4); each case below breaks it.
+_MINIMAL_TABLE = (
+    "1\t1\t1\tN\tpron\t-\t-\t-",
+    "1\t2\t1\t*\t-\tTHEME\t-\t-",
+    "2\t3\t1\tN\tpron\tFOCUS\t-\t-",
+    "3\t4\t1\tM\t-\t-\t1-44\t-",
+    "4\t5\t1\tM\t-\tRHEME\t1-44\t-",
+    "5\t6\t1\tA\t-d\t-\t-\t-",
+    "5\t7\t1\t*\t-\tFOCUS\t-\t-",
+)
 
 
-def test_loader_rejects_bad_feature_notation():
-    with pytest.raises(SlotTableError, match="feature"):
-        load_slot_table("1\t1\t1\tN\t+x\t-\t-\t-\n")
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({1: "1\t1\t1\tN\tpron\t-\t-"}, "line 1: expected 8 columns, got 7"),
+        ({1: "x\t1\t1\tN\tpron\t-\t-\t-"}, "line 1: bad row/slot/sub_rank"),
+        ({1: "1\t1\t1\tQ\tpron\t-\t-\t-"}, "line 1: unknown category 'Q'"),
+        ({1: "1\t1\t1\tN\t+\t-\t-\t-"}, "line 1: bad feature notation '+'"),
+        ({1: "1\t1\t1\tN\t+x\t-\t-\t-"}, "line 1: unknown feature +'x'"),
+        ({2: "1\t2\t1\t*\t-\tTOPIC\t-\t-"}, "line 2: unknown tag 'TOPIC'"),
+        ({4: "3\t4\t1\tM\t-\t-\t1..44\t-"}, "line 4: bad index range '1..44'"),
+        ({7: "5\t8\t1\t*\t-\tFOCUS\t-\t-"}, "slot ordinals must be dense from 1"),
+        ({1: "1\t1\t1\tN\tpron\tTHEME\t-\t-"}, "expected exactly one THEME slot"),
+        ({5: "4\t5\t1\tM\t-\t-\t1-44\t-"}, "expected exactly one RHEME slot"),
+        ({7: "5\t7\t1\t*\t-\t-\t-\t-"}, "expected the early and the general FOCUS slots"),
+        (
+            {1: "1\t1\t1\tN\tpron\tRHEME\t-\t-", 5: "4\t5\t1\tM\t-\t-\t1-44\t-"},
+            "THEME slot must precede RHEME slot must precede general FOCUS slot",
+        ),
+        (
+            {6: "4\t6\t1\tA\t-d\t-\t-\t-", 7: "4\t7\t1\t*\t-\tFOCUS\t-\t-"},
+            "no row-5+ pattern marks the late field",
+        ),
+        ({4: "3\t4\t1\tA\t-\t-\t-\t-"}, "no untagged M pattern marks the modifier band"),
+    ],
+    ids=["columns", "row-slot-sub-rank", "category", "feature-notation", "feature", "tag", "index-range",
+         "dense", "theme", "rheme", "focus", "landmark-order", "late-field", "modifier-band"],
+)
+def test_every_malformed_table_is_refused_with_its_message(tmp_path, capsys, edits, message):
+    lines = [edits.get(lineno, line) for lineno, line in enumerate(_MINIMAL_TABLE, start=1)]
+    with pytest.raises(SlotTableError, match=rf"^{re.escape(message)}$"):
+        load_slot_table("\n".join(lines))
+    path = tmp_path / "table.tsv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    # The table loads before the clause is read, so the clause file need not exist.
+    assert main(["--slot-table", str(path), "generate", "--clause", str(tmp_path / "clause.json")]) == 1
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_shipped_table_is_cached():
