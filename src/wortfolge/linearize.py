@@ -27,7 +27,17 @@ from dataclasses import dataclass
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _violations
 from .lexicon import Lexicon
-from .slots import SlotTable, SortKey, _entry, _no_slot, _rhematic_by_default, _slot_keys, build_slot_table
+from .slots import (
+    KEY_TAGS,
+    SlotTable,
+    SortKey,
+    _entry,
+    _lexical_veto,
+    _no_slot,
+    _placements,
+    _rhematic_by_default,
+    build_slot_table,
+)
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
@@ -210,11 +220,6 @@ def realizations(
     return [_surface(spec, vorfeld, keys, focus) for vorfeld, keys in clause.realize(theme, rheme, focus)]
 
 
-#: The taggings :class:`CompiledClause` keys every constituent under, in
-#: column order of :attr:`CompiledClause.keys`.
-KEY_TAGS = (None, Tag.THEME, Tag.RHEME, Tag.FOCUS)
-
-
 class CompiledClause:
     """An untagged clause, validated once, with its slot keys precomputed.
 
@@ -232,6 +237,10 @@ class CompiledClause:
     The clause and ``tags`` are checked in one pass.  An invalid clause
     raises :class:`CooccurrenceViolation` or ``ValueError``; ``tags`` counts
     there as the focus, so two FOCUS carriers are a cooccurrence violation.
+    A constituent without an untagged slot in the table (an SVC part of a
+    category the SVC slot does not hold) makes the clause invalid too.  Each
+    constituent's placements are looked up once in the table's signature
+    index, and the lexical veto is applied per column.
     The assignment's own defects (unknown ids, two carriers of one tag) are
     kept in ``assignment_violations`` for the caller to refuse.  Every
     lexicon key is resolved here, once, and nowhere else in the engine: an
@@ -259,8 +268,13 @@ class CompiledClause:
             raise CooccurrenceViolation(cooccurrence)
         if invalid:
             raise ValueError("invalid clause spec: " + "; ".join(invalid))
+        # A spec defect too, so found before any lexicon key is resolved.
+        placements = [_placements(table, c) for c in spec.constituents]
+        unplaced = [f"{c.id}: no untagged slot" for c, p in zip(spec.constituents, placements) if not p[0]]
+        if unplaced:
+            raise ValueError("invalid clause spec: " + "; ".join(unplaced))
         keys, entries, capable, rhematic = [], [], [], []
-        for ordinal, c in enumerate(spec.constituents):
+        for ordinal, (c, pairs) in enumerate(zip(spec.constituents, placements)):
             entry = _entry(c, lex)
             entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
@@ -269,10 +283,12 @@ class CompiledClause:
                 columns = range(len(KEY_TAGS))
             else:
                 columns = (0, KEY_TAGS.index(tags[c.id])) if c.id in tags else (0,)
+            hoberg = c.hoberg_index or 0
             for column in columns:
-                row[column] = _slot_keys(table, c, ordinal, KEY_TAGS[column], entry) or None
+                if pairs[column] and not _lexical_veto(KEY_TAGS[column], entry):
+                    row[column] = tuple((slot, sub_rank, hoberg, ordinal) for slot, sub_rank in pairs[column])
             keys.append(tuple(row))
-            rhematic.append(_rhematic_by_default(table, c, None if row[0] is None else row[0][0][0]))
+            rhematic.append(_rhematic_by_default(table, c, pairs[0][0][0]))
         self.clause_type = spec.clause_type
         self.keys = tuple(keys)
         self.entries = tuple(entries)

@@ -8,6 +8,13 @@ surface order of the Mittelfeld.
 
 The table itself ships as ``data/slot_table.tsv`` so the transcription can be
 reviewed independently of the matching code.
+
+A constituent's placements depend only on its signature (category,
+definiteness, animacy, pronoun and SVC flags, Hoberg index), so each table
+instance keeps a lazily filled index from signature to the ``(slot,
+sub_rank)`` pairs it matches under each tag; the table is scanned once per
+signature, on its first lookup.  The lexical veto depends on the lexicon
+entry, not on the signature, so it is applied outside the index.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 
-from .clause import Category, Constituent, MINUS, PLUS, Tag
+from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES
 from .lexicon import Lexicon
 
 
@@ -85,11 +92,18 @@ class SortKey:
     input_ordinal: int
 
 
+#: The taggings a constituent is placed under, in column order of
+#: :func:`_placements`.
+KEY_TAGS = (None, Tag.THEME, Tag.RHEME, Tag.FOCUS)
+
+
 class SlotTable:
     """Ordered slot patterns plus derived landmarks (theme/rheme/focus slots)."""
 
     def __init__(self, patterns):
         self.patterns = tuple(patterns)
+        # signature -> placements; filled on each signature's first lookup
+        self._index = {}
         slots = sorted({p.slot for p in self.patterns})
         if slots != list(range(1, len(slots) + 1)):
             raise SlotTableError("slot ordinals must be dense from 1")
@@ -167,6 +181,8 @@ def load_slot_table(source) -> SlotTable:
             category = None if raw_cat == "*" else Category(raw_cat)
         except ValueError:
             raise SlotTableError(f"line {lineno}: unknown category {raw_cat!r}") from None
+        if category in VERBAL_CATEGORIES:
+            raise SlotTableError(f"line {lineno}: verbal category {raw_cat!r} is not orderable")
         definite, animate, pron, svc = _parse_features(raw_feats, lineno)
         try:
             required_tag = None if raw_tag == "-" else Tag(raw_tag)
@@ -179,6 +195,10 @@ def load_slot_table(source) -> SlotTable:
                 hoberg_lo, hoberg_hi = int(lo), int(hi)
             except ValueError:
                 raise SlotTableError(f"line {lineno}: bad index range {raw_range!r}") from None
+            if hoberg_lo > hoberg_hi:
+                raise SlotTableError(f"line {lineno}: inverted index range {raw_range!r}")
+            if hoberg_lo < 1 or hoberg_hi > 44:
+                raise SlotTableError(f"line {lineno}: index range {raw_range!r} outside 1..44")
         patterns.append(
             SlotPattern(
                 row=row,
@@ -268,6 +288,36 @@ def _no_slot(c: Constituent, tag: Tag | None, entry) -> NoSlotError:
     return NoSlotError(c, tag, _lexical_veto(tag, entry) or "")
 
 
+def _placements(table: SlotTable, c: Constituent) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The ``(slot, sub_rank)`` pairs the constituent matches under each of
+    :data:`KEY_TAGS`, in table order, before any lexical veto.
+
+    Untagged, THEME and RHEME placements are the first match only; FOCUS
+    keeps the first match of each slot.  Read from the table's index; a miss
+    scans the patterns once for the constituent's signature and fills it.
+    """
+    f = c.features
+    signature = (c.category, f.definite, f.animate, f.pronominal, f.svc, c.hoberg_index)
+    found = table._index.get(signature)
+    if found is None:
+        found = table._index[signature] = tuple(_scan(table, c, tag) for tag in KEY_TAGS)
+    return found
+
+
+def _scan(table: SlotTable, c: Constituent, tag: Tag | None) -> tuple[tuple[int, int], ...]:
+    """The first-match scan of the patterns in table order behind :func:`_placements`."""
+    pairs = []
+    seen_slots = set()
+    for pattern in table.patterns:
+        if pattern.slot in seen_slots or not pattern.matches(c, tag):
+            continue
+        seen_slots.add(pattern.slot)
+        pairs.append((pattern.slot, pattern.sub_rank))
+        if tag is not Tag.FOCUS:
+            break  # non-focus placements are unique: first match only
+    return tuple(pairs)
+
+
 def _slot_keys(
     table: SlotTable,
     c: Constituent,
@@ -280,21 +330,13 @@ def _slot_keys(
     ``()`` when the lexicon vetoes the tag or no slot matches."""
     if _lexical_veto(tag, entry):
         return ()
-    keys = []
-    seen_slots = set()
     hoberg = c.hoberg_index or 0
-    for pattern in table.patterns:
-        if pattern.slot in seen_slots or not pattern.matches(c, tag):
-            continue
-        seen_slots.add(pattern.slot)
-        keys.append((pattern.slot, pattern.sub_rank, hoberg, input_ordinal))
-        if tag is not Tag.FOCUS:
-            break  # non-focus placements are unique: first match only
-    return tuple(keys)
+    pairs = _placements(table, c)[KEY_TAGS.index(tag)]
+    return tuple((slot, sub_rank, hoberg, input_ordinal) for slot, sub_rank in pairs)
 
 
-def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int | None) -> bool:
-    """Whether the constituent is typically rhematic, given its untagged slot (None: no slot).
+def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int) -> bool:
+    """Whether the constituent is typically rhematic, given its untagged slot.
 
     Covers complements whose untagged slot falls in the late field (the
     prepositional/final rows: PO, SIT/DIR/EXP, nominal genitives, SVC parts,
@@ -303,4 +345,4 @@ def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int | None) -> 
     """
     if c.category in (Category.A, Category.D) and c.indefinite:
         return True
-    return slot is not None and slot >= table.late_field_start
+    return slot >= table.late_field_start

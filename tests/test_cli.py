@@ -498,3 +498,38 @@ def test_disambiguate_reports_the_key_problems_of_every_candidate_once(tmp_path,
         "input error: bald: lexicon has no reading 'bald#25' (lemma 'bald'); "
         "eher: hoberg_index 5 contradicts eher#26 (class 26)\n"
     ))
+
+
+#: A V2 clause with a situative complement marked as an SVC part: the SVC slot
+#: holds only N, A, D, G and PO parts, so the table gives it no untagged slot.
+SVC_SITUATIVE = {
+    "clause_type": "V2",
+    "verb": {"finite": ["sieht"]},
+    "constituents": [
+        {"id": "er", "category": "N", "surface": ["er"], "features": {"pronominal": True}},
+        {"id": "hier", "category": "SIT", "surface": ["hier"], "features": {"svc": True}},
+    ],
+}
+
+
+@pytest.mark.parametrize("table", [[], ["--slot-table", str(resources.files("wortfolge.data").joinpath("slot_table.tsv"))]],
+                         ids=["shipped", "slot-table-file"])
+@pytest.mark.parametrize(
+    "case", ["generate", "generate-theme", "all-variants", "analyze", "analyze-reversed", "disambiguate"]
+)
+def test_constituent_without_an_untagged_slot_is_an_input_error(tmp_path, capsys, table, case):
+    # Every command refuses the clause alike, whatever the tags or the order.
+    clause = json.loads(json.dumps(SVC_SITUATIVE))
+    if case == "analyze-reversed":
+        clause["constituents"].reverse()
+    doc = _write(tmp_path, "doc.json", [{"label": "svc", "observed": clause}] if case == "disambiguate" else clause)
+    argv = {
+        "generate": ["generate", "--clause", doc],
+        "generate-theme": ["generate", "--clause", doc, "--tags", _write(tmp_path, "tags.json", {"hier": "THEME"})],
+        "all-variants": ["generate", "--clause", doc, "--all-variants"],
+        "analyze": ["analyze", "--observed", doc],
+        "analyze-reversed": ["analyze", "--observed", doc],
+        "disambiguate": ["disambiguate", "--candidates", doc],
+    }[case]
+    assert main(table + argv) == 1
+    assert capsys.readouterr() == ("", "input error: invalid clause spec: hier: no untagged slot\n")

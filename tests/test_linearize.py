@@ -214,3 +214,25 @@ def test_tag_free_generation_fronts_the_subject(pair, lex):
         return
     if spec.clause_type.value == "V2" and subject is not None:
         assert surface.vorfeld == subject.id
+
+
+def test_constituent_without_an_untagged_slot_is_refused_by_every_direction(lex):
+    from wortfolge import ClauseSpec, ClauseType, VerbComplex, analyze, realizations
+    from .conftest import observed
+
+    spec = ClauseSpec(
+        ClauseType.V2,
+        VerbComplex(("sieht",)),
+        (c("er", "N", "er", pron=True), c("hier", "SIT", "hier", svc=True)),
+    )
+    calls = [
+        lambda: linearize(spec, {}, lex),
+        lambda: linearize(spec, {"hier": Tag.THEME}, lex),
+        lambda: realizations(spec, {"hier": Tag.THEME}, lex),
+        lambda: enumerate_orders(spec, lex),
+        lambda: analyze(observed(spec, ("er", "hier")), lex),
+        lambda: analyze(observed(spec, ("hier", "er")), lex),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
+            call()

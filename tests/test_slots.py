@@ -1,23 +1,44 @@
 import itertools
+import json
 import re
+import sys
+import threading
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wortfolge import Category, ClauseSpec, ClauseType, Tag, VerbComplex
+from wortfolge import (
+    Category,
+    ClauseSpec,
+    ClauseType,
+    Constituent,
+    FeatureBundle,
+    Tag,
+    VerbComplex,
+    analyze,
+    enumerate_orders,
+    linearize,
+    validate_clause,
+)
+from wortfolge.clause import TRISTATE_VALUES, VERBAL_CATEGORIES
 from wortfolge.cli import main
 from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
+    KEY_TAGS,
     NoSlotError,
     SlotTableError,
     SortKey,
+    _slot_keys,
     all_sort_keys,
     build_slot_table,
     load_slot_table,
     sort_key,
 )
 
-from .conftest import c, modifier
+from .conftest import c, modifier, observed
+
+SHIPPED_TABLE = resources.files("wortfolge.data").joinpath("slot_table.tsv")
 
 
 def _slot(table, constituent, tag=None, lex=None):
@@ -178,6 +199,177 @@ def test_default_order_is_total(table):
         assert 1 <= key.slot <= table.slot_count
 
 
+# --- the signature index ------------------------------------------------------
+
+def _accepted_signatures():
+    """One constituent per slot-matching signature the clause validator accepts."""
+    for category in Category:
+        if category in VERBAL_CATEGORIES:
+            continue
+        indexes = range(1, 45) if category is Category.M else (None,)
+        for definite, animate, pron, svc, index in itertools.product(
+            TRISTATE_VALUES, TRISTATE_VALUES, (False, True), (False, True), indexes
+        ):
+            x = Constituent("x", category, ("x",), FeatureBundle(definite, animate, pron, svc), index)
+            if not validate_clause(ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), (x,))):
+                yield x
+
+
+ACCEPTED = tuple(_accepted_signatures())
+
+
+def _placing_patterns(table, x, tag):
+    """The patterns that place ``x`` under ``tag``: the first match per slot
+    for FOCUS, the first match overall otherwise.  Reads the pattern fields
+    directly, without ``SlotPattern.matches``."""
+    f = x.features
+    placing = []
+    for p in table.patterns:
+        if p.required_tag is not tag or any(q.slot == p.slot for q in placing):
+            continue
+        fits = (
+            p.svc == f.svc
+            and p.category in (None, x.category)
+            and p.pron in (None, f.pronominal)
+            and (p.definite is None or (not f.pronominal and p.definite == f.definite))
+            and (p.animate is None or (not f.pronominal and p.animate == f.animate))
+            and (p.hoberg_lo is None or (x.hoberg_index is not None and p.hoberg_lo <= x.hoberg_index <= p.hoberg_hi))
+        )
+        if fits:
+            placing.append(p)
+            if tag is not Tag.FOCUS:
+                break
+    return placing
+
+
+def test_signature_index_agrees_with_an_independent_scan():
+    text = SHIPPED_TABLE.read_text("utf-8")
+    assert len(ACCEPTED) == 1924
+    warm = load_slot_table(text)
+    for tag in reversed(KEY_TAGS):
+        for x in reversed(ACCEPTED):
+            _slot_keys(warm, x, 0, tag, None)
+    for tag in KEY_TAGS:
+        # A fresh table per tag, so every signature is first looked up under it.
+        cold = load_slot_table(text)
+        for x in ACCEPTED:
+            expected = tuple((p.slot, p.sub_rank, x.hoberg_index or 0, 7) for p in _placing_patterns(cold, x, tag))
+            assert _slot_keys(cold, x, 7, tag, None) == expected, (x, tag)
+            assert _slot_keys(warm, x, 7, tag, None) == expected, (x, tag)
+
+
+def test_every_accepted_constituent_has_one_untagged_slot_or_is_refused(table, lex):
+    refused = 0
+    for x in ACCEPTED:
+        keys = _slot_keys(table, x, 0, None, None)
+        spec = ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), (x,))
+        if x.features.svc and x.category not in (Category.N, Category.A, Category.D, Category.G, Category.PO):
+            assert keys == (), x
+            with pytest.raises(ValueError, match=r"^invalid clause spec: x: no untagged slot$"):
+                CompiledClause(spec, {}, lex, table)
+            refused += 1
+        else:
+            assert len(keys) == 1, x
+            CompiledClause(spec, {}, lex, table)
+    assert refused == 882
+
+
+def test_no_pattern_is_dead(table):
+    placing = {id(p) for x in ACCEPTED for tag in KEY_TAGS for p in _placing_patterns(table, x, tag)}
+    assert len(table.patterns) == 59
+    assert placing == {id(p) for p in table.patterns}
+
+
+def test_threads_filling_one_index_agree():
+    # More threads than cores, switching often, all filling one cold index.
+    text = SHIPPED_TABLE.read_text("utf-8")
+    alone = load_slot_table(text)
+    expected = [_slot_keys(alone, x, 0, Tag.FOCUS, None) for x in ACCEPTED]
+    shared = load_slot_table(text)
+    results = {}
+
+    def key_all(worker):
+        results[worker] = [_slot_keys(shared, x, 0, Tag.FOCUS, None) for x in ACCEPTED]
+
+    threads = [threading.Thread(target=key_all, args=(worker,)) for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {worker: expected for worker in range(4)}
+
+
+#: The shipped table with the arrow order of the object pronoun slot turned
+#: round: the dative pronoun now precedes the accusative one.
+_ARROW = ("1\t2\t1\tA\tpron\t-\t-\t-", "1\t2\t3\tA\tpron\t-\t-\t-")
+
+_GIBT = ClauseSpec(
+    ClauseType.V2,
+    VerbComplex(("gibt",)),
+    (c("er", "N", "er", pron=True), c("es", "A", "es", pron=True), c("ihm", "D", "ihm", pron=True)),
+)
+
+
+def _answers(table, lex):
+    return (
+        linearize(_GIBT, {}, lex, table).text,
+        linearize(_GIBT, {"ihm": Tag.FOCUS}, lex, table).text,
+        analyze(observed(_GIBT, ("er", "es", "ihm")), lex, table).verdict,
+        [v.surface.text for v in enumerate_orders(_GIBT, lex, table)],
+    )
+
+
+def test_each_table_instance_keeps_its_own_index(lex):
+    text = SHIPPED_TABLE.read_text("utf-8")
+    assert _ARROW[0] in text
+    texts = {"shipped": text, "custom": text.replace(*_ARROW)}
+    fresh = {name: _answers(load_slot_table(t), lex) for name, t in texts.items()}
+    assert fresh["shipped"][0] == "Er gibt es ihm"
+    assert fresh["custom"][0] == "Er gibt ihm es"
+    assert fresh["shipped"][2:] != fresh["custom"][2:]
+    for order in (("custom", "shipped"), ("shipped", "custom")):
+        tables = {name: load_slot_table(texts[name]) for name in order}
+        for name in order * 3:
+            assert _answers(tables[name], lex) == fresh[name], (order, name)
+            assert _answers(build_slot_table(), lex) == fresh["shipped"], (order, name)
+
+
+def test_each_slot_table_file_keeps_its_own_index(tmp_path, capsys):
+    custom = tmp_path / "custom.tsv"
+    custom.write_text(SHIPPED_TABLE.read_text("utf-8").replace(*_ARROW), encoding="utf-8")
+    clause = {
+        "clause_type": "V2",
+        "verb": {"finite": ["gibt"]},
+        "constituents": [
+            {"id": cid, "category": cat, "surface": [cid], "features": {"pronominal": True}}
+            for cid, cat in (("er", "N"), ("es", "A"), ("ihm", "D"))
+        ],
+    }
+    document = tmp_path / "clause.json"
+    document.write_text(json.dumps(clause), encoding="utf-8")
+    commands = (["generate", "--clause", str(document)], ["analyze", "--observed", str(document)])
+    tables = {"shipped": [], "custom": ["--slot-table", str(custom)]}
+
+    def run(name):
+        seen = []
+        for command in commands:
+            seen.append((main(tables[name] + command), *capsys.readouterr()))
+        return seen
+
+    first = {name: run(name) for name in ("custom", "shipped")}
+    assert json.loads(first["shipped"][0][1])["text"] == "Er gibt es ihm"
+    assert json.loads(first["custom"][0][1])["text"] == "Er gibt ihm es"
+    assert first["shipped"][1] != first["custom"][1]
+    for name in ("shipped", "custom", "custom", "shipped", "custom"):
+        assert run(name) == first[name], name
+
+
 def test_late_focus_slot_follows_every_row5_slot(table):
     row5_slots = {p.slot for p in table.patterns if p.row == 5}
     assert row5_slots
@@ -275,6 +467,9 @@ _MINIMAL_TABLE = (
         ({1: "1\t1\t1\tN\t+x\t-\t-\t-"}, "line 1: unknown feature +'x'"),
         ({2: "1\t2\t1\t*\t-\tTOPIC\t-\t-"}, "line 2: unknown tag 'TOPIC'"),
         ({4: "3\t4\t1\tM\t-\t-\t1..44\t-"}, "line 4: bad index range '1..44'"),
+        ({4: "3\t4\t1\tM\t-\t-\t44-1\t-"}, "line 4: inverted index range '44-1'"),
+        ({4: "3\t4\t1\tM\t-\t-\t0-50\t-"}, "line 4: index range '0-50' outside 1..44"),
+        ({6: "5\t6\t1\tV_FIN\t-\t-\t-\t-"}, "line 6: verbal category 'V_FIN' is not orderable"),
         ({7: "5\t8\t1\t*\t-\tFOCUS\t-\t-"}, "slot ordinals must be dense from 1"),
         ({1: "1\t1\t1\tN\tpron\tTHEME\t-\t-"}, "expected exactly one THEME slot"),
         ({5: "4\t5\t1\tM\t-\t-\t1-44\t-"}, "expected exactly one RHEME slot"),
@@ -290,7 +485,7 @@ _MINIMAL_TABLE = (
         ({4: "3\t4\t1\tA\t-\t-\t-\t-"}, "no untagged M pattern marks the modifier band"),
     ],
     ids=["columns", "row-slot-sub-rank", "category", "feature-notation", "feature", "tag", "index-range",
-         "dense", "theme", "rheme", "focus", "landmark-order", "late-field", "modifier-band"],
+         "inverted-index-range", "index-range-outside", "verbal-category", "dense", "theme", "rheme", "focus", "landmark-order", "late-field", "modifier-band"],
 )
 def test_every_malformed_table_is_refused_with_its_message(tmp_path, capsys, edits, message):
     lines = [edits.get(lineno, line) for lineno, line in enumerate(_MINIMAL_TABLE, start=1)]
