@@ -24,17 +24,15 @@ both detectors and the final constituent's lexicon entry off that one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, VerbComplex
+from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, VerbComplex, _set, _Value
 from .lexicon import Lexicon
 from .linearize import CompiledClause, SurfaceOrder, TagAssignment, _check_search_size, iter_assignments
 from .slots import SlotTable, build_slot_table
 
 
-@dataclass(frozen=True)
-class ObservedClause:
+class ObservedClause(_Value):
     """An ordered clause as encountered in text, with no tags.
 
     ``constituents`` are in surface order: in V2 the first one occupies the
@@ -43,15 +41,21 @@ class ObservedClause:
     capitals convention); when present it constrains the explanations.
     """
 
-    clause_type: ClauseType
-    verb: VerbComplex
-    constituents: tuple[Constituent, ...]
-    complementizer: str | None = None
-    stress: frozenset[str] = frozenset()
+    __slots__ = ("clause_type", "verb", "constituents", "complementizer", "stress")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constituents", tuple(self.constituents))
-        object.__setattr__(self, "stress", frozenset(self.stress))
+    def __init__(
+        self,
+        clause_type: ClauseType,
+        verb: VerbComplex,
+        constituents: tuple[Constituent, ...],
+        complementizer: str | None = None,
+        stress: frozenset[str] = frozenset(),
+    ):
+        _set(self, "clause_type", clause_type)
+        _set(self, "verb", verb)
+        _set(self, "constituents", tuple(constituents))
+        _set(self, "complementizer", complementizer)
+        _set(self, "stress", frozenset(stress))
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -84,26 +88,44 @@ class Verdict(str, Enum):
     UNGRAMMATICAL = "UNGRAMMATICAL"
 
 
-@dataclass(frozen=True)
-class StressWarning:
+class StressWarning(_Value):
     """A final inherently non-rhematic element: heavy stress is expected on
     the V2 verb or on the Vorfeld element (two candidates, unranked)."""
 
-    verb_candidate: str
-    vorfeld_candidate: str
+    __slots__ = ("verb_candidate", "vorfeld_candidate")
+
+    def __init__(self, verb_candidate: str, vorfeld_candidate: str):
+        _set(self, "verb_candidate", verb_candidate)
+        _set(self, "vorfeld_candidate", vorfeld_candidate)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    verdict: Verdict
-    theme: str | None
-    rheme: str | None
-    focus: str | None
-    focus_options: tuple[str, ...]
-    explanations: tuple[tuple[tuple[str, Tag], ...], ...]
-    markedness_cost: int
-    warning: StressWarning | None = None
-    detected_focus: tuple[str, ...] = ()
+class AnalysisResult(_Value):
+    __slots__ = (
+        "verdict", "theme", "rheme", "focus", "focus_options", "explanations", "markedness_cost",
+        "warning", "detected_focus",
+    )
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        theme: str | None,
+        rheme: str | None,
+        focus: str | None,
+        focus_options: tuple[str, ...],
+        explanations: tuple[tuple[tuple[str, Tag], ...], ...],
+        markedness_cost: int,
+        warning: StressWarning | None = None,
+        detected_focus: tuple[str, ...] = (),
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "theme", theme)
+        _set(self, "rheme", rheme)
+        _set(self, "focus", focus)
+        _set(self, "focus_options", focus_options)
+        _set(self, "explanations", explanations)
+        _set(self, "markedness_cost", markedness_cost)
+        _set(self, "warning", warning)
+        _set(self, "detected_focus", detected_focus)
 
 
 def _stress_focus(obs: ObservedClause) -> TagAssignment | None:

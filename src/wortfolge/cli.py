@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 from .analyze import Verdict, analyze
-from .corpus import load_corpus, run_corpus
 from .disambiguate import rank_readings
 from .clause import Category, Tag
 from .documents import (
@@ -274,6 +273,10 @@ def _cmd_disambiguate(args, lex, table) -> int:
 
 
 def _cmd_corpus(args, lex, table) -> int:
+    # Imported here: no other command needs the corpus module, and each call
+    # is a fresh process that would otherwise load it.
+    from .corpus import load_corpus, run_corpus
+
     cases = load_corpus(_read_file(args.corpus_file))
     summary = run_corpus(cases, lex, table, filter_id=args.filter)
     for result in summary.results:

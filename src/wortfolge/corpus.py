@@ -10,10 +10,10 @@ they never fail the corpus run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .analyze import AnalysisResult, ObservedClause, analyze
+from .clause import _set, _Value
 from .documents import (
     ClauseDocument,
     DocumentError,
@@ -28,29 +28,57 @@ from .linearize import LinearizeError, linearize
 from .slots import SlotTable, build_slot_table
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    case_id: str
-    doc: ClauseDocument
-    expected: dict
-    expected_mismatch: bool = False
-    printed: tuple[str, ...] = ()
-    printed_order: tuple[str, ...] = ()
-    printed_stress: frozenset[str] = frozenset()
-    note: str = ""
+class CorpusCase(_Value):
+    __slots__ = (
+        "case_id", "doc", "expected", "expected_mismatch", "printed", "printed_order", "printed_stress",
+        "note",
+    )
+
+    def __init__(
+        self,
+        case_id: str,
+        doc: ClauseDocument,
+        expected: dict,
+        expected_mismatch: bool = False,
+        printed: tuple[str, ...] = (),
+        printed_order: tuple[str, ...] = (),
+        printed_stress: frozenset[str] = frozenset(),
+        note: str = "",
+    ):
+        _set(self, "case_id", case_id)
+        _set(self, "doc", doc)
+        _set(self, "expected", expected)
+        _set(self, "expected_mismatch", expected_mismatch)
+        _set(self, "printed", printed)
+        _set(self, "printed_order", printed_order)
+        _set(self, "printed_stress", printed_stress)
+        _set(self, "note", note)
 
 
-@dataclass
-class CaseResult:
-    case_id: str
-    passed: bool
-    expected_mismatch: bool
-    failures: list[str] = field(default_factory=list)
+class _Record(_Value):
+    """A mutable, unhashable value type: field-wise ``==`` and repr only."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
-@dataclass
-class CorpusSummary:
-    results: list[CaseResult]
+class CaseResult(_Record):
+    __slots__ = ("case_id", "passed", "expected_mismatch", "failures")
+
+    def __init__(self, case_id: str, passed: bool, expected_mismatch: bool, failures: list[str] | None = None):
+        self.case_id = case_id
+        self.passed = passed
+        self.expected_mismatch = expected_mismatch
+        self.failures = [] if failures is None else failures
+
+
+class CorpusSummary(_Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: list[CaseResult]):
+        self.results = results
 
     @property
     def ok(self) -> bool:

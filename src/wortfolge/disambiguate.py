@@ -10,9 +10,8 @@ Candidate generation is the caller's job; this module filters and ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analyze import AnalysisResult, ObservedClause, Verdict, _analyze
+from .clause import _set, _Value
 from .lexicon import Lexicon, NO_NEGATION
 from .slots import SlotTable, build_slot_table
 
@@ -20,24 +19,25 @@ from .slots import SlotTable, build_slot_table
 NEGATED = "NEGATED"
 
 
-@dataclass(frozen=True)
-class CandidateReading:
+class CandidateReading(_Value):
     """One reading of an ambiguous sentence, as an observed clause variant."""
 
-    label: str
-    clause: ObservedClause
-    constraint_context: frozenset[str] = frozenset()
+    __slots__ = ("label", "clause", "constraint_context")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraint_context", frozenset(self.constraint_context))
+    def __init__(self, label: str, clause: ObservedClause, constraint_context: frozenset[str] = frozenset()):
+        _set(self, "label", label)
+        _set(self, "clause", clause)
+        _set(self, "constraint_context", frozenset(constraint_context))
 
 
-@dataclass(frozen=True)
-class RankedReading:
-    reading: CandidateReading
-    constraint_ok: bool
-    result: AnalysisResult
-    rank: int
+class RankedReading(_Value):
+    __slots__ = ("reading", "constraint_ok", "result", "rank")
+
+    def __init__(self, reading: CandidateReading, constraint_ok: bool, result: AnalysisResult, rank: int):
+        _set(self, "reading", reading)
+        _set(self, "constraint_ok", constraint_ok)
+        _set(self, "result", result)
+        _set(self, "rank", rank)
 
 
 def rank_readings(

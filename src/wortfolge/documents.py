@@ -11,7 +11,6 @@ against, is built here too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .analyze import AnalysisResult, ObservedClause
@@ -24,6 +23,8 @@ from .clause import (
     NA,
     Tag,
     VerbComplex,
+    _set,
+    _Value,
 )
 from .disambiguate import NEGATED, CandidateReading
 from .lexicon import Lexicon
@@ -46,14 +47,27 @@ class DocumentError(Exception):
     """Malformed document; the message names the offending location."""
 
 
-@dataclass(frozen=True)
-class ClauseDocument:
-    mode: Mode
-    clause: ClauseSpec | None = None
-    tags: TagAssignment | None = None
-    observed: ObservedClause | None = None
-    candidates: tuple[CandidateReading, ...] = ()
-    excluded: tuple[tuple[str, str], ...] = ()  # (label, reason) dropped at construction
+class ClauseDocument(_Value):
+    """A parsed document; ``excluded`` holds the ``(label, reason)`` pairs of
+    the candidates dropped at construction."""
+
+    __slots__ = ("mode", "clause", "tags", "observed", "candidates", "excluded")
+
+    def __init__(
+        self,
+        mode: Mode,
+        clause: ClauseSpec | None = None,
+        tags: TagAssignment | None = None,
+        observed: ObservedClause | None = None,
+        candidates: tuple[CandidateReading, ...] = (),
+        excluded: tuple[tuple[str, str], ...] = (),
+    ):
+        _set(self, "mode", mode)
+        _set(self, "clause", clause)
+        _set(self, "tags", tags)
+        _set(self, "observed", observed)
+        _set(self, "candidates", candidates)
+        _set(self, "excluded", excluded)
 
     @property
     def clauses(self) -> tuple:

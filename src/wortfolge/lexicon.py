@@ -10,8 +10,9 @@ default to fully flexible (rhematic, focusable, Vorfeld-capable).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from importlib import resources
+
+from .clause import _set, _Value
 
 #: Usage-constraint atoms an entry may carry.
 NO_NEGATION = "NO_NEGATION"
@@ -34,17 +35,30 @@ class LexiconError(Exception):
     """Raised for malformed lexicon data; the message names the line."""
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    lemma: str
-    reading_id: str
-    hoberg_index: int
-    rhematic: bool = True
-    focusable: bool = True
-    vorfeld_capable: bool = True
-    constraints: frozenset[str] = frozenset()
-    inferred: bool = False
-    gloss: str = ""
+class LexEntry(_Value):
+    __slots__ = _COLUMNS  # one field per lexicon file column, in file order
+
+    def __init__(
+        self,
+        lemma: str,
+        reading_id: str,
+        hoberg_index: int,
+        rhematic: bool = True,
+        focusable: bool = True,
+        vorfeld_capable: bool = True,
+        constraints: frozenset[str] = frozenset(),
+        inferred: bool = False,
+        gloss: str = "",
+    ):
+        _set(self, "lemma", lemma)
+        _set(self, "reading_id", reading_id)
+        _set(self, "hoberg_index", hoberg_index)
+        _set(self, "rhematic", rhematic)
+        _set(self, "focusable", focusable)
+        _set(self, "vorfeld_capable", vorfeld_capable)
+        _set(self, "constraints", constraints)
+        _set(self, "inferred", inferred)
+        _set(self, "gloss", gloss)
 
     @property
     def key(self) -> str:

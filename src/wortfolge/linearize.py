@@ -23,9 +23,8 @@ assignment; enumeration and analysis key every constituent under every tag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _violations
+from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _set, _Value, _violations
 from .lexicon import Lexicon
 from .slots import (
     KEY_TAGS,
@@ -70,13 +69,22 @@ class NoVorfeld(LinearizeError):
     """No constituent can open the clause (degenerate V2 clause)."""
 
 
-@dataclass(frozen=True)
-class SurfaceOrder:
-    clause_type: ClauseType
-    vorfeld: str | None
-    mittelfeld: tuple[str, ...]
-    rendered: tuple[str, ...]
-    keys: tuple[tuple[str, SortKey], ...]
+class SurfaceOrder(_Value):
+    __slots__ = ("clause_type", "vorfeld", "mittelfeld", "rendered", "keys")
+
+    def __init__(
+        self,
+        clause_type: ClauseType,
+        vorfeld: str | None,
+        mittelfeld: tuple[str, ...],
+        rendered: tuple[str, ...],
+        keys: tuple[tuple[str, SortKey], ...],
+    ):
+        _set(self, "clause_type", clause_type)
+        _set(self, "vorfeld", vorfeld)
+        _set(self, "mittelfeld", mittelfeld)
+        _set(self, "rendered", rendered)
+        _set(self, "keys", keys)
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -248,8 +256,6 @@ class CompiledClause:
     whatever the assignment.
     """
 
-    # A plain class: creating a dataclass takes milliseconds at import, more
-    # than a whole analysis.
     __slots__ = (
         "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
         "assignment_violations",
@@ -426,14 +432,22 @@ def iter_assignments(themes, rhemes, focuses):
                     yield theme, rheme, focus
 
 
-@dataclass(frozen=True)
-class OrderVariant:
+class OrderVariant(_Value):
     """One distinct surface order with every assignment that realizes it."""
 
-    vorfeld: str | None
-    mittelfeld: tuple[str, ...]
-    surface: SurfaceOrder
-    assignments: tuple[tuple[tuple[str, Tag], ...], ...]
+    __slots__ = ("vorfeld", "mittelfeld", "surface", "assignments")
+
+    def __init__(
+        self,
+        vorfeld: str | None,
+        mittelfeld: tuple[str, ...],
+        surface: SurfaceOrder,
+        assignments: tuple[tuple[tuple[str, Tag], ...], ...],
+    ):
+        _set(self, "vorfeld", vorfeld)
+        _set(self, "mittelfeld", mittelfeld)
+        _set(self, "surface", surface)
+        _set(self, "assignments", assignments)
 
     @property
     def order(self) -> tuple[str, ...]:

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
-from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES
+from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES, _set, _Value
 from .lexicon import Lexicon
 
 
@@ -43,22 +43,44 @@ class NoSlotError(Exception):
         super().__init__(f"no slot for {constituent.id} as {label}{detail}")
 
 
-@dataclass(frozen=True)
-class SlotPattern:
-    """One slot member: category plus feature/tag/index requirements."""
+class SlotPattern(_Value):
+    """One slot member: category plus feature/tag/index requirements.
 
-    row: int
-    slot: int
-    sub_rank: int
-    category: Category | None  # None matches any category
-    definite: str | None = None
-    animate: str | None = None
-    pron: bool | None = None
-    svc: bool = False
-    required_tag: Tag | None = None
-    hoberg_lo: int | None = None
-    hoberg_hi: int | None = None
-    annotation: str = ""
+    A ``category`` of None matches any category.
+    """
+
+    __slots__ = (
+        "row", "slot", "sub_rank", "category", "definite", "animate", "pron", "svc", "required_tag",
+        "hoberg_lo", "hoberg_hi", "annotation",
+    )
+
+    def __init__(
+        self,
+        row: int,
+        slot: int,
+        sub_rank: int,
+        category: Category | None,
+        definite: str | None = None,
+        animate: str | None = None,
+        pron: bool | None = None,
+        svc: bool = False,
+        required_tag: Tag | None = None,
+        hoberg_lo: int | None = None,
+        hoberg_hi: int | None = None,
+        annotation: str = "",
+    ):
+        _set(self, "row", row)
+        _set(self, "slot", slot)
+        _set(self, "sub_rank", sub_rank)
+        _set(self, "category", category)
+        _set(self, "definite", definite)
+        _set(self, "animate", animate)
+        _set(self, "pron", pron)
+        _set(self, "svc", svc)
+        _set(self, "required_tag", required_tag)
+        _set(self, "hoberg_lo", hoberg_lo)
+        _set(self, "hoberg_hi", hoberg_hi)
+        _set(self, "annotation", annotation)
 
     def matches(self, c: Constituent, tag: Tag | None) -> bool:
         if tag is not self.required_tag:
@@ -82,14 +104,14 @@ class SlotPattern:
         return True
 
 
-@dataclass(frozen=True, order=True)
-class SortKey:
-    """Lexicographic position key; total order over distinct input ordinals."""
+class SortKey(namedtuple("SortKey", ("slot", "sub_rank", "hoberg", "input_ordinal"))):
+    """Lexicographic position key; total order over distinct input ordinals.
 
-    slot: int
-    sub_rank: int
-    hoberg: int
-    input_ordinal: int
+    A named tuple, so it orders and compares like the plain tuples the
+    engine sorts.
+    """
+
+    __slots__ = ()
 
 
 #: The taggings a constituent is placed under, in column order of
@@ -258,7 +280,9 @@ def sort_key(
     slots requiring its tag; an untagged one only tag-free slots.  When a
     focused constituent matches both the early and the general focus slot,
     the early one wins.  Raises :class:`NoSlotError` when nothing matches
-    (an inexpressible tagging).
+    (an inexpressible tagging), and ``ValueError`` for an untagged
+    constituent the table gives no slot at all (an invalid clause, refused
+    as every command refuses it).
     """
     return all_sort_keys(table, c, input_ordinal, tag=tag, lex=lex)[0]
 
@@ -278,6 +302,8 @@ def all_sort_keys(
     """
     entry = None if tag is None or lex is None else _entry(c, lex)
     keys = _slot_keys(table, c, input_ordinal, tag, entry)
+    if not keys and tag is None:
+        raise ValueError(f"invalid clause spec: {c.id}: no untagged slot")
     if not keys:
         raise _no_slot(c, tag, entry)
     return tuple(SortKey(*key) for key in keys)

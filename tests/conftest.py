@@ -92,9 +92,7 @@ def ex5_clause():
 
 @pytest.fixture(scope="session")
 def ex5_vf_clause(ex5_clause):
-    from dataclasses import replace
-
-    return replace(ex5_clause, clause_type=ClauseType.VF, complementizer="weil")
+    return ex5_clause._replace(clause_type=ClauseType.VF, complementizer="weil")
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ number of valid samples rather than a search budget).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 
 from hypothesis import strategies as st
 
@@ -142,15 +141,14 @@ def broken_clause(rng: random.Random, spec: ClauseSpec) -> ClauseSpec:
     elif defect == "two-exclusives":
         extra = (Constituent("dort", Category.SIT, ("dort",)), Constituent("hin", Category.DIR, ("hin",)))
     elif defect == "no-finite":
-        return replace(spec, verb=VerbComplex(()))
+        return spec._replace(verb=VerbComplex(()))
     elif defect == "duplicate-id":
         extra = spec.constituents[:1]
     else:
         extra = (Constituent("kaum", Category.M, ("kaum",)),)
-    return replace(spec, constituents=spec.constituents + extra)
+    return spec._replace(constituents=spec.constituents + extra)
 
 
-@dataclass(frozen=True)
 class TaggedConstituent(Constituent):
     """A constituent carrying its information-structure tag.
 
@@ -159,7 +157,12 @@ class TaggedConstituent(Constituent):
     constituents with the tag attached.
     """
 
-    tag: Tag | None = None
+    __slots__ = ("tag",)
+
+    def __init__(self, id, category, surface, features=FeatureBundle(), hoberg_index=None, lexicon_key=None,
+                 tag: Tag | None = None):
+        super().__init__(id, category, surface, features, hoberg_index, lexicon_key)
+        object.__setattr__(self, "tag", tag)
 
 
 def with_tag(c: Constituent, tag: Tag | None) -> TaggedConstituent:

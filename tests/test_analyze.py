@@ -141,18 +141,14 @@ def test_lexically_non_rhematic_final_modifier_gives_no_rheme(ex12_clause, lex):
 
 
 def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
-    from dataclasses import replace
-
-    spec = replace(ex5_clause, clause_type=ex5_clause.clause_type)
+    spec = ex5_clause._replace(clause_type=ex5_clause.clause_type)
     obs = observed(spec, ["den-mann", "gestern", "ich"])
     assert analyze(obs, lex).rheme is None
 
 
 @pytest.mark.parametrize("recognize", [analyze, explain_order, detect_focus_constructions])
 def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, recognize):
-    from dataclasses import replace
-
-    spec = replace(ex5_clause, constituents=ex5_clause.constituents + (modifier("bald", "bald", 25),))
+    spec = ex5_clause._replace(constituents=ex5_clause.constituents + (modifier("bald", "bald", 25),))
     with pytest.raises(KeyError, match="unresolved lexicon key 'bald#25' on bald"):
         recognize(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex)
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -13,8 +12,7 @@ def test_ex5_clause_is_valid(ex5_clause):
 
 
 def test_duplicate_nominative_reported(ex5_clause):
-    doubled = replace(
-        ex5_clause,
+    doubled = ex5_clause._replace(
         constituents=ex5_clause.constituents
         + (c("der-hund", "N", "der Hund", definite="+", animate="+"),),
     )
@@ -36,7 +34,7 @@ def test_exclusive_adverbial_complements():
 
 
 def test_complementizer_requires_verb_final(ex5_clause):
-    bad = replace(ex5_clause, complementizer="weil")
+    bad = ex5_clause._replace(complementizer="weil")
     assert any("complementizer" in v for v in validate_clause(bad))
 
 
@@ -44,26 +42,24 @@ def test_complementizer_requires_verb_final(ex5_clause):
 def test_blank_complementizer_reported(ex5_vf_clause, lex, complementizer):
     # Rendered, a blank complementizer would open the clause with spaces and
     # an empty one would vanish.
-    bad = replace(ex5_vf_clause, complementizer=complementizer)
+    bad = ex5_vf_clause._replace(complementizer=complementizer)
     assert validate_clause(bad) == ["blank or non-string complementizer"]
     with pytest.raises(ValueError, match="^invalid clause spec: blank or non-string complementizer$"):
         linearize(bad, {}, lex)
 
 
 def test_hoberg_index_iff_modifier(ex5_clause):
-    no_index = replace(
-        ex5_clause,
+    no_index = ex5_clause._replace(
         constituents=tuple(
-            replace(con, hoberg_index=None) if con.id == "gestern" else con
+            con._replace(hoberg_index=None) if con.id == "gestern" else con
             for con in ex5_clause.constituents
         ),
     )
     assert any("without Hoberg index" in v for v in validate_clause(no_index))
 
-    on_noun = replace(
-        ex5_clause,
+    on_noun = ex5_clause._replace(
         constituents=tuple(
-            replace(con, hoberg_index=3) if con.id == "den-mann" else con
+            con._replace(hoberg_index=3) if con.id == "den-mann" else con
             for con in ex5_clause.constituents
         ),
     )
@@ -71,10 +67,9 @@ def test_hoberg_index_iff_modifier(ex5_clause):
 
 
 def test_empty_surface_reported(ex5_clause):
-    bad = replace(
-        ex5_clause,
+    bad = ex5_clause._replace(
         constituents=tuple(
-            replace(con, surface=()) if con.id == "ich" else con
+            con._replace(surface=()) if con.id == "ich" else con
             for con in ex5_clause.constituents
         ),
     )
@@ -83,15 +78,14 @@ def test_empty_surface_reported(ex5_clause):
 
 @pytest.mark.parametrize("token", ["", " ", "\t"])
 def test_blank_tokens_reported(ex5_clause, token):
-    blank_surface = replace(
-        ex5_clause,
+    blank_surface = ex5_clause._replace(
         constituents=tuple(
-            replace(con, surface=("den", token)) if con.id == "den-mann" else con
+            con._replace(surface=("den", token)) if con.id == "den-mann" else con
             for con in ex5_clause.constituents
         ),
     )
     assert any("den-mann: blank or non-string surface token" in v for v in validate_clause(blank_surface))
-    blank_verb = replace(ex5_clause, verb=VerbComplex(("habe",), (token,)))
+    blank_verb = ex5_clause._replace(verb=VerbComplex(("habe",), (token,)))
     assert "verb complex has a blank or non-string token" in validate_clause(blank_verb)
 
 
@@ -110,7 +104,7 @@ def test_validation_is_order_insensitive(ex7_clause):
     for _ in range(10):
         shuffled = list(ex7_clause.constituents)
         rng.shuffle(shuffled)
-        assert validate_clause(replace(ex7_clause, constituents=tuple(shuffled))) == base
+        assert validate_clause(ex7_clause._replace(constituents=tuple(shuffled))) == base
 
 
 @pytest.mark.parametrize(

@@ -107,12 +107,8 @@ def test_empty_corpus_is_ok(lex, table):
 
 
 def test_failing_synthetic_case_is_reported(corpus, lex, table):
-    import dataclasses
-
     case = next(c for c in corpus if c.case_id == "ex-5a")
-    broken = dataclasses.replace(
-        case, expected={**case.expected, "rendered": ["Falsche", "Reihenfolge"]}
-    )
+    broken = case._replace(expected={**case.expected, "rendered": ["Falsche", "Reihenfolge"]})
     result = run_case(broken, lex, table)
     assert not result.passed
     assert result.failures
@@ -124,12 +120,10 @@ def test_failing_synthetic_case_is_reported(corpus, lex, table):
      "warning", "has_empty_explanation", "explanation_count"],
 )
 def test_each_corrupted_analysis_field_fails_its_case(corpus, lex, table, field):
-    import dataclasses
-
     case = next(c for c in corpus if c.case_id == "ex-2c")
     assert run_case(case, lex, table).passed
     analysis = {**case.expected["analysis"], field: "corrupted"}
-    broken = dataclasses.replace(case, expected={**case.expected, "analysis": analysis})
+    broken = case._replace(expected={**case.expected, "analysis": analysis})
     result = run_case(broken, lex, table)
     assert not result.passed
     assert len(result.failures) == 1

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -117,7 +116,7 @@ def reference_check_assignment(spec, tags):
 
 def _reference_apply_tags(spec, tags):
     """The clause with each constituent carrying its tag in the assignment."""
-    return replace(spec, constituents=tuple(with_tag(c, tags.get(c.id)) for c in spec.constituents))
+    return spec._replace(constituents=tuple(with_tag(c, tags.get(c.id)) for c in spec.constituents))
 
 
 def reference_typically_rhematic(table, c):
@@ -364,7 +363,7 @@ def _clause_and_tags(seed):
     """
     rng = random.Random(seed)
     spec = random_clause(rng, 8)
-    spec = replace(spec, constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
+    spec = spec._replace(constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
     if rng.random() < 0.1:
         spec = broken_clause(rng, spec)
     tags = random_assignment(rng, spec)
@@ -388,7 +387,7 @@ def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause
     # would return without raising.
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
     later = Constituent("nie", Category.M, ("nie",), hoberg_index=30, lexicon_key="nie#30")
-    spec = replace(ex5_clause, constituents=ex5_clause.constituents + (stray, later))
+    spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray, later))
     for tags in ({}, {"bald": Tag.FOCUS}, {"niemand": Tag.THEME}):
         with pytest.raises(KeyError, match="bald#25"):
             realizations(spec, tags, lex)

@@ -10,7 +10,6 @@ message.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +58,7 @@ def _outcome(fn, obs):
 def _observation(seed):
     rng = random.Random(seed)
     spec = random_clause(rng, 8)
-    spec = replace(spec, constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
+    spec = spec._replace(constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
     if rng.random() < 0.1:
         spec = broken_clause(rng, spec)
     ids = [c.id for c in spec.constituents]
@@ -116,6 +115,6 @@ def test_explain_order_matches_reference_search(seed):
 @pytest.mark.parametrize("search", [explain_order, reference_explain_order])
 def test_unresolved_lexicon_key_raises_key_error(ex5_clause, lex, search):
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
-    spec = replace(ex5_clause, constituents=ex5_clause.constituents + (stray,))
+    spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray,))
     with pytest.raises(KeyError, match="bald#25"):
         search(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex)

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -105,8 +104,7 @@ def test_theme_on_late_field_element_is_inexpressible(ex2_clause, lex):
 
 
 def test_duplicate_nominative_raises_cooccurrence(ex5_clause, lex):
-    doubled = replace(
-        ex5_clause,
+    doubled = ex5_clause._replace(
         constituents=ex5_clause.constituents
         + (c("die-frau", "N", "die Frau", definite="+", animate="+"),),
     )

@@ -11,8 +11,6 @@ only the engine's slot keys and the frozen validators and helpers of
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,7 +85,7 @@ def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause
     # that key was named.
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
     later = Constituent("nie", Category.M, ("nie",), hoberg_index=30, lexicon_key="nie#30")
-    spec = replace(ex5_clause, constituents=ex5_clause.constituents + (stray, later))
+    spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray, later))
     for tags in ({}, {"nie": Tag.RHEME}, {"niemand": Tag.THEME}):
         with pytest.raises(KeyError, match="bald#25"):
             linearize(spec, tags, lex)

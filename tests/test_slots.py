@@ -141,6 +141,20 @@ def test_svc_part_matches_only_final_slot(table):
         sort_key(table, svc, 0, tag=Tag.RHEME)
 
 
+def test_constituent_without_untagged_slot_is_an_invalid_clause(table, lex):
+    # The SVC slot holds only N, A, D, G and PO parts: the refusal every
+    # command gives, not an inexpressible tagging.
+    hier = c("hier", "SIT", "hier", svc=True)
+    for keys_of in (sort_key, all_sort_keys):
+        with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
+            keys_of(table, hier, 0)
+        with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
+            keys_of(table, hier, 0, lex=lex)
+    spec = ClauseSpec(ClauseType.V2, VerbComplex(("sieht",)), (c("er", "N", "er", pron=True), hier))
+    with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
+        CompiledClause(spec, {}, lex, table)
+
+
 # --- SortKey ordering -----------------------------------------------------------
 
 def test_modifier_indexes_order_within_a_band(table):
@@ -394,10 +408,7 @@ def test_typically_rhematic_geometry(table, lex):
 # --- cooccurrence -------------------------------------------------------------
 
 def test_sit_dir_cooccurrence_flagged(table, lex, ex5_clause):
-    from dataclasses import replace
-
-    spec = replace(
-        ex5_clause,
+    spec = ex5_clause._replace(
         constituents=ex5_clause.constituents
         + (c("hier", "SIT", "hier"), c("nach-rom", "DIR", "nach Rom")),
     )

@@ -1,0 +1,236 @@
+"""The value types' contract, and the import path they keep free of dataclasses.
+
+Every value type is a plain immutable class: fields in positional order,
+field-wise equality, hash and repr, and a ``_replace`` that rebuilds through
+the constructor.  The corpus results are the two mutable exceptions.
+"""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wortfolge import (
+    AnalysisResult,
+    CandidateReading,
+    Category,
+    ClauseSpec,
+    ClauseType,
+    Constituent,
+    FeatureBundle,
+    LexEntry,
+    ObservedClause,
+    OrderVariant,
+    RankedReading,
+    SlotPattern,
+    SortKey,
+    StressWarning,
+    SurfaceOrder,
+    Tag,
+    VerbComplex,
+    Verdict,
+)
+from wortfolge.corpus import CaseResult, CorpusSummary
+from wortfolge.documents import ClauseDocument, Mode
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_ICH = Constituent("ich", Category.N, ("ich",), FeatureBundle(pronominal=True))
+_VERB = VerbComplex(("habe",), ("gesehen",))
+_OBSERVED = ObservedClause(ClauseType.V2, _VERB, (_ICH,), None, frozenset({"ich"}))
+_RESULT = AnalysisResult(Verdict.GRAMMATICAL_UNMARKED, "ich", None, None, (), ((("ich", Tag.THEME),),), 0)
+_SURFACE = SurfaceOrder(ClauseType.V2, "ich", (), ("Ich", "habe", "gesehen"), ())
+_READING = CandidateReading("eher#26", _OBSERVED, frozenset({"NEGATED"}))
+
+#: (type, positional values, expected field names in order, one field change)
+VALUES = [
+    (FeatureBundle, ("+", "-", False, False), ("definite", "animate", "pronominal", "svc"), {"definite": "-"}),
+    (
+        Constituent,
+        ("ich", Category.N, ("ich",), FeatureBundle(pronominal=True), None, None),
+        ("id", "category", "surface", "features", "hoberg_index", "lexicon_key"),
+        {"id": "du"},
+    ),
+    (VerbComplex, (("habe",), ("gesehen",)), ("finite", "nonfinite"), {"nonfinite": ()}),
+    (
+        ClauseSpec,
+        (ClauseType.V2, _VERB, (_ICH,), None),
+        ("clause_type", "verb", "constituents", "complementizer"),
+        {"clause_type": ClauseType.VF},
+    ),
+    (
+        SlotPattern,
+        (1, 1, 0, Category.N, None, None, True, False, None, None, None, ""),
+        ("row", "slot", "sub_rank", "category", "definite", "animate", "pron", "svc", "required_tag",
+         "hoberg_lo", "hoberg_hi", "annotation"),
+        {"slot": 2},
+    ),
+    (SortKey, (1, 0, 0, 3), ("slot", "sub_rank", "hoberg", "input_ordinal"), {"input_ordinal": 4}),
+    (
+        ObservedClause,
+        (ClauseType.V2, _VERB, (_ICH,), None, frozenset({"ich"})),
+        ("clause_type", "verb", "constituents", "complementizer", "stress"),
+        {"stress": frozenset()},
+    ),
+    (StressWarning, ("habe", "ich"), ("verb_candidate", "vorfeld_candidate"), {"vorfeld_candidate": "du"}),
+    (
+        AnalysisResult,
+        (Verdict.GRAMMATICAL_UNMARKED, "ich", None, None, (), ((("ich", Tag.THEME),),), 0, None, ()),
+        ("verdict", "theme", "rheme", "focus", "focus_options", "explanations", "markedness_cost",
+         "warning", "detected_focus"),
+        {"markedness_cost": 1},
+    ),
+    (
+        SurfaceOrder,
+        (ClauseType.V2, "ich", (), ("Ich", "habe", "gesehen"), ()),
+        ("clause_type", "vorfeld", "mittelfeld", "rendered", "keys"),
+        {"vorfeld": None},
+    ),
+    (
+        OrderVariant,
+        ("ich", (), _SURFACE, ((),)),
+        ("vorfeld", "mittelfeld", "surface", "assignments"),
+        {"assignments": ()},
+    ),
+    (
+        CandidateReading,
+        ("eher#26", _OBSERVED, frozenset({"NEGATED"})),
+        ("label", "clause", "constraint_context"),
+        {"label": "eher#5"},
+    ),
+    (RankedReading, (_READING, True, _RESULT, 1), ("reading", "constraint_ok", "result", "rank"), {"rank": 2}),
+    (
+        LexEntry,
+        ("eher", "26", 26, True, True, True, frozenset(), False, "earlier"),
+        ("lemma", "reading_id", "hoberg_index", "rhematic", "focusable", "vorfeld_capable", "constraints",
+         "inferred", "gloss"),
+        {"gloss": ""},
+    ),
+    (
+        ClauseDocument,
+        (Mode.ANALYZE, None, None, _OBSERVED, (), ()),
+        ("mode", "clause", "tags", "observed", "candidates", "excluded"),
+        {"mode": Mode.GENERATE},
+    ),
+]
+
+
+@pytest.fixture(params=VALUES, ids=[case[0].__name__ for case in VALUES])
+def value(request):
+    return request.param
+
+
+def test_fields_keep_their_names_and_positional_order(value):
+    cls, args, fields, _ = value
+    instance = cls(*args)
+    assert cls._fields == fields
+    assert tuple(getattr(instance, name) for name in fields) == args
+    assert cls(**dict(zip(fields, args))) == instance
+
+
+def test_fields_cannot_be_assigned_or_deleted(value):
+    cls, args, fields, _ = value
+    instance = cls(*args)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(instance, name, None)
+        with pytest.raises(AttributeError):
+            delattr(instance, name)
+    with pytest.raises(AttributeError):
+        instance.extra = 1
+    assert tuple(getattr(instance, name) for name in fields) == args
+
+
+def test_equality_and_hash_follow_type_and_fields(value):
+    cls, args, _, change = value
+    instance, twin = cls(*args), cls(*args)
+    assert instance == twin and not instance != twin
+    assert hash(instance) == hash(twin)
+    assert instance != instance._replace(**change)
+    assert instance != object()
+    lookalike = type("Lookalike", (cls,), {"__slots__": ()})(*args)
+    if cls is SortKey:
+        # A named tuple compares as the plain tuple the engine sorts.
+        assert lookalike == instance == args
+    else:
+        assert lookalike != instance
+
+
+def test_repr_names_every_field(value):
+    cls, args, fields, _ = value
+    shown = ", ".join(f"{name}={arg!r}" for name, arg in zip(fields, args))
+    assert repr(cls(*args)) == f"{cls.__name__}({shown})"
+
+
+def test_replace_changes_only_the_named_fields(value):
+    cls, args, fields, change = value
+    instance = cls(*args)
+    changed = instance._replace(**change)
+    assert type(changed) is cls
+    for name, arg in zip(fields, args):
+        assert getattr(changed, name) == change.get(name, arg)
+    assert changed._replace(**{name: getattr(instance, name) for name in change}) == instance
+    with pytest.raises((TypeError, ValueError)):  # a named tuple raises ValueError
+        instance._replace(no_such_field=1)
+
+
+def test_copies_and_pickles_are_equal(value):
+    cls, args, _, _ = value
+    instance = cls(*args)
+    for duplicate in (copy.copy(instance), copy.deepcopy(instance), pickle.loads(pickle.dumps(instance))):
+        assert type(duplicate) is cls and duplicate == instance
+
+
+def test_replace_reruns_coercion_and_validation():
+    with pytest.raises(ValueError, match="definite must be one of"):
+        FeatureBundle()._replace(definite="x")
+    with pytest.raises(ValueError, match="animate must be one of"):
+        FeatureBundle()._replace(animate="yes")
+    assert _ICH._replace(surface=["Ich", "selbst"]).surface == ("Ich", "selbst")
+    assert _VERB._replace(finite=["hat"]).finite == ("hat",)
+    assert _OBSERVED._replace(stress={"ich"}).stress == frozenset({"ich"})
+    assert ClauseSpec(ClauseType.V2, _VERB, [_ICH])._replace(constituents=[_ICH]).constituents == (_ICH,)
+    assert _READING._replace(constraint_context=["NEGATED"]).constraint_context == frozenset({"NEGATED"})
+
+
+def test_corpus_results_stay_mutable_and_unhashable():
+    result = CaseResult("ex-1", True, False)
+    assert result.failures == [] and result.failures is not CaseResult("ex-1", True, False).failures
+    result.passed = False
+    result.failures.append("rendered: wrong")
+    assert result == CaseResult("ex-1", False, False, ["rendered: wrong"])
+    assert repr(result) == "CaseResult(case_id='ex-1', passed=False, expected_mismatch=False, failures=['rendered: wrong'])"
+    summary = CorpusSummary([result])
+    summary.results = []
+    assert summary == CorpusSummary([]) and summary.ok
+    for unhashable in (result, summary):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+# -- import hygiene ------------------------------------------------------------
+
+def _modules_after(statement: str) -> set[str]:
+    """The modules loaded by ``statement`` in a fresh interpreter without site packages."""
+    code = f"import sys; {statement}; print(*sys.modules, sep='\\n')"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    loaded = _modules_after("import wortfolge")
+    assert "wortfolge.linearize" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_the_corpus():
+    loaded = _modules_after("import wortfolge.cli")
+    assert "wortfolge.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "wortfolge.corpus"}
