@@ -18,10 +18,16 @@ forwards (:func:`linearize` takes each element's first key;
 (:meth:`CompiledClause.realizes_input_order`, behind the analyzer).
 :func:`linearize` and :func:`realizations` key only the tags of their one
 assignment; enumeration and analysis key every constituent under every tag.
+An assignment moves at most three constituents away from the untagged order,
+so :meth:`CompiledClause.realize` works by local moves: it sorts the untagged
+keys once per clause and re-inserts only the carriers' tagged keys.
+:func:`enumerate_orders` leaves out carriers that can license nothing under
+their tag and renders each distinct order once.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _set, _Value, _violations
@@ -225,7 +231,7 @@ def realizations(
     if clause.assignment_violations:
         return []
     theme, rheme, focus = _carriers(spec, tags)
-    return [_surface(spec, vorfeld, keys, focus) for vorfeld, keys in clause.realize(theme, rheme, focus)]
+    return [_surface(spec, order[0], keys, focus) for order, keys in clause.realize(theme, rheme, focus)]
 
 
 class CompiledClause:
@@ -258,7 +264,7 @@ class CompiledClause:
 
     __slots__ = (
         "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
-        "assignment_violations",
+        "assignment_violations", "_untagged",
     )
 
     def __init__(
@@ -301,6 +307,8 @@ class CompiledClause:
         self.vorfeld_capable = tuple(capable)
         self.typically_rhematic = tuple(rhematic)
         self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)
+        # The untagged keys in Mittelfeld order, sorted on the first realize.
+        self._untagged = None
 
     def carriers(self, tag: Tag) -> list[int]:
         """Input ordinals that may carry the tag, in input order.
@@ -356,34 +364,41 @@ class CompiledClause:
         return vorfelds
 
     def realize(self, theme: int | None, rheme: int | None, focus: int | None):
-        """Yield each ``(vorfeld, mittelfeld keys)`` the assignment licenses.
+        """Yield each ``(order, mittelfeld keys)`` the assignment licenses.
 
-        The realization relation run forwards.  ``vorfeld`` is an input
-        ordinal (None in VF) and the keys come sorted, so their last fields
-        give the Mittelfeld order.  A typically rhematic theme licenses
-        nothing.  A Vorfeld candidate is skipped when an element of its
+        The realization relation run forwards, by local moves.  ``order`` is
+        the Vorfeld's input ordinal (None in VF) followed by the Mittelfeld's,
+        and the keys come sorted in that Mittelfeld order.  A typically
+        rhematic theme licenses nothing.  The untagged keys are sorted once
+        per clause; for each Vorfeld candidate the Vorfeld and the carriers
+        leave that order and the carriers' tagged keys are inserted back, so
+        at most three keys move.  A candidate is skipped when a carrier in its
         Mittelfeld has no slot for its tag; the focus carrier's early and late
         keys give one order each, and repeated orders are dropped.
         """
         if theme is not None and self.typically_rhematic[theme]:
             return
+        if self._untagged is None:
+            self._untagged = sorted(row[0][0] for row in self.keys)
         seen = set()
         for vorfeld in self._vorfelds(theme, rheme, focus):
-            choices = []
-            for i, row in enumerate(self.keys):
-                if i == vorfeld:
-                    continue
-                keys = row[1 if i == theme else 2 if i == rheme else 3 if i == focus else 0]
-                if keys is None:
-                    break
-                choices.append(keys)
-            else:
-                for combo in itertools.product(*choices):
-                    mittelfeld = sorted(combo)
-                    order = (vorfeld, *(key[3] for key in mittelfeld))
-                    if order not in seen:
-                        seen.add(order)
-                        yield vorfeld, mittelfeld
+            moved = [
+                self.keys[i][column]
+                for i, column in ((theme, 1), (rheme, 2), (focus, 3))
+                if i is not None and i != vorfeld
+            ]
+            if None in moved:
+                continue
+            away = (vorfeld, theme, rheme, focus)
+            rest = [key for key in self._untagged if key[3] not in away]
+            for combo in itertools.product(*moved):
+                mittelfeld = rest.copy()
+                for key in combo:
+                    bisect.insort(mittelfeld, key)
+                order = (vorfeld, *(key[3] for key in mittelfeld))
+                if order not in seen:
+                    seen.add(order)
+                    yield order, mittelfeld
 
     def realizes_input_order(self, theme: int | None, rheme: int | None, focus: int | None) -> bool:
         """Whether :func:`realizations` of the assignment include the input order.
@@ -456,6 +471,30 @@ class OrderVariant(_Value):
         return (self.vorfeld,) + self.mittelfeld
 
 
+def _live_carriers(clause: CompiledClause):
+    """Per tag, None and then the ordinals whose carrying it may license an order.
+
+    Read off :meth:`CompiledClause.realize`, so every carrier left out
+    realizes nothing.  A theme must not be typically rhematic; in V2 it must
+    open the clause, in VF it needs a THEME slot.  A rheme never opens the
+    clause, so it needs a RHEME slot.  A focus needs a FOCUS slot unless, in
+    V2, it can stand in the Vorfeld: as a Vorfeld-capable element, or as the
+    subject, which :meth:`CompiledClause.vorfeld_pick` picks without asking.
+    """
+    v2 = clause.clause_type is ClauseType.V2
+    ordinals = range(len(clause.keys))
+    themes = [
+        i for i in ordinals
+        if not clause.typically_rhematic[i] and (clause.vorfeld_capable[i] if v2 else clause.keys[i][1] is not None)
+    ]
+    rhemes = [i for i in ordinals if clause.keys[i][2] is not None]
+    focuses = [
+        i for i in ordinals
+        if clause.keys[i][3] is not None or (v2 and (clause.vorfeld_capable[i] or i == clause.subject))
+    ]
+    return [None, *themes], [None, *rhemes], [None, *focuses]
+
+
 def enumerate_orders(
     spec: ClauseSpec,
     lex: Lexicon,
@@ -465,26 +504,28 @@ def enumerate_orders(
 
     Exhaustive over tag assignments within cardinality limits and lexical
     flags, in :func:`iter_assignments` order; assignments without a
-    realization are skipped.  The clause is compiled once and every
-    assignment runs :meth:`CompiledClause.realize` on it.  A variant's
-    surface is that of its first focus-free assignment, if it has one (no
-    focus caps).  Clause size is capped to keep the search desk-scale.
+    realization are skipped.  The clause is compiled once, carriers that can
+    license nothing under their tag are left out of the assignments, and
+    every remaining assignment runs :meth:`CompiledClause.realize` on it.  A
+    variant's surface is that of its first focus-free assignment, if it has
+    one (no focus caps), and is rendered once, after the search.  Clause
+    size is capped to keep the search desk-scale.
     """
     _check_search_size(len(spec.constituents))
     clause = CompiledClause(spec, {}, lex, table or build_slot_table())
     ids = [c.id for c in spec.constituents]
-    # order -> [surface, whether the surface is focus-free, assignments]
+    # order -> [(vorfeld, keys, focus) of its surface, whether that is focus-free, assignments]
     grouped: dict[tuple, list] = {}
-    carriers = (None, *range(len(ids)))
-    for theme, rheme, focus in iter_assignments(carriers, carriers, carriers):
+    for theme, rheme, focus in iter_assignments(*_live_carriers(clause)):
         assignment = None
-        for vorfeld, keys in clause.realize(theme, rheme, focus):
+        for order, keys in clause.realize(theme, rheme, focus):
             if assignment is None:
                 tagged = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
                 assignment = tuple(sorted((ids[i], tag) for i, tag in tagged if i is not None))
-            group = grouped.setdefault((vorfeld, *(key[3] for key in keys)), [None, False, []])
+            group = grouped.setdefault(order, [None, False, []])
             if group[0] is None or (focus is None and not group[1]):
-                group[0] = _surface(spec, vorfeld, keys, focus)
+                group[0] = (order[0], keys, focus)
                 group[1] = focus is None
             group[2].append(assignment)
-    return tuple(OrderVariant(s.vorfeld, s.mittelfeld, s, tuple(a)) for s, _, a in grouped.values())
+    surfaces = [(_surface(spec, *chosen), assignments) for chosen, _, assignments in grouped.values()]
+    return tuple(OrderVariant(s.vorfeld, s.mittelfeld, s, tuple(a)) for s, a in surfaces)

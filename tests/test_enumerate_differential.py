@@ -35,6 +35,7 @@ from wortfolge.linearize import (
     NoVorfeld,
     OrderVariant,
     SurfaceOrder,
+    iter_assignments,
 )
 from wortfolge.clause import FEATURE_KEYED_CATEGORIES, NA, VERBAL_CATEGORIES
 from wortfolge.slots import NoSlotError, all_sort_keys, build_slot_table, sort_key
@@ -379,6 +380,31 @@ def test_realization_matches_reference_search(seed):
     spec, tags = _clause_and_tags(seed)
     assert _outcome(realizations, spec, tags) == _outcome(reference_realizations, spec, tags)
     assert _outcome(enumerate_orders, spec) == _outcome(reference_enumerate_orders, spec)
+
+
+def _clause_at_cap(seed):
+    """A valid clause of 9 or 10 constituents, V2 or VF, both set by the seed."""
+    size = MAX_SEARCH_CONSTITUENTS - seed % 2
+    clause_type = (ClauseType.V2, ClauseType.VF)[seed // 2 % 2]
+    rng = random.Random(seed)
+    while True:
+        spec = random_clause(rng, size)
+        if len(spec.constituents) == size and spec.clause_type is clause_type:
+            return spec
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_realization_matches_reference_search_at_the_cap(seed):
+    # The search skips carriers that can license nothing under their tag;
+    # every assignment, skipped or not, must realize what the reference does.
+    spec = _clause_at_cap(seed)
+    ids = [c.id for c in spec.constituents]
+    carriers = (None, *range(len(ids)))
+    for theme, rheme, focus in iter_assignments(carriers, carriers, carriers):
+        tagged = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
+        tags = {ids[i]: tag for i, tag in tagged if i is not None}
+        assert realizations(spec, tags, _LEX) == reference_realizations(spec, tags, _LEX), tags
+    assert enumerate_orders(spec, _LEX) == reference_enumerate_orders(spec, _LEX)
 
 
 def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause, lex):

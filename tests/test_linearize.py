@@ -170,6 +170,33 @@ def test_enumeration_retains_all_assignments_per_order(ex5_clause, lex):
     assert len(default.assignments) > 1  # e.g. optional theme on the subject
 
 
+def _kommt(*constituents):
+    from wortfolge import ClauseSpec, ClauseType, VerbComplex
+
+    return ClauseSpec(ClauseType.V2, VerbComplex(("kommt",)), constituents)
+
+
+def test_enumeration_keeps_a_focused_subject_that_cannot_front(lex):
+    # wohl#33 is neither Vorfeld-capable nor focusable, but the Vorfeld rule
+    # picks the subject without asking, so the focused subject still opens
+    # the clause.
+    spec = _kommt(c("er", "N", "er", pron=True, key="wohl#33"), modifier("morgen", "morgen", 26))
+    tags = {"er": Tag.FOCUS}
+    assert [s.text for s in realizations(spec, tags, lex)] == ["ER kommt morgen"]
+    variants = {v.order: v for v in enumerate_orders(spec, lex)}
+    assert (("er", Tag.FOCUS),) in variants[("er", "morgen")].assignments
+
+
+def test_enumeration_keeps_focus_fronting_of_a_non_focusable_modifier(lex):
+    # dennoch#20 is Vorfeld-capable but not focusable; focus fronting asks
+    # only for Vorfeld capability.
+    spec = _kommt(c("er", "N", "er", pron=True), modifier("dennoch", "dennoch", 20), modifier("morgen", "morgen", 26))
+    tags = {"dennoch": Tag.FOCUS}
+    assert [s.text for s in realizations(spec, tags, lex)] == ["DENNOCH kommt er morgen"]
+    variants = {v.order: v for v in enumerate_orders(spec, lex)}
+    assert (("dennoch", Tag.FOCUS),) in variants[("dennoch", "er", "morgen")].assignments
+
+
 def test_enumeration_clause_size_cap(lex):
     from wortfolge import ClauseSpec, ClauseType, VerbComplex
 
