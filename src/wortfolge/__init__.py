@@ -12,10 +12,6 @@ from .analyze import (
     StressWarning,
     Verdict,
     analyze,
-    detect_focus_constructions,
-    explain_order,
-    observe,
-    spec_of,
 )
 from .clause import (
     Category,
@@ -25,7 +21,6 @@ from .clause import (
     FeatureBundle,
     Tag,
     VerbComplex,
-    validate_clause,
 )
 from .disambiguate import (
     NEGATED,
@@ -55,14 +50,10 @@ from .linearize import (
     realizations,
 )
 from .slots import (
-    NoSlotError,
-    SlotPattern,
     SlotTable,
     SortKey,
-    all_sort_keys,
     build_slot_table,
     load_slot_table,
-    sort_key,
 )
 
 __version__ = "0.1.0"
@@ -83,12 +74,10 @@ __all__ = [
     "LinearizeError",
     "NEGATED",
     "NO_NEGATION",
-    "NoSlotError",
     "NoVorfeld",
     "ObservedClause",
     "OrderVariant",
     "RankedReading",
-    "SlotPattern",
     "SlotTable",
     "SortKey",
     "StressWarning",
@@ -97,21 +86,14 @@ __all__ = [
     "TagAssignment",
     "VerbComplex",
     "Verdict",
-    "all_sort_keys",
     "analyze",
     "build_slot_table",
-    "detect_focus_constructions",
     "dump_lexicon",
     "enumerate_orders",
-    "explain_order",
     "linearize",
     "load_default_lexicon",
     "load_lexicon",
     "load_slot_table",
-    "observe",
     "rank_readings",
     "realizations",
-    "sort_key",
-    "spec_of",
-    "validate_clause",
 ]

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, VerbComplex, _set, _Value
+from .clause import Category, ClauseType, Constituent, Tag, VerbComplex, _set, _Value
 from .lexicon import Lexicon
-from .linearize import CompiledClause, SurfaceOrder, TagAssignment, _check_search_size, iter_assignments
+from .linearize import CompiledClause, TagAssignment, _check_search_size, iter_assignments
 from .slots import SlotTable, build_slot_table
 
 
@@ -60,26 +60,6 @@ class ObservedClause(_Value):
     @property
     def order(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.constituents)
-
-
-def spec_of(obs: ObservedClause) -> ClauseSpec:
-    """The observed clause with its order erased."""
-    return ClauseSpec(
-        clause_type=obs.clause_type,
-        verb=obs.verb,
-        constituents=obs.constituents,
-        complementizer=obs.complementizer,
-    )
-
-
-def observe(spec: ClauseSpec, surface: SurfaceOrder) -> ObservedClause:
-    """Turn a generated order into an observation: the constituents in surface order."""
-    return ObservedClause(
-        clause_type=spec.clause_type,
-        verb=spec.verb,
-        constituents=tuple(spec.by_id(cid) for cid in surface.order),
-        complementizer=spec.complementizer,
-    )
 
 
 class Verdict(str, Enum):
@@ -139,29 +119,15 @@ def _stress_focus(obs: ObservedClause) -> TagAssignment | None:
     return None
 
 
-def explain_order(
-    obs: ObservedClause,
-    lex: Lexicon,
-    table: SlotTable | None = None,
-) -> tuple[TagAssignment, ...]:
-    """Every tag assignment whose realizations include the observed order.
+def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[TagAssignment, ...]:
+    """Every tag assignment whose realizations include the observed order ``ids``.
 
     Assignments come in :func:`iter_assignments` order, each checked against
-    the clause compiled once (see :meth:`CompiledClause.realizes_input_order`).
-    An empty result means the order is ungrammatical.  Stress marks, when
-    present, are hard constraints: an explanation must put FOCUS exactly on
-    the marked constituents, so marks no assignment can carry (an unknown id,
-    two ids) explain nothing and the clause is not even validated.
+    the compiled clause (see :meth:`CompiledClause.realizes_input_order`).
+    An empty result means the order is ungrammatical.  Stress marks are hard
+    constraints: a non-empty ``fixed`` puts FOCUS exactly on the marked
+    constituent.
     """
-    fixed = _stress_focus(obs)
-    if fixed is None:
-        return ()
-    clause = CompiledClause(spec_of(obs), fixed, lex, table or build_slot_table())
-    return _explanations(clause, obs.order, fixed)
-
-
-def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[TagAssignment, ...]:
-    """:func:`explain_order` on the compiled clause, given the stress-fixed focus."""
     # Skipping carriers that can license nothing keeps iter_assignments order.
     themes = [None, *clause.carriers(Tag.THEME)]
     rhemes = [None, *clause.carriers(Tag.RHEME)]
@@ -174,25 +140,15 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[Ta
     return tuple(out)
 
 
-def detect_focus_constructions(
-    obs: ObservedClause,
-    lex: Lexicon,
-    table: SlotTable | None = None,
-) -> tuple[str, ...]:
+def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -> tuple[str, ...]:
     """Direct detectors for the order patterns that require contrastive stress.
 
-    (a) the Vorfeld holds a typically rhematic element (directional/situative/
-    expansive complements, late-field categories, indefinite objects) although
-    the clause offers an unmarked opener;
-    (b) an early-field pronoun stands to the right of a modifier, which such
-    pronouns never do in unmarked orders.  An invalid clause raises.
+    Read off the compiled clause: (a) the Vorfeld holds a typically rhematic
+    element (directional/situative/expansive complements, late-field
+    categories, indefinite objects) although the clause offers an unmarked
+    opener; (b) an early-field pronoun stands to the right of a modifier,
+    which such pronouns never do in unmarked orders.
     """
-    table = table or build_slot_table()
-    return _detections(CompiledClause(spec_of(obs), {}, lex, table), obs, table)
-
-
-def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -> tuple[str, ...]:
-    """:func:`detect_focus_constructions` read off the compiled clause."""
     keys, rhematic = clause.keys, clause.typically_rhematic
     hits: list[str] = []
     if obs.clause_type is ClauseType.V2 and keys and rhematic[0]:
@@ -240,7 +196,7 @@ def analyze(
 def _analyze(obs: ObservedClause, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
     """:func:`analyze`, also returning the compiled clause it read everything off."""
     fixed = _stress_focus(obs)
-    clause = CompiledClause(spec_of(obs), fixed or {}, lex, table)
+    clause = CompiledClause(obs, fixed or {}, lex, table)
     explanations = () if fixed is None else _explanations(clause, obs.order, fixed)
 
     focus_options: tuple[str, ...] = ()

@@ -224,24 +224,16 @@ def _all_words(tokens) -> bool:
     return all(isinstance(tok, str) and tok.strip() for tok in tokens)
 
 
-def validate_clause(spec: ClauseSpec) -> list[str]:
-    """Check a clause spec against the domain invariants.
-
-    Returns every violated invariant as a human-readable string, slash-group
-    conflicts first; an empty list means the clause is well formed.  This is
-    a total function: malformed input produces violations, never exceptions.
-    """
-    cooccurrence, invalid, _ = _violations(spec, {})
-    return cooccurrence + invalid
-
-
 def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], list[str]]:
     """Every defect of the clause under the assignment ``tags``, in one pass.
 
-    Returns three lists of violations: cooccurrence (the slash groups, the
-    focus slot holding more than one constituent, verbs among the
+    ``spec`` is a :class:`ClauseSpec` or an observed clause: only the fields
+    both have are read.  A malformed clause produces violations, never
+    exceptions.  Returns three lists of violations: cooccurrence (the slash
+    groups, the focus slot holding more than one constituent, verbs among the
     constituents), which no assignment can order; the spec's own defects; and
-    the assignment's (unknown ids, two carriers of one tag).
+    the assignment's (unknown ids, two carriers of one tag).  Empty lists
+    mean the clause and the assignment are well formed.
     """
     invalid = []
     if not spec.verb.finite:

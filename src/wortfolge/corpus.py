@@ -29,10 +29,13 @@ from .slots import SlotTable, build_slot_table
 
 
 class CorpusCase(_Value):
+    """One corpus case.  ``expected`` is a dict, so a case is unhashable."""
+
     __slots__ = (
         "case_id", "doc", "expected", "expected_mismatch", "printed", "printed_order", "printed_stress",
         "note",
     )
+    __hash__ = None
 
     def __init__(
         self,

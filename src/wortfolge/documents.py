@@ -49,9 +49,13 @@ class DocumentError(Exception):
 
 class ClauseDocument(_Value):
     """A parsed document; ``excluded`` holds the ``(label, reason)`` pairs of
-    the candidates dropped at construction."""
+    the candidates dropped at construction.
+
+    ``tags`` is a dict, so a document is unhashable.
+    """
 
     __slots__ = ("mode", "clause", "tags", "observed", "candidates", "excluded")
+    __hash__ = None
 
     def __init__(
         self,

@@ -32,17 +32,7 @@ import itertools
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _set, _Value, _violations
 from .lexicon import Lexicon
-from .slots import (
-    KEY_TAGS,
-    SlotTable,
-    SortKey,
-    _entry,
-    _lexical_veto,
-    _no_slot,
-    _placements,
-    _rhematic_by_default,
-    build_slot_table,
-)
+from .slots import KEY_TAGS, SlotTable, SortKey, _lexical_veto, _placements, _rhematic_by_default, build_slot_table
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
@@ -204,8 +194,10 @@ def linearize(
             continue
         column = 1 if i == theme else 2 if i == rheme else 3 if i == focus else 0
         if row[column] is None:
-            err = _no_slot(spec.constituents[i], KEY_TAGS[column], clause.entries[i])
-            raise InexpressibleTags(str(err)) from err
+            tag = KEY_TAGS[column]
+            veto = _lexical_veto(tag, clause.entries[i])
+            reason = f" ({veto})" if veto else ""
+            raise InexpressibleTags(f"no slot for {spec.constituents[i].id} as {tag.value}{reason}")
         mittelfeld.append(row[column][0])
     mittelfeld.sort()
     return _surface(spec, vorfeld, mittelfeld, focus)
@@ -237,12 +229,18 @@ def realizations(
 class CompiledClause:
     """An untagged clause, validated once, with its slot keys precomputed.
 
-    ``keys[i][j]`` holds the :func:`all_sort_keys` of the constituent with
-    input ordinal ``i`` under ``KEY_TAGS[j]``, as plain tuples (which order
-    like :class:`SortKey`), or None where that tagging has no slot.
-    ``entries[i]`` is its lexicon entry (None without a key).  With
-    ``vorfeld_capable``, ``typically_rhematic`` and ``subject`` they are all
-    that generation, enumeration, analysis and disambiguation read.
+    The clause is a :class:`ClauseSpec`, or an observed clause whose
+    constituent order is the input order.  ``keys[i][j]`` holds every slot
+    key the constituent with input ordinal ``i`` can occupy under
+    ``KEY_TAGS[j]``, in table order, as plain ``(slot, sub_rank, hoberg,
+    input_ordinal)`` tuples (which order like :class:`SortKey`), or None
+    where that tagging has no slot or the lexicon vetoes it.  Untagged, THEME
+    and RHEME placements are unique; a focus that fits both the early and the
+    general focus slot has both keys, the later one being the marked
+    right-field realization.  ``entries[i]`` is its lexicon entry (None
+    without a key).  With ``vorfeld_capable``, ``typically_rhematic`` and
+    ``subject`` they are all that generation, enumeration, analysis and
+    disambiguation read.
     Assignments are given as input ordinals of the theme, rheme and focus
     carriers, None for an absent tag.  With ``every_tag`` false the clause is
     compiled for the one assignment ``tags``: only the untagged column and
@@ -287,7 +285,11 @@ class CompiledClause:
             raise ValueError("invalid clause spec: " + "; ".join(unplaced))
         keys, entries, capable, rhematic = [], [], [], []
         for ordinal, (c, pairs) in enumerate(zip(spec.constituents, placements)):
-            entry = _entry(c, lex)
+            entry = None
+            if c.lexicon_key is not None:
+                entry = lex.get(c.lexicon_key)
+                if entry is None:
+                    raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
             entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
             row = [None] * len(KEY_TAGS)

@@ -25,22 +25,10 @@ from collections import namedtuple
 from importlib import resources
 
 from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES, _set, _Value
-from .lexicon import Lexicon
 
 
 class SlotTableError(Exception):
     """Raised for malformed slot-table data."""
-
-
-class NoSlotError(Exception):
-    """A constituent matches no slot under its tag: the tagging is inexpressible."""
-
-    def __init__(self, constituent: Constituent, tag: Tag | None, reason: str = ""):
-        self.constituent = constituent
-        self.tag = tag
-        detail = f" ({reason})" if reason else ""
-        label = tag.value if tag else "untagged"
-        super().__init__(f"no slot for {constituent.id} as {label}{detail}")
 
 
 class SlotPattern(_Value):
@@ -247,16 +235,6 @@ def build_slot_table() -> SlotTable:
     return load_slot_table(text)
 
 
-def _entry(c: Constituent, lex: Lexicon):
-    """The constituent's lexicon entry, None without a key; an unresolved key raises."""
-    if c.lexicon_key is None:
-        return None
-    entry = lex.get(c.lexicon_key)
-    if entry is None:
-        raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
-    return entry
-
-
 def _lexical_veto(tag: Tag | None, entry) -> str | None:
     if entry is None or tag is None:
         return None
@@ -265,53 +243,6 @@ def _lexical_veto(tag: Tag | None, entry) -> str | None:
     if tag is Tag.FOCUS and not entry.focusable:
         return f"{entry.lemma} is lexically non-focusable"
     return None
-
-
-def sort_key(
-    table: SlotTable,
-    c: Constituent,
-    input_ordinal: int,
-    tag: Tag | None = None,
-    lex: Lexicon | None = None,
-) -> SortKey:
-    """Position key of the first (lowest-ordinal) slot matching the constituent.
-
-    The first of :func:`all_sort_keys`.  A tagged constituent matches only
-    slots requiring its tag; an untagged one only tag-free slots.  When a
-    focused constituent matches both the early and the general focus slot,
-    the early one wins.  Raises :class:`NoSlotError` when nothing matches
-    (an inexpressible tagging), and ``ValueError`` for an untagged
-    constituent the table gives no slot at all (an invalid clause, refused
-    as every command refuses it).
-    """
-    return all_sort_keys(table, c, input_ordinal, tag=tag, lex=lex)[0]
-
-
-def all_sort_keys(
-    table: SlotTable,
-    c: Constituent,
-    input_ordinal: int,
-    tag: Tag | None = None,
-    lex: Lexicon | None = None,
-) -> tuple[SortKey, ...]:
-    """Every slot key the constituent can occupy under the tag, in table order.
-
-    Untagged, THEME and RHEME placements are unique; a focused constituent
-    that fits both the early and the general focus slot yields both keys (the
-    later one is the marked right-field realization).
-    """
-    entry = None if tag is None or lex is None else _entry(c, lex)
-    keys = _slot_keys(table, c, input_ordinal, tag, entry)
-    if not keys and tag is None:
-        raise ValueError(f"invalid clause spec: {c.id}: no untagged slot")
-    if not keys:
-        raise _no_slot(c, tag, entry)
-    return tuple(SortKey(*key) for key in keys)
-
-
-def _no_slot(c: Constituent, tag: Tag | None, entry) -> NoSlotError:
-    """The refusal for a tagging without a slot, with the lexical veto as its reason."""
-    return NoSlotError(c, tag, _lexical_veto(tag, entry) or "")
 
 
 def _placements(table: SlotTable, c: Constituent) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -342,23 +273,6 @@ def _scan(table: SlotTable, c: Constituent, tag: Tag | None) -> tuple[tuple[int,
         if tag is not Tag.FOCUS:
             break  # non-focus placements are unique: first match only
     return tuple(pairs)
-
-
-def _slot_keys(
-    table: SlotTable,
-    c: Constituent,
-    input_ordinal: int,
-    tag: Tag | None,
-    entry,
-) -> tuple[tuple[int, int, int, int], ...]:
-    """:func:`all_sort_keys` under exactly ``tag``, as plain tuples (which order
-    like :class:`SortKey`), given the constituent's resolved lexicon entry;
-    ``()`` when the lexicon vetoes the tag or no slot matches."""
-    if _lexical_veto(tag, entry):
-        return ()
-    hoberg = c.hoberg_index or 0
-    pairs = _placements(table, c)[KEY_TAGS.index(tag)]
-    return tuple((slot, sub_rank, hoberg, input_ordinal) for slot, sub_rank in pairs)
 
 
 def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int) -> bool:

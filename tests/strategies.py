@@ -1,8 +1,9 @@
 """Random clause generators shared by the property tests.
 
-Two flavours: hypothesis strategies for shrinkable properties, and a plain
-seeded-RNG generator for the fixed-count acceptance runs (which need an exact
-number of valid samples rather than a search budget).
+Two flavours: hypothesis strategies for shrinkable properties, and plain
+seeded-RNG generators for the fixed-count acceptance runs (which need an exact
+number of valid samples rather than a search budget) and for the inputs of
+the differential tests, valid and broken alike.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from wortfolge import (
     ClauseType,
     Constituent,
     FeatureBundle,
+    LinearizeError,
+    ObservedClause,
     Tag,
     VerbComplex,
     linearize,
 )
 from wortfolge.lexicon import load_default_lexicon
+
+from .oracle import reference_realizations
 
 _LEX = load_default_lexicon()
 #: Single-word modifier readings from the shipped lexicon (pattern entries
@@ -149,25 +154,78 @@ def broken_clause(rng: random.Random, spec: ClauseSpec) -> ClauseSpec:
     return spec._replace(constituents=spec.constituents + extra)
 
 
-class TaggedConstituent(Constituent):
-    """A constituent carrying its information-structure tag.
+def clause_and_tags(seed):
+    """A clause of 0 to 8 constituents, one in ten broken, and an assignment.
 
-    The engine takes tags only as an assignment; the reference
-    implementations and the comparator-law pool model a tagged clause as its
-    constituents with the tag attached.
+    One assignment in five gets one more carrier, which may be an unknown id
+    or repeat a tag kind.
     """
+    rng = random.Random(seed)
+    spec = random_clause(rng, 8)
+    spec = spec._replace(constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
+    if rng.random() < 0.1:
+        spec = broken_clause(rng, spec)
+    tags = random_assignment(rng, spec)
+    if rng.random() < 0.2:
+        ids = [c.id for c in spec.constituents if c.id not in tags]
+        tags[rng.choice(ids + ["niemand"])] = rng.choice(list(Tag))
+    return spec, tags
 
-    __slots__ = ("tag",)
 
-    def __init__(self, id, category, surface, features=FeatureBundle(), hoberg_index=None, lexicon_key=None,
-                 tag: Tag | None = None):
-        super().__init__(id, category, surface, features, hoberg_index, lexicon_key)
-        object.__setattr__(self, "tag", tag)
+def observation(seed):
+    """An observed clause of 0 to 8 constituents, one in ten broken.
 
-
-def with_tag(c: Constituent, tag: Tag | None) -> TaggedConstituent:
-    """``c`` carrying ``tag`` (None: untagged)."""
-    return TaggedConstituent(c.id, c.category, c.surface, c.features, c.hoberg_index, c.lexicon_key, tag)
+    Its order is a linearization, a reference realization under a focus, or
+    a random permutation, a third each; its stress marks are none, one
+    constituent, an unknown id or two ids, a quarter each.
+    """
+    rng = random.Random(seed)
+    spec = random_clause(rng, 8)
+    spec = spec._replace(constituents=spec.constituents[: rng.randint(0, len(spec.constituents))])
+    if rng.random() < 0.1:
+        spec = broken_clause(rng, spec)
+    ids = [c.id for c in spec.constituents]
+    order = list(ids)
+    rng.shuffle(order)
+    focus = None
+    kind = rng.choice(("linearized", "realized", "permutation"))
+    if kind == "linearized":
+        try:
+            order = list(linearize(spec, random_assignment(rng, spec), _LEX).order)
+        except (LinearizeError, ValueError):
+            pass
+    elif kind == "realized" and ids:
+        tags = {cid: t for cid, t in random_assignment(rng, spec).items() if t is not Tag.FOCUS}
+        focus = rng.choice([cid for cid in ids if cid not in tags] or ids)
+        tags[focus] = Tag.FOCUS
+        try:
+            surfaces = reference_realizations(spec, tags, _LEX)
+        except (LinearizeError, ValueError):
+            surfaces = []
+        if surfaces:
+            order = list(rng.choice(surfaces).order)
+    stress_kind = rng.choice(("none", "one", "unknown", "two"))
+    if stress_kind == "one" and ids:
+        stress = [focus if focus is not None and rng.random() < 0.5 else rng.choice(ids)]
+    elif stress_kind == "unknown":
+        stress = ["niemand"]
+    elif stress_kind == "two" and len(set(ids)) >= 2:
+        stress = rng.sample(sorted(set(ids)), 2)
+    else:
+        stress = []
+    by_position = list(spec.constituents)
+    rng.shuffle(by_position)
+    # spec.by_id finds only the first constituent of a duplicated id.
+    constituents = (
+        tuple(spec.by_id(cid) for cid in order) if len(set(ids)) == len(ids) else tuple(by_position)
+    )
+    return ObservedClause(
+        clause_type=spec.clause_type,
+        verb=spec.verb,
+        constituents=constituents,
+        complementizer=spec.complementizer,
+        stress=frozenset(stress),
+    )
 
 
 # hypothesis strategies ------------------------------------------------------

@@ -9,21 +9,23 @@ import random
 from itertools import permutations
 
 from wortfolge import (
+    SortKey,
     Tag,
     Verdict,
     analyze,
     enumerate_orders,
-    explain_order,
     linearize,
-    observe,
     rank_readings,
-    sort_key,
 )
 from wortfolge.analyze import ObservedClause
 from wortfolge.corpus import load_default_corpus, run_case
 from wortfolge.documents import Mode
+from wortfolge.linearize import CompiledClause
+from wortfolge.slots import KEY_TAGS
 
-from .strategies import random_clause, sample_valid_pairs, with_tag
+from .conftest import observed
+from .oracle import with_tag
+from .strategies import random_clause, sample_valid_pairs
 
 
 def _report(label, failures):
@@ -92,11 +94,11 @@ def test_criterion_2_grammaticality_verdicts(lex, table):
     derivable = ["ex-1a", "ex-1b", "ex-1c", "ex-1d", "ex-2a", "ex-2b", "ex-3a", "ex-4a"]
     for case_id in derivable:
         case = _corpus_case(corpus, case_id)
-        if not explain_order(case.doc.observed, lex, table):
+        if not analyze(case.doc.observed, lex, table).explanations:
             failures.append(f"{case_id}: no explanation found")
     for case_id in ["ex-2c", "ex-2d"]:
         case = _corpus_case(corpus, case_id)
-        if explain_order(case.doc.observed, lex, table):
+        if analyze(case.doc.observed, lex, table).explanations:
             failures.append(f"{case_id}: unexpectedly derivable")
     marked = {
         "ex-8": _corpus_case(corpus, "ex-8").doc.observed,
@@ -111,10 +113,10 @@ def test_criterion_2_grammaticality_verdicts(lex, table):
         constituents=tuple(spec.by_id(cid) for cid in ("morgen", "ihn", "ich", "vielleicht")),
     )
     for label, obs in marked.items():
-        explanations = explain_order(obs, lex, table)
+        explanations = analyze(obs, lex, table).explanations
         if not explanations:
             failures.append(f"{label}: no explanation")
-        elif not all(any(t is Tag.FOCUS for t in tags.values()) for tags in explanations):
+        elif not all(any(t is Tag.FOCUS for _, t in tags) for tags in explanations):
             failures.append(f"{label}: focus not obligatory")
     _report("criterion 2, grammaticality verdicts", failures)
 
@@ -131,7 +133,7 @@ def test_criterion_3_information_structure_recovery(lex, table):
             obs = case.doc.observed
         else:
             surface = linearize(case.doc.clause, case.doc.tags, lex, table)
-            obs = observe(case.doc.clause, surface)
+            obs = observed(case.doc.clause, surface.order)
         result = analyze(obs, lex, table)
         actual = getattr(result, field)
         if actual != expected:
@@ -187,8 +189,8 @@ def test_criterion_5_round_trip(lex, table):
     pairs = sample_valid_pairs(200, seed=42, max_constituents=6)
     for spec, tags in pairs:
         surface = linearize(spec, tags, lex, table)
-        explanations = explain_order(observe(spec, surface), lex, table)
-        if tags not in explanations:
+        explanations = analyze(observed(spec, surface.order), lex, table).explanations
+        if tuple(sorted(tags.items())) not in explanations:
             failures.append(f"{tags} not recovered for order {surface.order}")
             if len(failures) >= 3:
                 break
@@ -213,7 +215,7 @@ def test_criterion_6_oracle_equivalence(ex1_clause, ex2_clause, lex, table):
                 constituents=perm,
                 complementizer=spec.complementizer,
             )
-            if explain_order(obs, lex, table):
+            if analyze(obs, lex, table).explanations:
                 accepted.add(obs.order)
         if generated != accepted:
             failures.append(
@@ -235,15 +237,16 @@ def test_criterion_7_comparator_laws(lex, table):
     ordinal = 0
     while len(pool) < 400:
         spec = random_clause(rng, max_constituents=4)
-        for con in spec.constituents:
+        clause = CompiledClause(spec, {}, lex, table)
+        for con, row in zip(spec.constituents, clause.keys):
             tag = None
             if rng.random() < 0.3:
                 tag = rng.choice((Tag.THEME, Tag.RHEME, Tag.FOCUS))
-            try:
-                key = sort_key(table, con, ordinal, tag=tag, lex=lex)
-            except Exception:
+            keys = row[KEY_TAGS.index(tag)]
+            if keys is None:
                 continue
-            pool.append((with_tag(con, tag), key))
+            # The first key, its ordinal numbered across the whole pool.
+            pool.append((with_tag(con, tag), SortKey(*keys[0][:3], ordinal)))
             ordinal += 1
 
     def order(x, y):  # -1/0/+1 by SortKey ordering

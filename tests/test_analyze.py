@@ -6,46 +6,43 @@ from wortfolge import (
     Tag,
     Verdict,
     analyze,
-    detect_focus_constructions,
     enumerate_orders,
-    explain_order,
     linearize,
-    observe,
 )
 
 from .conftest import c, modifier, observed
 from .strategies import random_clause, sample_valid_pairs
 
 
-# --- explain_order ---------------------------------------------------------------
+# --- explanations ---------------------------------------------------------------
 
 def test_default_order_explained_by_empty_assignment(ex2_clause, lex):
-    explanations = explain_order(
+    explanations = analyze(
         observed(ex2_clause, ["er", "dennoch", "ebenfalls", "nach-muenchen"]), lex
-    )
-    assert {} in explanations
+    ).explanations
+    assert () in explanations
 
 
 def test_starred_modifier_order_has_no_explanation(ex2_clause, lex):
-    assert explain_order(
+    assert analyze(
         observed(ex2_clause, ["er", "ebenfalls", "dennoch", "nach-muenchen"]), lex
-    ) == ()
+    ).explanations == ()
 
 
 def test_vorfeld_incapable_modifier_order_has_no_explanation(ex2_clause, lex):
-    assert explain_order(
+    assert analyze(
         observed(ex2_clause, ["ebenfalls", "er", "dennoch", "nach-muenchen"]), lex
-    ) == ()
+    ).explanations == ()
 
 
 def test_focused_pronoun_reading_is_explained_with_obligatory_focus(ex1_clause, lex):
     # The derivable variant of the marked order: focused subject pronoun in
     # the early focus slot, after the unstressed object pronoun.
-    explanations = explain_order(
+    explanations = analyze(
         observed(ex1_clause, ["morgen", "ihn", "ich", "vielleicht"]), lex
-    )
+    ).explanations
     assert explanations
-    assert all(tags.get("ich") is Tag.FOCUS for tags in explanations)
+    assert all(dict(tags).get("ich") is Tag.FOCUS for tags in explanations)
 
 
 def test_attested_late_pronoun_order_is_underivable(ex1_clause, lex):
@@ -54,32 +51,32 @@ def test_attested_late_pronoun_order_is_underivable(ex1_clause, lex):
     # stress mark.
     plain = observed(ex1_clause, ["morgen", "ihn", "vielleicht", "ich"])
     stressed = observed(ex1_clause, ["morgen", "ihn", "vielleicht", "ich"], stress=["ich"])
-    assert explain_order(plain, lex) == ()
-    assert explain_order(stressed, lex) == ()
+    assert analyze(plain, lex).explanations == ()
+    assert analyze(stressed, lex).explanations == ()
     # ... even though the direct construction detector flags the pronoun.
-    assert detect_focus_constructions(stressed, lex) == ("ich",)
+    assert analyze(stressed, lex).detected_focus == ("ich",)
 
 
 def test_stress_marks_are_hard_constraints(ex8_clause, lex):
     # Stress on the wrong constituent kills the only explanation.
     wrong = observed(ex8_clause, ["nach-frankreich", "vahe"], stress=["vahe"])
-    assert explain_order(wrong, lex) == ()
+    assert analyze(wrong, lex).explanations == ()
     right = observed(ex8_clause, ["nach-frankreich", "vahe"], stress=["nach-frankreich"])
-    assert explain_order(right, lex)
+    assert analyze(right, lex).explanations
 
 
 # --- focus recognition --------------------------------------------------------------
 
 def test_directional_vorfeld_is_recognized_as_focus(ex8_clause, lex):
-    obs = observed(ex8_clause, ["nach-frankreich", "vahe"])
-    assert analyze(obs, lex).focus == "nach-frankreich"
-    assert detect_focus_constructions(obs, lex) == ("nach-frankreich",)
+    result = analyze(observed(ex8_clause, ["nach-frankreich", "vahe"]), lex)
+    assert result.focus == "nach-frankreich"
+    assert result.detected_focus == ("nach-frankreich",)
 
 
 def test_indefinite_object_vorfeld_is_recognized_as_focus(ex9_clause, lex):
-    obs = observed(ex9_clause, ["einen-inder", "anne"])
-    assert analyze(obs, lex).focus == "einen-inder"
-    assert detect_focus_constructions(obs, lex) == ("einen-inder",)
+    result = analyze(observed(ex9_clause, ["einen-inder", "anne"]), lex)
+    assert result.focus == "einen-inder"
+    assert result.detected_focus == ("einen-inder",)
 
 
 def test_default_order_has_no_focus(ex5_clause, lex):
@@ -146,11 +143,21 @@ def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
     assert analyze(obs, lex).rheme is None
 
 
-@pytest.mark.parametrize("recognize", [analyze, explain_order, detect_focus_constructions])
-def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, recognize):
+# The verdict, the order explanations and the focus-construction detections
+# are all read off the one compiled clause, so none of them is returned for
+# an unresolved key.
+@pytest.mark.parametrize(
+    "reading",
+    [
+        pytest.param(lambda result: result.verdict, id="analyze"),
+        pytest.param(lambda result: result.explanations, id="explain_order"),
+        pytest.param(lambda result: result.detected_focus, id="detect_focus_constructions"),
+    ],
+)
+def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, reading):
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (modifier("bald", "bald", 25),))
     with pytest.raises(KeyError, match="unresolved lexicon key 'bald#25' on bald"):
-        recognize(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex)
+        reading(analyze(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex))
 
 
 # --- full pipeline ---------------------------------------------------------------------
@@ -254,7 +261,6 @@ def test_detectors_are_sound_on_random_clauses(lex, table):
     # focus the detected constituent.
     import random
 
-    from wortfolge import detect_focus_constructions, enumerate_orders
     from .strategies import random_clause
 
     rng = random.Random(99)
@@ -267,14 +273,10 @@ def test_detectors_are_sound_on_random_clauses(lex, table):
             continue
         probed += 1
         for variant in variants:
-            obs = observed(spec, variant.order)
-            detected = detect_focus_constructions(obs, lex, table)
-            if not detected:
-                continue
-            explanations = explain_order(obs, lex, table)
-            for cid in detected:
+            result = analyze(observed(spec, variant.order), lex, table)
+            for cid in result.detected_focus:
                 assert all(
-                    dict(tags).get(cid) is Tag.FOCUS for tags in explanations
+                    dict(tags).get(cid) is Tag.FOCUS for tags in result.explanations
                 ), (spec, variant.order, cid)
 
 
@@ -283,8 +285,8 @@ def test_detectors_are_sound_on_random_clauses(lex, table):
 def test_round_trip_up_to_eight_constituents(lex):
     for spec, tags in sample_valid_pairs(30, seed=11, max_constituents=8):
         surface = linearize(spec, tags, lex)
-        explanations = explain_order(observe(spec, surface), lex)
-        assert tags in explanations, (spec, tags, surface.order)
+        explanations = analyze(observed(spec, surface.order), lex).explanations
+        assert tuple(sorted(tags.items())) in explanations, (spec, tags, surface.order)
 
 
 def test_round_trip_over_full_enumeration(lex, table):
@@ -293,6 +295,6 @@ def test_round_trip_over_full_enumeration(lex, table):
     for _ in range(100):
         spec = random_clause(rng, max_constituents=6)
         for variant in enumerate_orders(spec, lex, table):
-            explanations = explain_order(observe(spec, variant.surface), lex, table)
+            explanations = analyze(observed(spec, variant.order), lex, table).explanations
             for assignment in variant.assignments:
-                assert dict(assignment) in explanations, (spec, variant.order, assignment)
+                assert assignment in explanations, (spec, variant.order, assignment)

@@ -1,0 +1,97 @@
+"""The public API, and what the test oracle may take from the engine.
+
+``wortfolge.__all__`` is pinned to the names the command line runs on, and
+the compile-then-call wrappers it dropped stay gone.  ``tests/oracle.py``
+keys constituents with its own slot-table reader, so it must not import the
+engine's matcher or any other engine function: only value types, exception
+types, the search cap and the data loaders.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from enum import Enum
+from pathlib import Path
+
+import wortfolge
+from wortfolge.clause import _Value
+from wortfolge.slots import SortKey
+
+TESTS = Path(__file__).resolve().parent
+
+PUBLIC = [
+    "AnalysisResult", "CandidateReading", "Category", "ClauseSpec", "ClauseType", "Constituent",
+    "CooccurrenceViolation", "FeatureBundle", "InexpressibleTags", "LexEntry", "Lexicon", "LexiconError",
+    "LinearizeError", "NEGATED", "NO_NEGATION", "NoVorfeld", "ObservedClause", "OrderVariant", "RankedReading",
+    "SlotTable", "SortKey", "StressWarning", "SurfaceOrder", "Tag", "TagAssignment", "VerbComplex", "Verdict",
+    "analyze", "build_slot_table", "dump_lexicon", "enumerate_orders", "linearize", "load_default_lexicon",
+    "load_lexicon", "load_slot_table", "rank_readings", "realizations",
+]
+
+#: Wrappers and helpers the engine no longer runs.
+REMOVED = (
+    "sort_key", "all_sort_keys", "_slot_keys", "_no_slot", "NoSlotError", "explain_order",
+    "detect_focus_constructions", "validate_clause", "observe", "spec_of",
+)
+
+#: The engine functions the oracle may call: the table and lexicon loaders.
+LOADERS = {"build_slot_table", "load_slot_table", "load_default_lexicon", "load_lexicon"}
+
+#: Test modules another test module may import.
+SHARED = {"conftest", "strategies", "oracle"}
+
+
+def test_public_api_is_pinned():
+    assert sorted(wortfolge.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(wortfolge, name) is not None, name
+
+
+def test_removed_names_are_defined_nowhere():
+    modules = [wortfolge] + [
+        importlib.import_module(f"wortfolge.{info.name}") for info in pkgutil.iter_modules(wortfolge.__path__)
+    ]
+    assert len(modules) > 10
+    for module in modules:
+        for name in REMOVED:
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def _allowed_from_engine(name, obj):
+    if name in LOADERS or name == "MAX_SEARCH_CONSTITUENTS":
+        return True
+    if not isinstance(obj, type):
+        return False
+    return issubclass(obj, (_Value, Enum, BaseException)) or obj is SortKey
+
+
+def test_oracle_takes_no_matcher_from_the_engine():
+    tree = ast.parse((TESTS / "oracle.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("wortfolge") for alias in node.names), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"the oracle imports the test module {node.module}"
+            if node.module.split(".")[0] == "wortfolge":
+                module = importlib.import_module(node.module)
+                imported += [(alias.name, getattr(module, alias.name)) for alias in node.names]
+    assert imported
+    for name, obj in imported:
+        assert not name.startswith("_"), name
+        assert _allowed_from_engine(name, obj), name
+    # Nothing reaches the engine's matcher through an attribute either.
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attributes & {"matches", "_index", "_placements", "_scan", "keys"}
+
+
+def test_test_modules_share_only_the_oracle_and_the_helpers():
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                target = (node.module or "").split(".")[0]
+                names = [alias.name for alias in node.names]
+                assert (target or names[0]) in SHARED, (path.name, target, names)

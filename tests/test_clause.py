@@ -2,13 +2,20 @@ import random
 
 import pytest
 
-from wortfolge import ClauseSpec, ClauseType, Tag, VerbComplex, linearize, validate_clause
+from wortfolge import ClauseSpec, ClauseType, Tag, VerbComplex, linearize
+from wortfolge.clause import _violations
 
 from .conftest import c
 
 
+def _clause_violations(spec):
+    """The clause's own violations under no assignment, slash-group conflicts first."""
+    cooccurrence, invalid, _ = _violations(spec, {})
+    return cooccurrence + invalid
+
+
 def test_ex5_clause_is_valid(ex5_clause):
-    assert validate_clause(ex5_clause) == []
+    assert _clause_violations(ex5_clause) == []
 
 
 def test_duplicate_nominative_reported(ex5_clause):
@@ -16,7 +23,7 @@ def test_duplicate_nominative_reported(ex5_clause):
         constituents=ex5_clause.constituents
         + (c("der-hund", "N", "der Hund", definite="+", animate="+"),),
     )
-    assert "nominative alternatives cannot cooccur: ich, der-hund" in validate_clause(doubled)
+    assert "nominative alternatives cannot cooccur: ich, der-hund" in _clause_violations(doubled)
 
 
 def test_double_rheme_tag_reported(ex5_clause, lex):
@@ -30,12 +37,12 @@ def test_exclusive_adverbial_complements():
         VerbComplex(("ist",)),
         (c("hier", "SIT", "hier"), c("nach-rom", "DIR", "nach Rom")),
     )
-    assert "SIT/DIR/EXP cannot cooccur: hier, nach-rom" in validate_clause(spec)
+    assert "SIT/DIR/EXP cannot cooccur: hier, nach-rom" in _clause_violations(spec)
 
 
 def test_complementizer_requires_verb_final(ex5_clause):
     bad = ex5_clause._replace(complementizer="weil")
-    assert any("complementizer" in v for v in validate_clause(bad))
+    assert any("complementizer" in v for v in _clause_violations(bad))
 
 
 @pytest.mark.parametrize("complementizer", ["", "  ", 5])
@@ -43,7 +50,7 @@ def test_blank_complementizer_reported(ex5_vf_clause, lex, complementizer):
     # Rendered, a blank complementizer would open the clause with spaces and
     # an empty one would vanish.
     bad = ex5_vf_clause._replace(complementizer=complementizer)
-    assert validate_clause(bad) == ["blank or non-string complementizer"]
+    assert _clause_violations(bad) == ["blank or non-string complementizer"]
     with pytest.raises(ValueError, match="^invalid clause spec: blank or non-string complementizer$"):
         linearize(bad, {}, lex)
 
@@ -55,7 +62,7 @@ def test_hoberg_index_iff_modifier(ex5_clause):
             for con in ex5_clause.constituents
         ),
     )
-    assert any("without Hoberg index" in v for v in validate_clause(no_index))
+    assert any("without Hoberg index" in v for v in _clause_violations(no_index))
 
     on_noun = ex5_clause._replace(
         constituents=tuple(
@@ -63,7 +70,7 @@ def test_hoberg_index_iff_modifier(ex5_clause):
             for con in ex5_clause.constituents
         ),
     )
-    assert any("non-modifier" in v for v in validate_clause(on_noun))
+    assert any("non-modifier" in v for v in _clause_violations(on_noun))
 
 
 def test_empty_surface_reported(ex5_clause):
@@ -73,7 +80,7 @@ def test_empty_surface_reported(ex5_clause):
             for con in ex5_clause.constituents
         ),
     )
-    assert any("empty surface" in v for v in validate_clause(bad))
+    assert any("empty surface" in v for v in _clause_violations(bad))
 
 
 @pytest.mark.parametrize("token", ["", " ", "\t"])
@@ -84,9 +91,9 @@ def test_blank_tokens_reported(ex5_clause, token):
             for con in ex5_clause.constituents
         ),
     )
-    assert any("den-mann: blank or non-string surface token" in v for v in validate_clause(blank_surface))
+    assert any("den-mann: blank or non-string surface token" in v for v in _clause_violations(blank_surface))
     blank_verb = ex5_clause._replace(verb=VerbComplex(("habe",), (token,)))
-    assert "verb complex has a blank or non-string token" in validate_clause(blank_verb)
+    assert "verb complex has a blank or non-string token" in _clause_violations(blank_verb)
 
 
 def test_unresolved_features_on_full_noun_phrases():
@@ -95,16 +102,16 @@ def test_unresolved_features_on_full_noun_phrases():
         VerbComplex(("sieht",)),
         (c("etwas", "A", "etwas"),),  # definiteness/animacy left at n.a.
     )
-    assert any("resolved definiteness" in v for v in validate_clause(spec))
+    assert any("resolved definiteness" in v for v in _clause_violations(spec))
 
 
 def test_validation_is_order_insensitive(ex7_clause):
     rng = random.Random(7)
-    base = validate_clause(ex7_clause)
+    base = _clause_violations(ex7_clause)
     for _ in range(10):
         shuffled = list(ex7_clause.constituents)
         rng.shuffle(shuffled)
-        assert validate_clause(ex7_clause._replace(constituents=tuple(shuffled))) == base
+        assert _clause_violations(ex7_clause._replace(constituents=tuple(shuffled))) == base
 
 
 @pytest.mark.parametrize(
@@ -114,4 +121,4 @@ def test_validation_is_order_insensitive(ex7_clause):
 )
 def test_every_example_clause_validates(fixture, request):
     spec = request.getfixturevalue(fixture)
-    assert validate_clause(spec) == []
+    assert _clause_violations(spec) == []

@@ -72,18 +72,11 @@ def test_detectors_are_sound_against_the_search(corpus, lex, table):
 
 
 def test_every_corpus_clause_validates(corpus):
-    from wortfolge import validate_clause
-    from wortfolge.analyze import spec_of
+    from wortfolge.clause import _violations
 
     for case in corpus:
-        if case.doc.mode is Mode.GENERATE:
-            specs = [case.doc.clause]
-        elif case.doc.mode is Mode.ANALYZE:
-            specs = [spec_of(case.doc.observed)]
-        else:
-            specs = [spec_of(cand.clause) for cand in case.doc.candidates]
-        for spec in specs:
-            assert validate_clause(spec) == [], case.case_id
+        for clause in case.doc.clauses:
+            assert _violations(clause, {}) == ([], [], []), case.case_id
 
 
 def test_theme_is_the_vorfeld_element_except_under_focus_fronting(corpus, lex, table):

@@ -113,8 +113,7 @@ def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
     # their one compiled clause: one lookup per keyed constituent.
     from importlib import resources
 
-    from wortfolge import InexpressibleTags, Tag, analyze, linearize, rank_readings
-    from wortfolge.analyze import spec_of
+    from wortfolge import ClauseSpec, InexpressibleTags, Tag, analyze, linearize, rank_readings
     from wortfolge.corpus import load_corpus
     from wortfolge.lexicon import Lexicon
 
@@ -143,7 +142,8 @@ def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
         rank_readings(candidates, lex, table)
         assert len(lookups) == expected, case_id
 
-    spec = spec_of(docs["ex-12a"].observed)
+    obs = docs["ex-12a"].observed
+    spec = ClauseSpec(obs.clause_type, obs.verb, obs.constituents, obs.complementizer)
     lookups.clear()
     with pytest.raises(InexpressibleTags, match="wohl is lexically non-rhematic"):
         linearize(spec, {"wohl": Tag.RHEME}, lex, table)

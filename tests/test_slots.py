@@ -14,35 +14,49 @@ from wortfolge import (
     ClauseType,
     Constituent,
     FeatureBundle,
+    InexpressibleTags,
     Tag,
     VerbComplex,
     analyze,
     enumerate_orders,
     linearize,
-    validate_clause,
 )
-from wortfolge.clause import TRISTATE_VALUES, VERBAL_CATEGORIES
+from wortfolge.clause import TRISTATE_VALUES, VERBAL_CATEGORIES, _violations
 from wortfolge.cli import main
 from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
     KEY_TAGS,
-    NoSlotError,
     SlotTableError,
     SortKey,
-    _slot_keys,
-    all_sort_keys,
+    _placements,
     build_slot_table,
     load_slot_table,
-    sort_key,
 )
 
+from . import oracle
 from .conftest import c, modifier, observed
 
 SHIPPED_TABLE = resources.files("wortfolge.data").joinpath("slot_table.tsv")
 
 
-def _slot(table, constituent, tag=None, lex=None):
-    return sort_key(table, constituent, 0, tag=tag, lex=lex).slot
+def _slots(table, constituent, tag=None):
+    """The slots the engine places the constituent in under the tag, in
+    table order, before any lexical veto."""
+    return [slot for slot, _ in _placements(table, constituent)[KEY_TAGS.index(tag)]]
+
+
+def _slot(table, constituent, tag=None):
+    return _slots(table, constituent, tag)[0]
+
+
+def _vf(*constituents):
+    """The VF clause of the constituents, in input order."""
+    return ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), constituents)
+
+
+def _compiled(table, lex, *constituents):
+    """:func:`_vf` compiled for every tag."""
+    return CompiledClause(_vf(*constituents), {}, lex, table)
 
 
 # --- table structure ---------------------------------------------------------
@@ -71,13 +85,13 @@ def test_definite_animate_object_precedes_pragmatic_band(table):
 def test_arrow_order_accusative_before_dative_in_pronoun_slot(table):
     a = c("a", "A", "ihn", pron=True)
     d = c("d", "D", "ihm", pron=True)
-    key_a = sort_key(table, a, 0)
-    key_d = sort_key(table, d, 1)
-    assert key_a.slot == key_d.slot
-    assert key_a.sub_rank < key_d.sub_rank
+    (slot_a, rank_a), = _placements(table, a)[0]
+    (slot_d, rank_d), = _placements(table, d)[0]
+    assert slot_a == slot_d
+    assert rank_a < rank_d
 
 
-# --- sort_key ----------------------------------------------------------------
+# --- placements ---------------------------------------------------------------
 
 def test_untagged_subject_pronoun_heads_the_table(table):
     assert _slot(table, c("ich", "N", "ich", pron=True)) == 1
@@ -97,16 +111,21 @@ def test_rhematic_modifier_lands_after_modal_band(table):
 
 
 def test_lexically_non_rhematic_modifier_has_no_rheme_slot(table, lex):
+    # The table places the modifier in the RHEME slot; its lexicon entry vetoes it.
     wohl = modifier("wohl", "wohl", 33)
-    with pytest.raises(NoSlotError):
-        sort_key(table, wohl, 0, tag=Tag.RHEME, lex=lex)
+    assert _slots(table, wohl, tag=Tag.RHEME) == [table.rheme_slot]
+    assert _compiled(table, lex, wohl).keys[0][KEY_TAGS.index(Tag.RHEME)] is None
+    message = "no slot for wohl as RHEME (wohl is lexically non-rhematic)"
+    with pytest.raises(oracle.NoSlotError, match=rf"^{re.escape(message)}$"):
+        oracle.sort_key(table, wohl, 0, tag=Tag.RHEME, lex=lex)
+    with pytest.raises(InexpressibleTags, match=rf"^{re.escape(message)}$"):
+        linearize(_vf(wohl), {"wohl": Tag.RHEME}, lex, table)
 
 
 def test_rheme_on_personal_pronoun_has_no_slot(table):
     for category in ("N", "A", "D"):
         pron = c("p", category, "es", pron=True)
-        with pytest.raises(NoSlotError):
-            sort_key(table, pron, 0, tag=Tag.RHEME)
+        assert _slots(table, pron, tag=Tag.RHEME) == []
 
 
 def test_rheme_on_genitive_pronoun_is_expressible(table):
@@ -114,38 +133,35 @@ def test_rheme_on_genitive_pronoun_is_expressible(table):
     assert _slot(table, g, tag=Tag.RHEME) == table.rheme_slot
 
 
-def test_focused_object_pronoun_has_early_and_late_slots(table):
+def test_focused_object_pronoun_has_early_and_late_slots(table, lex):
     ihn = c("ihn", "A", "ihn", pron=True)
-    keys = all_sort_keys(table, ihn, 0, tag=Tag.FOCUS)
-    assert [k.slot for k in keys] == list(table.focus_slots)
+    assert _slots(table, ihn, tag=Tag.FOCUS) == list(table.focus_slots)
     # the early slot wins for the deterministic key
-    assert sort_key(table, ihn, 0, tag=Tag.FOCUS).slot == table.focus_slots[0]
+    assert linearize(_vf(ihn), {"ihn": Tag.FOCUS}, lex, table).keys[0][1].slot == table.focus_slots[0]
 
 
 def test_focused_subject_pronoun_has_only_the_early_slot(table):
     ich = c("ich", "N", "ich", pron=True)
-    keys = all_sort_keys(table, ich, 0, tag=Tag.FOCUS)
-    assert [k.slot for k in keys] == [table.focus_slots[0]]
+    assert _slots(table, ich, tag=Tag.FOCUS) == [table.focus_slots[0]]
 
 
 def test_negation_cannot_take_late_focus_slot(table):
     nicht = modifier("nicht", "nicht", 41)
-    with pytest.raises(NoSlotError):
-        sort_key(table, nicht, 0, tag=Tag.FOCUS)
+    assert _slots(table, nicht, tag=Tag.FOCUS) == []
 
 
 def test_svc_part_matches_only_final_slot(table):
     svc = c("antwort", "A", "Antwort", svc=True)
     assert _slot(table, svc) == table.slot_count
-    with pytest.raises(NoSlotError):
-        sort_key(table, svc, 0, tag=Tag.RHEME)
+    assert _slots(table, svc, tag=Tag.RHEME) == []
 
 
 def test_constituent_without_untagged_slot_is_an_invalid_clause(table, lex):
     # The SVC slot holds only N, A, D, G and PO parts: the refusal every
     # command gives, not an inexpressible tagging.
     hier = c("hier", "SIT", "hier", svc=True)
-    for keys_of in (sort_key, all_sort_keys):
+    assert _slots(table, hier) == []
+    for keys_of in (oracle.sort_key, oracle.all_sort_keys):
         with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
             keys_of(table, hier, 0)
         with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
@@ -157,33 +173,38 @@ def test_constituent_without_untagged_slot_is_an_invalid_clause(table, lex):
 
 # --- SortKey ordering -----------------------------------------------------------
 
-def test_modifier_indexes_order_within_a_band(table):
+def _untagged_keys(table, lex, *constituents):
+    """The untagged key of each constituent of the VF clause they make, in input order."""
+    return [SortKey(*row[0][0]) for row in _compiled(table, lex, *constituents).keys]
+
+
+def test_modifier_indexes_order_within_a_band(table, lex):
     dennoch = modifier("dennoch", "dennoch", 20)
     ebenfalls = modifier("ebenfalls", "ebenfalls", 35)
-    ka = sort_key(table, dennoch, 0)
-    kb = sort_key(table, ebenfalls, 1)
+    ka, kb = _untagged_keys(table, lex, dennoch, ebenfalls)
     assert ka < kb
 
 
-def test_pragmatic_band_precedes_situative_band(table):
+def test_pragmatic_band_precedes_situative_band(table, lex):
     deshalb = modifier("deshalb", "deshalb", 22)
     gestern = modifier("gestern", "gestern", 26)
-    assert sort_key(table, deshalb, 0) < sort_key(table, gestern, 1)
+    ka, kb = _untagged_keys(table, lex, deshalb, gestern)
+    assert ka < kb
 
 
-def test_equal_indexes_keep_input_order(table):
+def test_equal_indexes_keep_input_order(table, lex):
     gestern = modifier("gestern", "gestern", 26)
     damals = modifier("damals", "damals", 26)
-    ka = sort_key(table, gestern, 0)
-    kb = sort_key(table, damals, 1)
+    ka, kb = _untagged_keys(table, lex, gestern, damals)
     assert ka < kb
     assert kb > ka and not kb < ka
 
 
-def test_untagged_sort_reproduces_the_three_modifier_order(table, ex6_clause):
+def test_untagged_sort_reproduces_the_three_modifier_order(table, lex, ex6_clause):
+    clause = CompiledClause(ex6_clause, {}, lex, table)
     keyed = sorted(
-        (sort_key(table, con, i), con.id)
-        for i, con in enumerate(ex6_clause.constituents)
+        (row[0][0], con.id)
+        for con, row in zip(ex6_clause.constituents, clause.keys)
         if con.category is Category.M
     )
     assert [cid for _, cid in keyed] == ["deshalb", "gestern", "mit-wolf"]
@@ -209,8 +230,7 @@ def _all_valid_untagged():
 
 def test_default_order_is_total(table):
     for constituent in _all_valid_untagged():
-        key = sort_key(table, constituent, 0)
-        assert 1 <= key.slot <= table.slot_count
+        assert 1 <= _slot(table, constituent) <= table.slot_count
 
 
 # --- the signature index ------------------------------------------------------
@@ -225,71 +245,116 @@ def _accepted_signatures():
             TRISTATE_VALUES, TRISTATE_VALUES, (False, True), (False, True), indexes
         ):
             x = Constituent("x", category, ("x",), FeatureBundle(definite, animate, pron, svc), index)
-            if not validate_clause(ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), (x,))):
+            cooccurrence, invalid, _ = _violations(_vf(x), {})
+            if not cooccurrence + invalid:
                 yield x
 
 
 ACCEPTED = tuple(_accepted_signatures())
 
 
-def _placing_patterns(table, x, tag):
-    """The patterns that place ``x`` under ``tag``: the first match per slot
-    for FOCUS, the first match overall otherwise.  Reads the pattern fields
-    directly, without ``SlotPattern.matches``."""
-    f = x.features
-    placing = []
-    for p in table.patterns:
-        if p.required_tag is not tag or any(q.slot == p.slot for q in placing):
-            continue
-        fits = (
-            p.svc == f.svc
-            and p.category in (None, x.category)
-            and p.pron in (None, f.pronominal)
-            and (p.definite is None or (not f.pronominal and p.definite == f.definite))
-            and (p.animate is None or (not f.pronominal and p.animate == f.animate))
-            and (p.hoberg_lo is None or (x.hoberg_index is not None and p.hoberg_lo <= x.hoberg_index <= p.hoberg_hi))
-        )
-        if fits:
-            placing.append(p)
-            if tag is not Tag.FOCUS:
-                break
-    return placing
+def _oracle_placements(table, x):
+    return tuple(tuple((p.slot, p.sub_rank) for p in oracle.placing_patterns(table, x, tag)) for tag in KEY_TAGS)
 
 
 def test_signature_index_agrees_with_an_independent_scan():
     text = SHIPPED_TABLE.read_text("utf-8")
     assert len(ACCEPTED) == 1924
     warm = load_slot_table(text)
-    for tag in reversed(KEY_TAGS):
-        for x in reversed(ACCEPTED):
-            _slot_keys(warm, x, 0, tag, None)
-    for tag in KEY_TAGS:
-        # A fresh table per tag, so every signature is first looked up under it.
-        cold = load_slot_table(text)
-        for x in ACCEPTED:
-            expected = tuple((p.slot, p.sub_rank, x.hoberg_index or 0, 7) for p in _placing_patterns(cold, x, tag))
-            assert _slot_keys(cold, x, 7, tag, None) == expected, (x, tag)
-            assert _slot_keys(warm, x, 7, tag, None) == expected, (x, tag)
+    for x in reversed(ACCEPTED):
+        _placements(warm, x)
+    # Each signature is first looked up in the cold table here.
+    cold = load_slot_table(text)
+    for x in ACCEPTED:
+        expected = _oracle_placements(cold, x)
+        assert _placements(cold, x) == expected, x
+        assert _placements(warm, x) == expected, x
+
+
+def test_compiled_keys_agree_with_the_oracle_keyer(table, lex):
+    # Every key the compiled clause holds, with its Hoberg index and input
+    # ordinal, is the oracle's, and a missing key is the oracle's NoSlotError.
+    compared = 0
+    for x in ACCEPTED:
+        if not _slots(table, x):
+            continue
+        row = _compiled(table, lex, c("y", "M", "y", hoberg=1), x).keys[1]
+        for tag, keys in zip(KEY_TAGS, row):
+            try:
+                expected = oracle.all_sort_keys(table, x, 1, tag=tag, lex=lex)
+            except oracle.NoSlotError:
+                expected = None
+            assert keys == expected, (x, tag)
+        compared += 1
+    assert compared == 1042
 
 
 def test_every_accepted_constituent_has_one_untagged_slot_or_is_refused(table, lex):
     refused = 0
     for x in ACCEPTED:
-        keys = _slot_keys(table, x, 0, None, None)
-        spec = ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), (x,))
+        keys = _placements(table, x)[0]
         if x.features.svc and x.category not in (Category.N, Category.A, Category.D, Category.G, Category.PO):
             assert keys == (), x
             with pytest.raises(ValueError, match=r"^invalid clause spec: x: no untagged slot$"):
-                CompiledClause(spec, {}, lex, table)
+                _compiled(table, lex, x)
             refused += 1
         else:
             assert len(keys) == 1, x
-            CompiledClause(spec, {}, lex, table)
+            _compiled(table, lex, x)
     assert refused == 882
 
 
+def _group(x):
+    """The category/feature group of a signature: the category with the
+    features its patterns can tell apart."""
+    f, category = x.features, x.category.value
+    if f.svc:
+        return f"{category} svc"
+    if x.category is Category.M:
+        return f"M {x.hoberg_index}"
+    if f.pronominal:
+        return f"{category} pron"
+    if x.category in (Category.N, Category.A, Category.D, Category.PO):
+        return f"{category} {f.definite}d{f.animate}a"
+    return category
+
+
+def _without(table, tag):
+    """Per group, the number of placed signatures without a slot for the tag."""
+    counts = {}
+    for x in ACCEPTED:
+        placements = _placements(table, x)
+        if placements[0] and not placements[KEY_TAGS.index(tag)]:
+            counts[_group(x)] = counts.get(_group(x), 0) + 1
+    return counts
+
+
+#: Groups without a slot for the tag under any of the nine
+#: definiteness/animacy values; an SVC part or a modifier counts them with
+#: and without the pronoun flag (18).
+_PLAIN = {group: 9 for group in ("ADJ", "ADJ pron", "DIR", "DIR pron", "EXP", "EXP pron", "NOM", "NOM pron",
+                                 "SIT", "SIT pron")}
+_SVC = {f"{category} svc": 18 for category in ("N", "A", "D", "G", "PO")}
+
+
+def test_inexpressible_taggings_are_pinned(table):
+    # The paper's inexpressible taggings, read off the table: of the 1,042
+    # placed signatures, 252 have no RHEME slot and 198 no FOCUS slot.
+    no_rheme = _without(table, Tag.RHEME)
+    assert no_rheme == {
+        **_PLAIN, **_SVC, "G": 9, "M 44": 18,
+        "N +d+a": 1, "N pron": 9, "A -d+a": 1, "A -d-a": 1, "A pron": 9, "D -d+a": 1, "D -d-a": 1, "D pron": 9,
+        "PO +d+a": 1, "PO +d-a": 1, "PO -d+a": 1, "PO -d-a": 1, "PO pron": 9,
+    }
+    assert sum(no_rheme.values()) == 252
+    no_focus = _without(table, Tag.FOCUS)
+    assert no_focus == {**_PLAIN, **_SVC, "M 41": 18}
+    assert sum(no_focus.values()) == 198
+    assert _without(table, Tag.THEME) == _SVC
+
+
 def test_no_pattern_is_dead(table):
-    placing = {id(p) for x in ACCEPTED for tag in KEY_TAGS for p in _placing_patterns(table, x, tag)}
+    placing = {id(p) for x in ACCEPTED for tag in KEY_TAGS for p in oracle.placing_patterns(table, x, tag)}
     assert len(table.patterns) == 59
     assert placing == {id(p) for p in table.patterns}
 
@@ -298,12 +363,12 @@ def test_threads_filling_one_index_agree():
     # More threads than cores, switching often, all filling one cold index.
     text = SHIPPED_TABLE.read_text("utf-8")
     alone = load_slot_table(text)
-    expected = [_slot_keys(alone, x, 0, Tag.FOCUS, None) for x in ACCEPTED]
+    expected = [_placements(alone, x) for x in ACCEPTED]
     shared = load_slot_table(text)
     results = {}
 
     def key_all(worker):
-        results[worker] = [_slot_keys(shared, x, 0, Tag.FOCUS, None) for x in ACCEPTED]
+        results[worker] = [_placements(shared, x) for x in ACCEPTED]
 
     threads = [threading.Thread(target=key_all, args=(worker,)) for worker in range(4)]
     interval = sys.getswitchinterval()
@@ -391,8 +456,7 @@ def test_late_focus_slot_follows_every_row5_slot(table):
 
 
 def _typically_rhematic(table, lex, constituent):
-    spec = ClauseSpec(ClauseType.VF, VerbComplex(("hat",)), (constituent,))
-    return CompiledClause(spec, {}, lex, table).typically_rhematic[0]
+    return _compiled(table, lex, constituent).typically_rhematic[0]
 
 
 def test_typically_rhematic_geometry(table, lex):

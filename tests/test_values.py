@@ -2,7 +2,8 @@
 
 Every value type is a plain immutable class: fields in positional order,
 field-wise equality, hash and repr, and a ``_replace`` that rebuilds through
-the constructor.  The corpus results are the two mutable exceptions.
+the constructor.  The corpus results are the two mutable exceptions, and
+the types that hold dicts (documents and corpus cases) refuse to hash.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from wortfolge import (
     ObservedClause,
     OrderVariant,
     RankedReading,
-    SlotPattern,
     SortKey,
     StressWarning,
     SurfaceOrder,
@@ -36,8 +36,9 @@ from wortfolge import (
     VerbComplex,
     Verdict,
 )
-from wortfolge.corpus import CaseResult, CorpusSummary
+from wortfolge.corpus import CaseResult, CorpusCase, CorpusSummary
 from wortfolge.documents import ClauseDocument, Mode
+from wortfolge.slots import SlotPattern
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -151,7 +152,11 @@ def test_equality_and_hash_follow_type_and_fields(value):
     cls, args, _, change = value
     instance, twin = cls(*args), cls(*args)
     assert instance == twin and not instance != twin
-    assert hash(instance) == hash(twin)
+    if cls.__hash__ is None:  # a value type holding dicts
+        with pytest.raises(TypeError, match=f"^unhashable type: '{cls.__name__}'$"):
+            hash(instance)
+    else:
+        assert hash(instance) == hash(twin)
     assert instance != instance._replace(**change)
     assert instance != object()
     lookalike = type("Lookalike", (cls,), {"__slots__": ()})(*args)
@@ -211,6 +216,16 @@ def test_corpus_results_stay_mutable_and_unhashable():
     assert summary == CorpusSummary([]) and summary.ok
     for unhashable in (result, summary):
         with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def test_values_holding_dicts_are_unhashable():
+    # Hashing names the class, not the dict inside it.
+    document = ClauseDocument(Mode.GENERATE, ClauseSpec(ClauseType.V2, _VERB, (_ICH,)), {})
+    case = CorpusCase("ex-1", document, {"rendered": "Ich habe gesehen"})
+    for unhashable in (document, case):
+        assert unhashable == unhashable._replace()
+        with pytest.raises(TypeError, match=f"^unhashable type: '{type(unhashable).__name__}'$"):
             hash(unhashable)
 
 
