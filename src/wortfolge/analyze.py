@@ -14,6 +14,10 @@ constituent under every tag, and an assignment realizes the observed order iff
 no linear-precedence statement is violated (the ID/LP reading of the slot
 table): its theme is admissible, in V2 the Vorfeld rule admits the first
 element, and the Mittelfeld keys strictly increase along the observed order.
+Since that is a property of adjacent pairs, the assignments are found in one
+left-to-right walk over the order that tags a constituent only where its key
+still fits, so the cost grows with the explanations found, not with the
+(n+1)^3 assignments.
 Two marked constructions are additionally detected directly (a typically
 rhematic element in the Vorfeld, and a pronoun to the right of a modifier);
 the detections must agree with the key check and are reported alongside it.
@@ -28,7 +32,7 @@ from enum import Enum
 
 from .clause import Category, ClauseType, Constituent, Tag, VerbComplex, _set, _Value
 from .lexicon import Lexicon
-from .linearize import CompiledClause, TagAssignment, _check_search_size, iter_assignments
+from .linearize import CompiledClause, TagAssignment, _check_search_size
 from .slots import SlotTable, build_slot_table
 
 
@@ -122,22 +126,53 @@ def _stress_focus(obs: ObservedClause) -> TagAssignment | None:
 def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[TagAssignment, ...]:
     """Every tag assignment whose realizations include the observed order ``ids``.
 
-    Assignments come in :func:`iter_assignments` order, each checked against
-    the compiled clause (see :meth:`CompiledClause.realizes_input_order`).
-    An empty result means the order is ungrammatical.  Stress marks are hard
-    constraints: a non-empty ``fixed`` puts FOCUS exactly on the marked
-    constituent.
+    One left-to-right walk over the observed order.  A branch is a prefix of
+    an assignment with its last Mittelfeld key; at each position it goes on
+    untagged, or under each unused tag the position has a slot for (a theme
+    never typically rhematic, and in V2 never in the Mittelfeld), and it dies
+    at the first key not above its predecessor's.  A focus takes the first of
+    its keys above its predecessor's, which leaves the most room for the rest.
+    The V2 Vorfeld is never compared; it may carry any tag, and each finished
+    assignment must let it open the clause (:meth:`CompiledClause._vorfelds`).
+    Results come in :func:`iter_assignments` order; none means the order is
+    ungrammatical.  Stress marks are hard constraints: a non-empty ``fixed``
+    puts FOCUS exactly on the marked constituent.
     """
-    # Skipping carriers that can license nothing keeps iter_assignments order.
-    themes = [None, *clause.carriers(Tag.THEME)]
-    rhemes = [None, *clause.carriers(Tag.RHEME)]
-    focuses = [ids.index(cid) for cid in fixed] if fixed else [None, *clause.carriers(Tag.FOCUS)]
-    out = []
-    for theme, rheme, focus in iter_assignments(themes, rhemes, focuses):
-        if clause.realizes_input_order(theme, rheme, focus):
-            carriers = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
-            out.append({ids[i]: tag for i, tag in carriers if i is not None})
-    return tuple(out)
+    v2 = clause.clause_type is ClauseType.V2
+    stressed = ids.index(next(iter(fixed))) if fixed else None
+    # A branch is [previous Mittelfeld key, theme, rheme, focus]: index j holds KEY_TAGS[j]'s carrier.
+    branches = [[(), None, None, None]]
+    for i, row in enumerate(clause.keys):
+        vorfeld = v2 and i == 0
+        columns = (3,) if i == stressed else (0, 1, 2) if fixed else (0, 1, 2, 3)
+        if clause.typically_rhematic[i] or (v2 and not vorfeld):
+            columns = [j for j in columns if j != 1]
+        # (tag column, keys to compare); the Vorfeld takes any tag and is never compared.
+        options = [(j, None) for j in columns] if vorfeld else [(j, row[j]) for j in columns if row[j]]
+        grown = []
+        for branch in branches:
+            prev = branch[0]
+            for j, keys in options:
+                if j and branch[j] is not None:
+                    continue
+                key = ()
+                if keys is not None:
+                    for key in keys:
+                        if key > prev:
+                            break
+                    else:
+                        continue
+                child = [key, *branch[1:]]
+                if j:
+                    child[j] = i
+                grown.append(child)
+        branches = grown
+    finished = sorted(
+        (b[1:] for b in branches if not v2 or 0 in clause._vorfelds(*b[1:])),
+        key=lambda carriers: [-1 if i is None else i for i in carriers],
+    )
+    tags = (Tag.THEME, Tag.RHEME, Tag.FOCUS)
+    return tuple({ids[i]: tag for i, tag in zip(carriers, tags) if i is not None} for carriers in finished)
 
 
 def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -> tuple[str, ...]:

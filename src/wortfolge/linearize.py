@@ -14,8 +14,8 @@ implementation, :class:`CompiledClause`: the clause is validated and keyed
 once, with its Vorfeld rule (:meth:`CompiledClause.vorfeld_pick`), then used
 forwards (:func:`linearize` takes each element's first key;
 :meth:`CompiledClause.realize`, behind :func:`realizations` and
-:func:`enumerate_orders`, takes every key) and backwards, for one given order
-(:meth:`CompiledClause.realizes_input_order`, behind the analyzer).
+:func:`enumerate_orders`, takes every key) and backwards, by the analyzer's
+one walk over a given order, which compares only adjacent keys.
 :func:`linearize` and :func:`realizations` key only the tags of their one
 assignment; enumeration and analysis key every constituent under every tag.
 An assignment moves at most three constituents away from the untagged order,
@@ -240,7 +240,8 @@ class CompiledClause:
     right-field realization.  ``entries[i]`` is its lexicon entry (None
     without a key).  With ``vorfeld_capable``, ``typically_rhematic`` and
     ``subject`` they are all that generation, enumeration, analysis and
-    disambiguation read.
+    disambiguation read.  Analysis reads the keys in one walk over the input
+    order and runs the Vorfeld rule only on the assignments that survive it.
     Assignments are given as input ordinals of the theme, rheme and focus
     carriers, None for an absent tag.  With ``every_tag`` false the clause is
     compiled for the one assignment ``tags``: only the untagged column and
@@ -311,21 +312,6 @@ class CompiledClause:
         self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)
         # The untagged keys in Mittelfeld order, sorted on the first realize.
         self._untagged = None
-
-    def carriers(self, tag: Tag) -> list[int]:
-        """Input ordinals that may carry the tag, in input order.
-
-        Outside the V2 Vorfeld a carrier needs a slot for its tag.  The
-        Vorfeld (ordinal 0) needs none, and in V2 it is the only place a
-        theme can stand.
-        """
-        column = KEY_TAGS.index(tag)
-        v2 = self.clause_type is ClauseType.V2
-        return [
-            i
-            for i, row in enumerate(self.keys)
-            if (v2 and i == 0) or (row[column] is not None and not (v2 and tag is Tag.THEME))
-        ]
 
     def vorfeld_pick(self, theme: int | None, rheme: int | None, focus: int | None) -> int | None:
         """The V2 Vorfeld rule: theme, else subject, else first capable element.
@@ -401,37 +387,6 @@ class CompiledClause:
                 if order not in seen:
                     seen.add(order)
                     yield order, mittelfeld
-
-    def realizes_input_order(self, theme: int | None, rheme: int | None, focus: int | None) -> bool:
-        """Whether :func:`realizations` of the assignment include the input order.
-
-        The generator run backwards, as a linear-precedence check: the theme
-        must be admissible, in V2 the Vorfeld rule must admit the first
-        constituent, and the Mittelfeld keys must strictly increase in input
-        order.  Keys are unique because they end in the input ordinal; a focus
-        carrier takes the first of its keys (table order ascends) above its
-        predecessor's, which leaves the most room for the rest.
-        """
-        if theme is not None and self.typically_rhematic[theme]:
-            return False
-        start = 0
-        if self.clause_type is ClauseType.V2:
-            if 0 not in self._vorfelds(theme, rheme, focus):
-                return False
-            start = 1
-        prev = ()
-        for i in range(start, len(self.keys)):
-            column = 1 if i == theme else 2 if i == rheme else 3 if i == focus else 0
-            keys = self.keys[i][column]
-            if keys is None:
-                return False
-            for key in keys:
-                if key > prev:
-                    break
-            else:
-                return False
-            prev = key
-        return True
 
 
 def iter_assignments(themes, rhemes, focuses):

@@ -56,7 +56,11 @@ def _build_constituent(cid, kind, rng):
             lexicon_key=entry.key,
         )
     if kind in ("A", "D", "PO"):
-        if rng.random() < 0.3:
+        # One in ten is a support-verb construction part (slot 27), three a pronoun.
+        draw = rng.random()
+        if draw < 0.1:
+            features = FeatureBundle(svc=True)
+        elif draw < 0.4:
             features = FeatureBundle(pronominal=True)
         else:
             features = FeatureBundle(definite=rng.choice(_SIGNS), animate=rng.choice(_SIGNS))

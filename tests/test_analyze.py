@@ -3,8 +3,12 @@ import random
 import pytest
 
 from wortfolge import (
+    ClauseSpec,
+    ClauseType,
+    ObservedClause,
     Tag,
     Verdict,
+    VerbComplex,
     analyze,
     enumerate_orders,
     linearize,
@@ -65,6 +69,40 @@ def test_stress_marks_are_hard_constraints(ex8_clause, lex):
     assert analyze(right, lex).explanations
 
 
+def test_empty_v2_clause_has_no_explanation(lex):
+    # Nothing can open the clause.  An empty VF clause is the empty assignment's order.
+    v2 = analyze(ObservedClause(ClauseType.V2, VerbComplex(("regnet",)), ()), lex)
+    assert (v2.verdict, v2.explanations) == (Verdict.UNGRAMMATICAL, ())
+    vf = analyze(ObservedClause(ClauseType.VF, VerbComplex(("regnet",)), (), "weil"), lex)
+    assert (vf.verdict, vf.explanations) == (Verdict.GRAMMATICAL_UNMARKED, ((),))
+
+
+@pytest.fixture(scope="module")
+def dennoch_clause():
+    return ClauseSpec(
+        ClauseType.V2,
+        VerbComplex(("kommt",)),
+        (c("er", "N", "er", pron=True), modifier("dennoch", "dennoch", 20), modifier("morgen", "morgen", 26)),
+    )
+
+
+def test_stress_on_a_non_focusable_mittelfeld_modifier_is_ungrammatical(dennoch_clause, lex):
+    # dennoch#20 has no FOCUS key, so the stress mark leaves no assignment.
+    result = analyze(observed(dennoch_clause, ["er", "dennoch", "morgen"], stress=["dennoch"]), lex)
+    assert (result.verdict, result.explanations) == (Verdict.UNGRAMMATICAL, ())
+
+
+def test_stress_on_the_vorfeld_element_focuses_it(dennoch_clause, lex):
+    # The Vorfeld is never compared: the stressed subject opens the clause as the focus.
+    result = analyze(observed(dennoch_clause, ["er", "dennoch", "morgen"], stress=["er"]), lex)
+    assert result.verdict is Verdict.GRAMMATICAL_MARKED
+    assert result.focus == "er"
+    assert result.explanations == (
+        (("er", Tag.FOCUS),),
+        (("er", Tag.FOCUS), ("morgen", Tag.RHEME)),
+    )
+
+
 # --- focus recognition --------------------------------------------------------------
 
 def test_directional_vorfeld_is_recognized_as_focus(ex8_clause, lex):
@@ -87,8 +125,6 @@ def test_default_order_has_no_focus(ex5_clause, lex):
 # --- theme recognition ----------------------------------------------------------------
 
 def test_initial_modifier_is_theme(lex):
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex
-
     spec = ClauseSpec(
         ClauseType.V2,
         VerbComplex(("lebte",)),
@@ -104,8 +140,6 @@ def test_initial_modifier_is_theme(lex):
 
 
 def test_embedded_clause_theme_follows_complementizer(lex):
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex
-
     spec = ClauseSpec(
         ClauseType.VF,
         VerbComplex(("kocht",)),
@@ -202,8 +236,6 @@ def test_detector_agrees_with_search_on_marked_orders(ex9_clause, lex):
 def test_detector_ignores_default_fronting_in_late_field_only_clauses(lex):
     # Subjectless clause of late-field elements: something has to open the
     # clause, so the fronting carries no stress requirement.
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex
-
     spec = ClauseSpec(
         ClauseType.V2,
         VerbComplex(("wurde",), ("gewartet",)),
@@ -220,8 +252,6 @@ def test_detector_ignores_default_fronting_in_late_field_only_clauses(lex):
 def test_detector_ignores_presentational_fronting_over_rhematic_subjects(lex):
     # An indefinite subject can be tagged rhematic, licensing the fronted
     # prepositional object without any stress; the detector must stay quiet.
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex
-
     spec = ClauseSpec(
         ClauseType.V2,
         VerbComplex(("warteten",)),
@@ -239,8 +269,6 @@ def test_detector_ignores_presentational_fronting_over_rhematic_subjects(lex):
 def test_detector_skips_late_field_pronouns(lex):
     # Prepositional pronouns default to the late field; standing right of a
     # modifier is their unmarked position.
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex
-
     spec = ClauseSpec(
         ClauseType.V2,
         VerbComplex(("hat",), ("gewartet",)),

@@ -1,4 +1,4 @@
-"""Differential test: the key-check explanations against the search they replaced.
+"""Differential test: the analyzer's walk against the search it replaced.
 
 ``reference_explain_order`` (in ``tests/oracle.py``) is the generate-and-test
 search: it runs the reference ``realizations`` for every tag assignment and
@@ -7,18 +7,22 @@ explanations, as ``analyze`` reports them, must be the same assignments in
 the same order, or ``analyze`` must raise the same exception class with the
 same message.  Under stress marks no assignment can carry, the engine
 validates the clause where the reference did not (see
-:func:`oracle.unusable_stress`).
+:func:`oracle.unusable_stress`).  Random observations reach the walk's
+pruning cases by chance; two small clauses are checked in every order under
+every single stress mark.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wortfolge import Category, Constituent, analyze
+from wortfolge import Category, ClauseSpec, ClauseType, Constituent, VerbComplex, analyze
 
-from .conftest import observed
+from .conftest import c, modifier, observed
 from .oracle import outcome, reference_explain_order, unusable_stress
 from .strategies import _LEX, observation
 
@@ -46,3 +50,41 @@ def test_unresolved_lexicon_key_raises_key_error(ex5_clause, lex, search):
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray,))
     with pytest.raises(KeyError, match="bald#25"):
         search(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex)
+
+
+#: A pronoun subject, a definite dative, a Vorfeld-capable but non-focusable
+#: modifier and a plain one: every way the walk prunes a branch.
+_WALKED = (
+    c("er", "N", "er", pron=True),
+    c("dem-mann", "D", "dem Mann", definite="+", animate="+"),
+    modifier("dennoch", "dennoch", 20),
+    modifier("gestern", "gestern", 26),
+)
+#: A dative pronoun has an early and a late FOCUS key: the walk's greedy choice.
+_TWO_FOCUS_KEYS = (c("er", "N", "er", pron=True), c("ihm", "D", "ihm", pron=True), modifier("gestern", "gestern", 26))
+
+
+@pytest.mark.parametrize(
+    "constituents, clause_type, grammatical",
+    [
+        (_WALKED, ClauseType.V2, 27),
+        (_WALKED, ClauseType.VF, 21),
+        (_TWO_FOCUS_KEYS, ClauseType.V2, 15),
+        (_TWO_FOCUS_KEYS, ClauseType.VF, 10),
+    ],
+)
+def test_every_order_and_stress_mark_of_one_clause_matches_reference_search(
+    constituents, clause_type, grammatical, lex
+):
+    complementizer = "weil" if clause_type is ClauseType.VF else None
+    spec = ClauseSpec(clause_type, VerbComplex(("hat",), ("geholfen",)), constituents, complementizer)
+    ids = [x.id for x in constituents]
+    explained = 0
+    for order in itertools.permutations(ids):
+        for stress in [(), *((cid,) for cid in ids)]:
+            obs = observed(spec, order, stress)
+            got = explain_order(obs, lex)
+            assert got == reference_explain_order(obs, lex), (order, stress)
+            explained += bool(got)
+    # The count keeps the walk's successes in view (240 cases for the four constituents).
+    assert explained == grammatical
