@@ -8,7 +8,6 @@ grammaticality verdicts and focus-avoiding disambiguation of readings.
 
 from .analyze import (
     AnalysisResult,
-    ObservedClause,
     StressWarning,
     Verdict,
     analyze,
@@ -75,7 +74,6 @@ __all__ = [
     "NEGATED",
     "NO_NEGATION",
     "NoVorfeld",
-    "ObservedClause",
     "OrderVariant",
     "RankedReading",
     "SlotTable",

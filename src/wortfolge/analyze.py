@@ -21,49 +21,26 @@ still fits, so the cost grows with the explanations found, not with the
 Two marked constructions are additionally detected directly (a typically
 rhematic element in the Vorfeld, and a pronoun to the right of a modifier);
 the detections must agree with the key check and are reported alongside it.
-:func:`analyze` compiles the observed clause once and reads the explanations,
-both detectors and the final constituent's lexicon entry off that one
-:class:`CompiledClause`.
+The observed clause is a :class:`ClauseSpec` whose constituents stand in
+surface order, with optional stress marks.  :func:`analyze` compiles it once
+and reads the explanations, both detectors and the final constituent's
+lexicon entry off that one :class:`CompiledClause`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .clause import Category, ClauseType, Constituent, Tag, VerbComplex, _set, _Value
+from .clause import Category, ClauseSpec, ClauseType, Tag, _set, _Value
 from .lexicon import Lexicon
 from .linearize import CompiledClause, TagAssignment, _check_search_size
 from .slots import SlotTable, build_slot_table
 
 
-class ObservedClause(_Value):
-    """An ordered clause as encountered in text, with no tags.
-
-    ``constituents`` are in surface order: in V2 the first one occupies the
-    Vorfeld; in VF they follow the complementizer.  ``stress`` optionally
-    names constituents the input marks as contrastively stressed (the
-    capitals convention); when present it constrains the explanations.
-    """
-
-    __slots__ = ("clause_type", "verb", "constituents", "complementizer", "stress")
-
-    def __init__(
-        self,
-        clause_type: ClauseType,
-        verb: VerbComplex,
-        constituents: tuple[Constituent, ...],
-        complementizer: str | None = None,
-        stress: frozenset[str] = frozenset(),
-    ):
-        _set(self, "clause_type", clause_type)
-        _set(self, "verb", verb)
-        _set(self, "constituents", tuple(constituents))
-        _set(self, "complementizer", complementizer)
-        _set(self, "stress", frozenset(stress))
-
-    @property
-    def order(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.constituents)
+#: ``perfbench/inputs.py`` builds clauses under this name, positionally with
+#: five arguments.  ROADMAP item 1 switches it to ``ClauseSpec`` and deletes
+#: this line.
+ObservedClause = ClauseSpec
 
 
 class Verdict(str, Enum):
@@ -112,7 +89,7 @@ class AnalysisResult(_Value):
         _set(self, "detected_focus", detected_focus)
 
 
-def _stress_focus(obs: ObservedClause) -> TagAssignment | None:
+def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
     """Check the size cap; return the FOCUS the stress marks fix (``{}`` without
     marks, None for marks no assignment can carry: an unknown id, two ids)."""
     _check_search_size(len(obs.constituents))
@@ -175,7 +152,7 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[Ta
     return tuple({ids[i]: tag for i, tag in zip(carriers, tags) if i is not None} for carriers in finished)
 
 
-def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -> tuple[str, ...]:
+def _detections(clause: CompiledClause, obs: ClauseSpec, table: SlotTable) -> tuple[str, ...]:
     """Direct detectors for the order patterns that require contrastive stress.
 
     Read off the compiled clause: (a) the Vorfeld holds a typically rhematic
@@ -213,7 +190,7 @@ def _detections(clause: CompiledClause, obs: ObservedClause, table: SlotTable) -
 
 
 def analyze(
-    obs: ObservedClause,
+    obs: ClauseSpec,
     lex: Lexicon,
     table: SlotTable | None = None,
 ) -> AnalysisResult:
@@ -228,7 +205,7 @@ def analyze(
     return _analyze(obs, lex, table or build_slot_table())[1]
 
 
-def _analyze(obs: ObservedClause, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
+def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
     """:func:`analyze`, also returning the compiled clause it read everything off."""
     fixed = _stress_focus(obs)
     clause = CompiledClause(obs, fixed or {}, lex, table)

@@ -183,13 +183,19 @@ class VerbComplex(_Value):
 
 
 class ClauseSpec(_Value):
-    """An unordered clause: type, verb complex, constituent multiset.
+    """A clause: type, verb complex, constituents, and the stress marks analysis reads.
 
-    ``constituents`` is stored as a tuple for determinism but its order
-    carries no meaning; all operations treat it as a multiset.
+    The order of ``constituents`` is the input order.  Generation reorders
+    them and reads it only to break ties between equal slot keys (the input
+    ordinal, the last field of a :class:`~wortfolge.slots.SortKey`); analysis
+    reads it as the observed surface order, in V2 with the Vorfeld occupant
+    first and in VF after the complementizer.  ``stress`` names the
+    constituents the input marks as contrastively stressed (the capitals
+    convention); only analysis reads it, as a hard constraint on the
+    explanations.
     """
 
-    __slots__ = ("clause_type", "verb", "constituents", "complementizer")
+    __slots__ = ("clause_type", "verb", "constituents", "complementizer", "stress")
 
     def __init__(
         self,
@@ -197,11 +203,21 @@ class ClauseSpec(_Value):
         verb: VerbComplex,
         constituents: tuple[Constituent, ...],
         complementizer: str | None = None,
+        stress: frozenset[str] = frozenset(),
     ):
         _set(self, "clause_type", clause_type)
         _set(self, "verb", verb)
         _set(self, "constituents", tuple(constituents))
         _set(self, "complementizer", complementizer)
+        _set(self, "stress", frozenset(stress))
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        return tuple(c.id for c in self.constituents)
+
+    def reordered(self, order, stress=()) -> ClauseSpec:
+        """The clause with its constituents in ``order`` (ids) and the marks ``stress``."""
+        return self._replace(constituents=[self.by_id(cid) for cid in order], stress=stress)
 
     def by_id(self, cid: str) -> Constituent:
         for c in self.constituents:
@@ -227,8 +243,7 @@ def _all_words(tokens) -> bool:
 def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], list[str]]:
     """Every defect of the clause under the assignment ``tags``, in one pass.
 
-    ``spec`` is a :class:`ClauseSpec` or an observed clause: only the fields
-    both have are read.  A malformed clause produces violations, never
+    Stress marks are not read.  A malformed clause produces violations, never
     exceptions.  Returns three lists of violations: cooccurrence (the slash
     groups, the focus slot holding more than one constituent, verbs among the
     constituents), which no assignment can order; the spec's own defects; and
@@ -268,6 +283,8 @@ def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], lis
         if c.category is Category.M:
             if c.hoberg_index is None:
                 invalid.append(f"{c.id}: modifier without Hoberg index")
+            elif not isinstance(c.hoberg_index, int) or isinstance(c.hoberg_index, bool):
+                invalid.append(f"{c.id}: Hoberg index {c.hoberg_index!r} is not an integer")
             elif not 1 <= c.hoberg_index <= 44:
                 invalid.append(f"{c.id}: Hoberg index {c.hoberg_index} outside 1..44")
         elif c.hoberg_index is not None:

@@ -207,7 +207,7 @@ def _cmd_generate(args, lex, table) -> int:
 def _cmd_analyze(args, lex, table) -> int:
     doc = _read_document(args.observed, Mode.ANALYZE)
     _check_keys(doc, lex)
-    observed = doc.observed
+    observed = doc.clause
     result = analyze(observed, lex, table)
     report = analysis_report(result)
 

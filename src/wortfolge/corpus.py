@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .analyze import AnalysisResult, ObservedClause, analyze
+from .analyze import AnalysisResult, analyze
 from .clause import _set, _Value
 from .documents import (
     ClauseDocument,
     DocumentError,
     Mode,
+    _parse_stress,
     analysis_report,
     parse_document,
     verify_document_keys,
@@ -143,9 +144,16 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         _check_fields(expected, _EXPECTED_FIELDS, f"{where}.expected")
         readings = expected.get("readings", {})
         _check_fields(readings, dict.fromkeys(readings, dict), f"{where}.expected.readings")
-        printed_order = set(raw_case.get("printed_order", []))
-        if doc.mode is Mode.GENERATE and not printed_order <= {c.id for c in doc.clause.constituents}:
-            raise DocumentError(f"{where}.printed_order: names an unknown constituent")
+        printed_order = raw_case.get("printed_order", [])
+        printed_stress = raw_case.get("printed_stress", [])
+        if doc.mode is Mode.GENERATE:
+            # The printed line is analysed as a reordering of the clause.
+            ids = [c.id for c in doc.clause.constituents]
+            if not set(printed_order) <= set(ids):
+                raise DocumentError(f"{where}.printed_order: names an unknown constituent")
+            if printed_order and sorted(printed_order) != sorted(ids):
+                raise DocumentError(f"{where}.printed_order: must name every constituent once")
+            _parse_stress(printed_stress, ids, f"{where}.printed_stress")
         cases.append(
             CorpusCase(
                 case_id=case_id,
@@ -153,8 +161,8 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
                 expected=raw_case.get("expected", {}),
                 expected_mismatch=bool(raw_case.get("flags", {}).get("expected_mismatch", False)),
                 printed=tuple(raw_case.get("printed", [])),
-                printed_order=tuple(raw_case.get("printed_order", [])),
-                printed_stress=frozenset(raw_case.get("printed_stress", [])),
+                printed_order=tuple(printed_order),
+                printed_stress=frozenset(printed_stress),
                 note=raw_case.get("note", ""),
             )
         )
@@ -172,16 +180,6 @@ def _check_analysis(expected: dict, result: AnalysisResult, failures: list, pref
     for name, value in expected.items():
         if name not in actual or actual[name] != value:
             failures.append(f"{prefix}.{name}: expected {value!r}, got {actual.get(name)!r}")
-
-
-def _observed_from_order(spec, order, stress=frozenset()) -> ObservedClause:
-    return ObservedClause(
-        clause_type=spec.clause_type,
-        verb=spec.verb,
-        constituents=tuple(spec.by_id(cid) for cid in order),
-        complementizer=spec.complementizer,
-        stress=frozenset(stress),
-    )
 
 
 def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> CaseResult:
@@ -210,7 +208,7 @@ def _check_case(case: CorpusCase, lex: Lexicon, table: SlotTable, failures: list
         if "vorfeld" in case.expected and surface.vorfeld != case.expected["vorfeld"]:
             failures.append(f"vorfeld: expected {case.expected['vorfeld']!r}, got {surface.vorfeld!r}")
         if "analysis" in case.expected:
-            obs = _observed_from_order(doc.clause, surface.order)
+            obs = doc.clause.reordered(surface.order)
             _check_analysis(case.expected["analysis"], analyze(obs, lex, table), failures)
         if case.expected_mismatch:
             # The transcription and the attested line disagree here; assert the
@@ -220,7 +218,7 @@ def _check_case(case: CorpusCase, lex: Lexicon, table: SlotTable, failures: list
             elif list(surface.rendered) == list(case.printed):
                 failures.append("expected a mismatch against the printed order, but they agree")
             if case.printed_order and "printed_analysis" in case.expected:
-                obs = _observed_from_order(doc.clause, case.printed_order, case.printed_stress)
+                obs = doc.clause.reordered(case.printed_order, case.printed_stress)
                 _check_analysis(
                     case.expected["printed_analysis"],
                     analyze(obs, lex, table),
@@ -228,7 +226,7 @@ def _check_case(case: CorpusCase, lex: Lexicon, table: SlotTable, failures: list
                     prefix="printed_analysis",
                 )
     elif doc.mode is Mode.ANALYZE:
-        _check_analysis(case.expected.get("analysis", {}), analyze(doc.observed, lex, table), failures)
+        _check_analysis(case.expected.get("analysis", {}), analyze(doc.clause, lex, table), failures)
     else:
         ranked = rank_readings(doc.candidates, lex, table)
         if "ranking" in case.expected:

@@ -10,8 +10,8 @@ Candidate generation is the caller's job; this module filters and ranks.
 
 from __future__ import annotations
 
-from .analyze import AnalysisResult, ObservedClause, Verdict, _analyze
-from .clause import _set, _Value
+from .analyze import AnalysisResult, Verdict, _analyze
+from .clause import ClauseSpec, _set, _Value
 from .lexicon import Lexicon, NO_NEGATION
 from .slots import SlotTable, build_slot_table
 
@@ -20,11 +20,12 @@ NEGATED = "NEGATED"
 
 
 class CandidateReading(_Value):
-    """One reading of an ambiguous sentence, as an observed clause variant."""
+    """One reading of an ambiguous sentence, as an observed clause variant (a
+    :class:`ClauseSpec` in surface order)."""
 
     __slots__ = ("label", "clause", "constraint_context")
 
-    def __init__(self, label: str, clause: ObservedClause, constraint_context: frozenset[str] = frozenset()):
+    def __init__(self, label: str, clause: ClauseSpec, constraint_context: frozenset[str] = frozenset()):
         _set(self, "label", label)
         _set(self, "clause", clause)
         _set(self, "constraint_context", frozenset(constraint_context))

@@ -1,11 +1,12 @@
 """JSON clause documents: the serialized form the CLI and corpus consume.
 
 A document is ``{"schema_version": "1", "mode": ..., "payload": ...}`` where
-mode is GENERATE (clause spec + tag assignment), ANALYZE (observed clause) or
-DISAMBIGUATE (candidate readings).  Field names mirror the domain types in
-snake_case; the format is deliberately diff-friendly for corpus files.  The
-JSON form of an analysis, which ``analyze`` prints and the corpus compares
-against, is built here too.
+mode is GENERATE (clause + tag assignment), ANALYZE (observed clause) or
+DISAMBIGUATE (candidate readings).  Every mode reads a clause the same way,
+stress marks included, into a :class:`ClauseSpec`.  Field names mirror the
+domain types in snake_case; the format is deliberately diff-friendly for
+corpus files.  The JSON form of an analysis, which ``analyze`` prints and
+the corpus compares against, is built here too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 
-from .analyze import AnalysisResult, ObservedClause
+from .analyze import AnalysisResult
 from .clause import (
     Category,
     ClauseSpec,
@@ -48,13 +49,14 @@ class DocumentError(Exception):
 
 
 class ClauseDocument(_Value):
-    """A parsed document; ``excluded`` holds the ``(label, reason)`` pairs of
-    the candidates dropped at construction.
+    """A parsed document: GENERATE and ANALYZE documents hold a ``clause``,
+    DISAMBIGUATE documents ``candidates``; ``excluded`` holds the
+    ``(label, reason)`` pairs of the candidates dropped at construction.
 
     ``tags`` is a dict, so a document is unhashable.
     """
 
-    __slots__ = ("mode", "clause", "tags", "observed", "candidates", "excluded")
+    __slots__ = ("mode", "clause", "tags", "candidates", "excluded")
     __hash__ = None
 
     def __init__(
@@ -62,23 +64,19 @@ class ClauseDocument(_Value):
         mode: Mode,
         clause: ClauseSpec | None = None,
         tags: TagAssignment | None = None,
-        observed: ObservedClause | None = None,
         candidates: tuple[CandidateReading, ...] = (),
         excluded: tuple[tuple[str, str], ...] = (),
     ):
         _set(self, "mode", mode)
         _set(self, "clause", clause)
         _set(self, "tags", tags)
-        _set(self, "observed", observed)
         _set(self, "candidates", candidates)
         _set(self, "excluded", excluded)
 
     @property
     def clauses(self) -> tuple:
-        """Every clause the document carries: its clause spec, its observed
-        clause, or each candidate's observed clause."""
-        single = self.clause or self.observed
-        return (single,) if single is not None else tuple(c.clause for c in self.candidates)
+        """Every clause the document carries: its clause, or each candidate's."""
+        return (self.clause,) if self.clause is not None else tuple(c.clause for c in self.candidates)
 
 
 def _require(obj, key, where, kind=None):
@@ -151,7 +149,20 @@ def _parse_verb(raw, where) -> VerbComplex:
     return VerbComplex(finite=tuple(finite), nonfinite=tuple(nonfinite))
 
 
-def _parse_clause_common(raw, where):
+def _parse_stress(raw, known, where) -> frozenset[str]:
+    if not isinstance(raw, list):
+        raise DocumentError(f"{where}: must be a list of constituent ids")
+    for cid in raw:
+        if not isinstance(cid, str):
+            raise DocumentError(f"{where}: entries must be constituent ids, got {cid!r}")
+        if cid not in known:
+            raise DocumentError(f"{where}: unknown constituent id {cid!r}")
+    return frozenset(raw)
+
+
+def parse_clause(raw, where="clause") -> ClauseSpec:
+    """A clause in any mode; its constituents keep their order, and ``stress``
+    may name some of them (only analysis reads it)."""
     raw_type = _require(raw, "clause_type", where, str)
     try:
         clause_type = ClauseType(raw_type)
@@ -161,41 +172,12 @@ def _parse_clause_common(raw, where):
     complementizer = raw.get("complementizer")
     if complementizer is not None and not (isinstance(complementizer, str) and complementizer.strip()):
         raise DocumentError(f"{where}.complementizer: must be a string, neither empty nor blank")
-    constituents = [
+    constituents = tuple(
         _parse_constituent(c, f"{where}.constituents[{i}]")
         for i, c in enumerate(_require(raw, "constituents", where, list))
-    ]
-    return clause_type, verb, complementizer, tuple(constituents)
-
-
-def parse_clause(raw, where="clause") -> ClauseSpec:
-    clause_type, verb, complementizer, constituents = _parse_clause_common(raw, where)
-    return ClauseSpec(
-        clause_type=clause_type,
-        verb=verb,
-        constituents=constituents,
-        complementizer=complementizer,
     )
-
-
-def parse_observed(raw, where="observed") -> ObservedClause:
-    clause_type, verb, complementizer, constituents = _parse_clause_common(raw, where)
-    stress = raw.get("stress", [])
-    if not isinstance(stress, list):
-        raise DocumentError(f"{where}.stress: must be a list of constituent ids")
-    known = {c.id for c in constituents}
-    for cid in stress:
-        if not isinstance(cid, str):
-            raise DocumentError(f"{where}.stress: entries must be constituent ids, got {cid!r}")
-        if cid not in known:
-            raise DocumentError(f"{where}.stress: unknown constituent id {cid!r}")
-    return ObservedClause(
-        clause_type=clause_type,
-        verb=verb,
-        constituents=constituents,
-        complementizer=complementizer,
-        stress=frozenset(stress),
-    )
+    stress = _parse_stress(raw.get("stress", []), {c.id for c in constituents}, f"{where}.stress")
+    return ClauseSpec(clause_type, verb, constituents, complementizer, stress)
 
 
 def parse_tags(raw, where="tags") -> TagAssignment:
@@ -231,7 +213,7 @@ def parse_candidates(raw, where="candidates"):
             if _require(attachment, "head_is_pronoun", f"{where}[{i}].np_attachment", bool):
                 excluded.append((label, "pronominal heads take no NP adjunct"))
                 continue
-        observed = parse_observed(
+        clause = parse_clause(
             _require(raw_candidate, "observed", f"{where}[{i}]"),
             f"{where}[{i}].observed",
         )
@@ -245,7 +227,7 @@ def parse_candidates(raw, where="candidates"):
         candidates.append(
             CandidateReading(
                 label=label,
-                clause=observed,
+                clause=clause,
                 constraint_context=frozenset(context),
             )
         )
@@ -268,7 +250,7 @@ def parse_document(raw) -> ClauseDocument:
     if mode is Mode.GENERATE:
         return ClauseDocument(mode=mode, clause=parse_clause(value), tags=parse_tags(payload.get("tags")))
     if mode is Mode.ANALYZE:
-        return ClauseDocument(mode=mode, observed=parse_observed(value))
+        return ClauseDocument(mode=mode, clause=parse_clause(value, "observed"))
     candidates, excluded = parse_candidates(value)
     return ClauseDocument(mode=mode, candidates=candidates, excluded=excluded)
 

@@ -97,8 +97,8 @@ class SurfaceOrder(_Value):
 def _fields(clause, ordered) -> list:
     """The clause frame: the topological fields of a clause in surface order.
 
-    ``clause`` is a :class:`ClauseSpec` or an observed clause, and ``ordered``
-    its constituents in surface order, Vorfeld first.  Each field is an
+    ``ordered`` holds the constituents of ``clause`` in surface order,
+    Vorfeld first.  Each field is an
     ``(owner, tokens)`` pair; the owner is the constituent itself, or ``"V"``
     for verb material and ``"C"`` for the complementizer.  In V2 the first
     constituent opens the clause and the finite verb follows it; in VF the
@@ -229,8 +229,8 @@ def realizations(
 class CompiledClause:
     """An untagged clause, validated once, with its slot keys precomputed.
 
-    The clause is a :class:`ClauseSpec`, or an observed clause whose
-    constituent order is the input order.  ``keys[i][j]`` holds every slot
+    The clause is a :class:`ClauseSpec`; its constituent order is the input
+    order, and its stress marks are not read.  ``keys[i][j] holds every slot
     key the constituent with input ordinal ``i`` can occupy under
     ``KEY_TAGS[j]``, in table order, as plain ``(slot, sub_rank, hoberg,
     input_ordinal)`` tuples (which order like :class:`SortKey`), or None

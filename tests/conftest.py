@@ -6,7 +6,6 @@ from wortfolge import (
     ClauseType,
     Constituent,
     FeatureBundle,
-    ObservedClause,
     VerbComplex,
 )
 from wortfolge.lexicon import load_default_lexicon
@@ -37,16 +36,6 @@ def c(cid, category, surface, definite="na", animate="na", pron=False, svc=False
 
 def modifier(cid, lemma, index, surface=None):
     return c(cid, "M", surface or lemma, hoberg=index, key=f"{lemma}#{index}")
-
-
-def observed(spec, order, stress=()):
-    return ObservedClause(
-        clause_type=spec.clause_type,
-        verb=spec.verb,
-        constituents=tuple(spec.by_id(cid) for cid in order),
-        complementizer=spec.complementizer,
-        stress=frozenset(stress),
-    )
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from wortfolge import (
     Constituent,
     FeatureBundle,
     LinearizeError,
-    ObservedClause,
     Tag,
     VerbComplex,
     linearize,
@@ -223,13 +222,7 @@ def observation(seed):
     constituents = (
         tuple(spec.by_id(cid) for cid in order) if len(set(ids)) == len(ids) else tuple(by_position)
     )
-    return ObservedClause(
-        clause_type=spec.clause_type,
-        verb=spec.verb,
-        constituents=constituents,
-        complementizer=spec.complementizer,
-        stress=frozenset(stress),
-    )
+    return spec._replace(constituents=constituents, stress=stress)
 
 
 # hypothesis strategies ------------------------------------------------------

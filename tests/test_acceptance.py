@@ -17,13 +17,11 @@ from wortfolge import (
     linearize,
     rank_readings,
 )
-from wortfolge.analyze import ObservedClause
 from wortfolge.corpus import load_default_corpus, run_case
 from wortfolge.documents import Mode
 from wortfolge.linearize import CompiledClause
 from wortfolge.slots import KEY_TAGS
 
-from .conftest import observed
 from .oracle import with_tag
 from .strategies import random_clause, sample_valid_pairs
 
@@ -94,24 +92,20 @@ def test_criterion_2_grammaticality_verdicts(lex, table):
     derivable = ["ex-1a", "ex-1b", "ex-1c", "ex-1d", "ex-2a", "ex-2b", "ex-3a", "ex-4a"]
     for case_id in derivable:
         case = _corpus_case(corpus, case_id)
-        if not analyze(case.doc.observed, lex, table).explanations:
+        if not analyze(case.doc.clause, lex, table).explanations:
             failures.append(f"{case_id}: no explanation found")
     for case_id in ["ex-2c", "ex-2d"]:
         case = _corpus_case(corpus, case_id)
-        if analyze(case.doc.observed, lex, table).explanations:
+        if analyze(case.doc.clause, lex, table).explanations:
             failures.append(f"{case_id}: unexpectedly derivable")
     marked = {
-        "ex-8": _corpus_case(corpus, "ex-8").doc.observed,
-        "ex-9": _corpus_case(corpus, "ex-9").doc.observed,
+        "ex-8": _corpus_case(corpus, "ex-8").doc.clause,
+        "ex-9": _corpus_case(corpus, "ex-9").doc.clause,
     }
     # the derivable reading of the marked pronoun order
     ex1e = _corpus_case(corpus, "ex-1e")
     spec = ex1e.doc.clause
-    marked["ex-1e reading"] = ObservedClause(
-        clause_type=spec.clause_type,
-        verb=spec.verb,
-        constituents=tuple(spec.by_id(cid) for cid in ("morgen", "ihn", "ich", "vielleicht")),
-    )
+    marked["ex-1e reading"] = spec.reordered(("morgen", "ihn", "ich", "vielleicht"))
     for label, obs in marked.items():
         explanations = analyze(obs, lex, table).explanations
         if not explanations:
@@ -130,10 +124,10 @@ def test_criterion_3_information_structure_recovery(lex, table):
     def check(case_id, field, expected):
         case = _corpus_case(corpus, case_id)
         if case.doc.mode is Mode.ANALYZE:
-            obs = case.doc.observed
+            obs = case.doc.clause
         else:
             surface = linearize(case.doc.clause, case.doc.tags, lex, table)
-            obs = observed(case.doc.clause, surface.order)
+            obs = case.doc.clause.reordered(surface.order)
         result = analyze(obs, lex, table)
         actual = getattr(result, field)
         if actual != expected:
@@ -189,7 +183,7 @@ def test_criterion_5_round_trip(lex, table):
     pairs = sample_valid_pairs(200, seed=42, max_constituents=6)
     for spec, tags in pairs:
         surface = linearize(spec, tags, lex, table)
-        explanations = analyze(observed(spec, surface.order), lex, table).explanations
+        explanations = analyze(spec.reordered(surface.order), lex, table).explanations
         if tuple(sorted(tags.items())) not in explanations:
             failures.append(f"{tags} not recovered for order {surface.order}")
             if len(failures) >= 3:
@@ -209,12 +203,7 @@ def test_criterion_6_oracle_equivalence(ex1_clause, ex2_clause, lex, table):
         generated = {v.order for v in enumerate_orders(spec, lex, table)}
         accepted = set()
         for perm in permutations(spec.constituents):
-            obs = ObservedClause(
-                clause_type=spec.clause_type,
-                verb=spec.verb,
-                constituents=perm,
-                complementizer=spec.complementizer,
-            )
+            obs = spec._replace(constituents=perm)
             if analyze(obs, lex, table).explanations:
                 accepted.add(obs.order)
         if generated != accepted:

@@ -5,7 +5,6 @@ import pytest
 from wortfolge import (
     ClauseSpec,
     ClauseType,
-    ObservedClause,
     Tag,
     Verdict,
     VerbComplex,
@@ -14,7 +13,7 @@ from wortfolge import (
     linearize,
 )
 
-from .conftest import c, modifier, observed
+from .conftest import c, modifier
 from .strategies import random_clause, sample_valid_pairs
 
 
@@ -22,20 +21,20 @@ from .strategies import random_clause, sample_valid_pairs
 
 def test_default_order_explained_by_empty_assignment(ex2_clause, lex):
     explanations = analyze(
-        observed(ex2_clause, ["er", "dennoch", "ebenfalls", "nach-muenchen"]), lex
+        ex2_clause.reordered(["er", "dennoch", "ebenfalls", "nach-muenchen"]), lex
     ).explanations
     assert () in explanations
 
 
 def test_starred_modifier_order_has_no_explanation(ex2_clause, lex):
     assert analyze(
-        observed(ex2_clause, ["er", "ebenfalls", "dennoch", "nach-muenchen"]), lex
+        ex2_clause.reordered(["er", "ebenfalls", "dennoch", "nach-muenchen"]), lex
     ).explanations == ()
 
 
 def test_vorfeld_incapable_modifier_order_has_no_explanation(ex2_clause, lex):
     assert analyze(
-        observed(ex2_clause, ["ebenfalls", "er", "dennoch", "nach-muenchen"]), lex
+        ex2_clause.reordered(["ebenfalls", "er", "dennoch", "nach-muenchen"]), lex
     ).explanations == ()
 
 
@@ -43,7 +42,7 @@ def test_focused_pronoun_reading_is_explained_with_obligatory_focus(ex1_clause, 
     # The derivable variant of the marked order: focused subject pronoun in
     # the early focus slot, after the unstressed object pronoun.
     explanations = analyze(
-        observed(ex1_clause, ["morgen", "ihn", "ich", "vielleicht"]), lex
+        ex1_clause.reordered(["morgen", "ihn", "ich", "vielleicht"]), lex
     ).explanations
     assert explanations
     assert all(dict(tags).get("ich") is Tag.FOCUS for tags in explanations)
@@ -53,8 +52,8 @@ def test_attested_late_pronoun_order_is_underivable(ex1_clause, lex):
     # The attested line puts the focused pronoun after the modifier; the
     # early-focus-slot transcription cannot derive it, with or without the
     # stress mark.
-    plain = observed(ex1_clause, ["morgen", "ihn", "vielleicht", "ich"])
-    stressed = observed(ex1_clause, ["morgen", "ihn", "vielleicht", "ich"], stress=["ich"])
+    plain = ex1_clause.reordered(["morgen", "ihn", "vielleicht", "ich"])
+    stressed = ex1_clause.reordered(["morgen", "ihn", "vielleicht", "ich"], stress=["ich"])
     assert analyze(plain, lex).explanations == ()
     assert analyze(stressed, lex).explanations == ()
     # ... even though the direct construction detector flags the pronoun.
@@ -63,17 +62,17 @@ def test_attested_late_pronoun_order_is_underivable(ex1_clause, lex):
 
 def test_stress_marks_are_hard_constraints(ex8_clause, lex):
     # Stress on the wrong constituent kills the only explanation.
-    wrong = observed(ex8_clause, ["nach-frankreich", "vahe"], stress=["vahe"])
+    wrong = ex8_clause.reordered(["nach-frankreich", "vahe"], stress=["vahe"])
     assert analyze(wrong, lex).explanations == ()
-    right = observed(ex8_clause, ["nach-frankreich", "vahe"], stress=["nach-frankreich"])
+    right = ex8_clause.reordered(["nach-frankreich", "vahe"], stress=["nach-frankreich"])
     assert analyze(right, lex).explanations
 
 
 def test_empty_v2_clause_has_no_explanation(lex):
     # Nothing can open the clause.  An empty VF clause is the empty assignment's order.
-    v2 = analyze(ObservedClause(ClauseType.V2, VerbComplex(("regnet",)), ()), lex)
+    v2 = analyze(ClauseSpec(ClauseType.V2, VerbComplex(("regnet",)), ()), lex)
     assert (v2.verdict, v2.explanations) == (Verdict.UNGRAMMATICAL, ())
-    vf = analyze(ObservedClause(ClauseType.VF, VerbComplex(("regnet",)), (), "weil"), lex)
+    vf = analyze(ClauseSpec(ClauseType.VF, VerbComplex(("regnet",)), (), "weil"), lex)
     assert (vf.verdict, vf.explanations) == (Verdict.GRAMMATICAL_UNMARKED, ((),))
 
 
@@ -88,13 +87,13 @@ def dennoch_clause():
 
 def test_stress_on_a_non_focusable_mittelfeld_modifier_is_ungrammatical(dennoch_clause, lex):
     # dennoch#20 has no FOCUS key, so the stress mark leaves no assignment.
-    result = analyze(observed(dennoch_clause, ["er", "dennoch", "morgen"], stress=["dennoch"]), lex)
+    result = analyze(dennoch_clause.reordered(["er", "dennoch", "morgen"], stress=["dennoch"]), lex)
     assert (result.verdict, result.explanations) == (Verdict.UNGRAMMATICAL, ())
 
 
 def test_stress_on_the_vorfeld_element_focuses_it(dennoch_clause, lex):
     # The Vorfeld is never compared: the stressed subject opens the clause as the focus.
-    result = analyze(observed(dennoch_clause, ["er", "dennoch", "morgen"], stress=["er"]), lex)
+    result = analyze(dennoch_clause.reordered(["er", "dennoch", "morgen"], stress=["er"]), lex)
     assert result.verdict is Verdict.GRAMMATICAL_MARKED
     assert result.focus == "er"
     assert result.explanations == (
@@ -106,19 +105,19 @@ def test_stress_on_the_vorfeld_element_focuses_it(dennoch_clause, lex):
 # --- focus recognition --------------------------------------------------------------
 
 def test_directional_vorfeld_is_recognized_as_focus(ex8_clause, lex):
-    result = analyze(observed(ex8_clause, ["nach-frankreich", "vahe"]), lex)
+    result = analyze(ex8_clause.reordered(["nach-frankreich", "vahe"]), lex)
     assert result.focus == "nach-frankreich"
     assert result.detected_focus == ("nach-frankreich",)
 
 
 def test_indefinite_object_vorfeld_is_recognized_as_focus(ex9_clause, lex):
-    result = analyze(observed(ex9_clause, ["einen-inder", "anne"]), lex)
+    result = analyze(ex9_clause.reordered(["einen-inder", "anne"]), lex)
     assert result.focus == "einen-inder"
     assert result.detected_focus == ("einen-inder",)
 
 
 def test_default_order_has_no_focus(ex5_clause, lex):
-    result = analyze(observed(ex5_clause, ["ich", "den-mann", "gestern"]), lex)
+    result = analyze(ex5_clause.reordered(["ich", "den-mann", "gestern"]), lex)
     assert result.focus is None and result.focus_options == ()
 
 
@@ -134,7 +133,7 @@ def test_initial_modifier_is_theme(lex):
             modifier("noch", "noch", 36),
         ),
     )
-    result = analyze(observed(spec, ["damals", "hendrix", "noch"]), lex)
+    result = analyze(spec.reordered(["damals", "hendrix", "noch"]), lex)
     assert result.theme == "damals"
     assert result.focus is None
 
@@ -149,31 +148,31 @@ def test_embedded_clause_theme_follows_complementizer(lex):
         ),
         complementizer="daß",
     )
-    result = analyze(observed(spec, ["tina", "oft"]), lex)
+    result = analyze(spec.reordered(["tina", "oft"]), lex)
     assert result.theme == "tina"
     assert result.verdict is Verdict.GRAMMATICAL_UNMARKED
 
 
 def test_focused_initial_element_is_not_a_theme(ex8_clause, lex):
-    result = analyze(observed(ex8_clause, ["nach-frankreich", "vahe"]), lex)
+    result = analyze(ex8_clause.reordered(["nach-frankreich", "vahe"]), lex)
     assert result.theme is None
 
 
 # --- rheme recognition -------------------------------------------------------------------
 
 def test_final_object_is_rheme(ex5_clause, lex):
-    obs = observed(ex5_clause, ["ich", "gestern", "den-mann"])
+    obs = ex5_clause.reordered(["ich", "gestern", "den-mann"])
     assert analyze(obs, lex).rheme == "den-mann"
 
 
 def test_lexically_non_rhematic_final_modifier_gives_no_rheme(ex12_clause, lex):
-    obs = observed(ex12_clause, ["er", "den-artikel", "dann", "wohl"])
+    obs = ex12_clause.reordered(["er", "den-artikel", "dann", "wohl"])
     assert analyze(obs, lex).rheme is None
 
 
 def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
     spec = ex5_clause._replace(clause_type=ex5_clause.clause_type)
-    obs = observed(spec, ["den-mann", "gestern", "ich"])
+    obs = spec.reordered(["den-mann", "gestern", "ich"])
     assert analyze(obs, lex).rheme is None
 
 
@@ -191,26 +190,26 @@ def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
 def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, reading):
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (modifier("bald", "bald", 25),))
     with pytest.raises(KeyError, match="unresolved lexicon key 'bald#25' on bald"):
-        reading(analyze(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex))
+        reading(analyze(spec.reordered(["ich", "den-mann", "gestern", "bald"]), lex))
 
 
 # --- full pipeline ---------------------------------------------------------------------
 
 def test_marked_pronoun_order_verdict(ex1_clause, lex):
-    result = analyze(observed(ex1_clause, ["morgen", "ihn", "ich", "vielleicht"]), lex)
+    result = analyze(ex1_clause.reordered(["morgen", "ihn", "ich", "vielleicht"]), lex)
     assert result.verdict is Verdict.GRAMMATICAL_MARKED
     assert result.focus == "ich"
     assert result.markedness_cost == 1
 
 
 def test_starred_order_verdict(ex2_clause, lex):
-    result = analyze(observed(ex2_clause, ["ebenfalls", "er", "dennoch", "nach-muenchen"]), lex)
+    result = analyze(ex2_clause.reordered(["ebenfalls", "er", "dennoch", "nach-muenchen"]), lex)
     assert result.verdict is Verdict.UNGRAMMATICAL
     assert result.explanations == ()
 
 
 def test_final_particle_triggers_stress_warning(ex12_clause, lex):
-    result = analyze(observed(ex12_clause, ["er", "den-artikel", "dann", "wohl"]), lex)
+    result = analyze(ex12_clause.reordered(["er", "den-artikel", "dann", "wohl"]), lex)
     assert result.verdict is Verdict.GRAMMATICAL_MARKED
     assert result.rheme is None
     assert result.warning is not None
@@ -220,14 +219,14 @@ def test_final_particle_triggers_stress_warning(ex12_clause, lex):
 
 
 def test_unmarked_requires_focus_free_explanation(ex5_clause, lex):
-    result = analyze(observed(ex5_clause, ["ich", "den-mann", "gestern"]), lex)
+    result = analyze(ex5_clause.reordered(["ich", "den-mann", "gestern"]), lex)
     assert result.verdict is Verdict.GRAMMATICAL_UNMARKED
     assert any(not tags for tags in result.explanations)
     assert result.markedness_cost == 0
 
 
 def test_detector_agrees_with_search_on_marked_orders(ex9_clause, lex):
-    obs = observed(ex9_clause, ["einen-inder", "anne"])
+    obs = ex9_clause.reordered(["einen-inder", "anne"])
     result = analyze(obs, lex)
     for detected in result.detected_focus:
         assert all(dict(tags).get(detected) is Tag.FOCUS for tags in result.explanations)
@@ -244,7 +243,7 @@ def test_detector_ignores_default_fronting_in_late_field_only_clauses(lex):
             c("dort", "SIT", "dort"),
         ),
     )
-    result = analyze(observed(spec, ["auf-den-bus", "dort"]), lex)
+    result = analyze(spec.reordered(["auf-den-bus", "dort"]), lex)
     assert result.detected_focus == ()
     assert result.verdict is Verdict.GRAMMATICAL_UNMARKED
 
@@ -260,7 +259,7 @@ def test_detector_ignores_presentational_fronting_over_rhematic_subjects(lex):
             c("auf-den-bus", "PO", "auf den Bus", definite="+", animate="-"),
         ),
     )
-    result = analyze(observed(spec, ["auf-den-bus", "kinder"]), lex)
+    result = analyze(spec.reordered(["auf-den-bus", "kinder"]), lex)
     assert result.detected_focus == ()
     assert any(not tags for tags in result.explanations) is False  # not the default order
     assert result.markedness_cost == 0  # the subject-rheme reading is focus-free
@@ -278,7 +277,7 @@ def test_detector_skips_late_field_pronouns(lex):
             c("darauf", "PO", "darauf", pron=True),
         ),
     )
-    result = analyze(observed(spec, ["er", "gestern", "darauf"]), lex)
+    result = analyze(spec.reordered(["er", "gestern", "darauf"]), lex)
     assert result.detected_focus == ()
     assert result.markedness_cost == 0  # no contrastive focus required
     assert () in result.explanations  # it is the default order
@@ -301,7 +300,7 @@ def test_detectors_are_sound_on_random_clauses(lex, table):
             continue
         probed += 1
         for variant in variants:
-            result = analyze(observed(spec, variant.order), lex, table)
+            result = analyze(spec.reordered(variant.order), lex, table)
             for cid in result.detected_focus:
                 assert all(
                     dict(tags).get(cid) is Tag.FOCUS for tags in result.explanations
@@ -313,7 +312,7 @@ def test_detectors_are_sound_on_random_clauses(lex, table):
 def test_round_trip_up_to_eight_constituents(lex):
     for spec, tags in sample_valid_pairs(30, seed=11, max_constituents=8):
         surface = linearize(spec, tags, lex)
-        explanations = analyze(observed(spec, surface.order), lex).explanations
+        explanations = analyze(spec.reordered(surface.order), lex).explanations
         assert tuple(sorted(tags.items())) in explanations, (spec, tags, surface.order)
 
 
@@ -323,6 +322,6 @@ def test_round_trip_over_full_enumeration(lex, table):
     for _ in range(100):
         spec = random_clause(rng, max_constituents=6)
         for variant in enumerate_orders(spec, lex, table):
-            explanations = analyze(observed(spec, variant.order), lex, table).explanations
+            explanations = analyze(spec.reordered(variant.order), lex, table).explanations
             for assignment in variant.assignments:
                 assert assignment in explanations, (spec, variant.order, assignment)

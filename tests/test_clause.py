@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from wortfolge import ClauseSpec, ClauseType, Tag, VerbComplex, linearize
+from wortfolge import ClauseSpec, ClauseType, Tag, VerbComplex, analyze, linearize
 from wortfolge.clause import _violations
 
 from .conftest import c
@@ -71,6 +72,22 @@ def test_hoberg_index_iff_modifier(ex5_clause):
         ),
     )
     assert any("non-modifier" in v for v in _clause_violations(on_noun))
+
+
+@pytest.mark.parametrize("index", ["26", 26.0, True])
+def test_non_integer_hoberg_index_reported(ex5_clause, lex, index):
+    # Documents refuse such an index first; through the API it used to raise TypeError.
+    bad = ex5_clause._replace(
+        constituents=tuple(
+            con._replace(hoberg_index=index) if con.id == "gestern" else con
+            for con in ex5_clause.constituents
+        ),
+    )
+    message = f"gestern: Hoberg index {index!r} is not an integer"
+    assert _clause_violations(bad) == [message]
+    for call in (linearize, lambda clause, _, lex: analyze(clause, lex)):
+        with pytest.raises(ValueError, match=f"^invalid clause spec: {re.escape(message)}$"):
+            call(bad, {}, lex)
 
 
 def test_empty_surface_reported(ex5_clause):

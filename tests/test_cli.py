@@ -354,9 +354,12 @@ def _corpus_case(**fields):
         ({"cases": [_corpus_case(expected={"rendered": [1]})]}, "cases[0].expected.rendered: must be a list of strings"),
         ({"cases": [_corpus_case(expected={"readings": {"a": 1}})]}, "cases[0].expected.readings.a: must be an object"),
         ({"cases": [_corpus_case(printed_order=["du"])]}, "cases[0].printed_order: names an unknown constituent"),
+        ({"cases": [_corpus_case(printed_order=["ich"])]}, "cases[0].printed_order: must name every constituent once"),
+        ({"cases": [_corpus_case(printed_stress=["nobody"])]}, "cases[0].printed_stress: unknown constituent id 'nobody'"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
-         "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id"],
+         "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
+         "printed-stress-id"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1

@@ -62,7 +62,7 @@ def test_detectors_are_sound_against_the_search(corpus, lex, table):
     for case in corpus:
         if case.doc.mode is not Mode.ANALYZE:
             continue
-        result = analyze(case.doc.observed, lex, table)
+        result = analyze(case.doc.clause, lex, table)
         if not result.explanations:
             continue
         for detected in result.detected_focus:
@@ -83,7 +83,7 @@ def test_theme_is_the_vorfeld_element_except_under_focus_fronting(corpus, lex, t
     for case in corpus:
         if case.doc.mode is not Mode.ANALYZE:
             continue
-        obs = case.doc.observed
+        obs = case.doc.clause
         if obs.clause_type.value != "V2":
             continue
         result = analyze(obs, lex, table)

@@ -2,9 +2,9 @@ import pytest
 
 from wortfolge import (
     CandidateReading,
+    ClauseSpec,
     ClauseType,
     NEGATED,
-    ObservedClause,
     Verdict,
     VerbComplex,
     rank_readings,
@@ -15,7 +15,7 @@ from .conftest import c, modifier
 
 
 def _eher_reading(index, context=(NEGATED,)):
-    clause = ObservedClause(
+    clause = ClauseSpec(
         clause_type=ClauseType.V2,
         verb=VerbComplex(("sollte",), ("kommen",)),
         constituents=(
@@ -28,7 +28,7 @@ def _eher_reading(index, context=(NEGATED,)):
 
 
 def _pp_reading(label, constituents, stress=()):
-    clause = ObservedClause(
+    clause = ClauseSpec(
         clause_type=ClauseType.V2,
         verb=VerbComplex(("hat",), ("gesehen",)),
         constituents=constituents,
@@ -59,7 +59,7 @@ def test_preference_reading_fine_without_negation(lex):
 def test_unresolved_lexicon_key_names_the_lemma(lex):
     broken = CandidateReading(
         label="broken",
-        clause=ObservedClause(
+        clause=ClauseSpec(
             clause_type=ClauseType.V2,
             verb=VerbComplex(("hat",)),
             constituents=(c("x", "M", "plotzlich", hoberg=30, key="plotzlich#30"),),

@@ -11,7 +11,6 @@ from wortfolge.documents import (
     load_document,
     parse_candidates,
     parse_clause,
-    parse_observed,
     parse_tags,
     verify_lexicon_keys,
 )
@@ -56,7 +55,7 @@ def test_parse_tags():
 def test_parse_observed_with_stress():
     raw = dict(CLAUSE_JSON)
     raw["stress"] = ["ich"]
-    obs = parse_observed(raw)
+    obs = parse_clause(raw)
     assert obs.stress == {"ich"}
     assert obs.order == ("ich", "den-mann", "gestern")
 
@@ -64,8 +63,8 @@ def test_parse_observed_with_stress():
 def test_stress_on_unknown_id_rejected():
     raw = dict(CLAUSE_JSON)
     raw["stress"] = ["wer"]
-    with pytest.raises(DocumentError, match="stress"):
-        parse_observed(raw)
+    with pytest.raises(DocumentError, match=r"^clause\.stress: unknown constituent id 'wer'$"):
+        parse_clause(raw)
 
 
 def test_errors_name_their_location():
@@ -164,6 +163,8 @@ def _generate_doc(**edits):
     "command, doc, message",
     [
         ("analyze", _analyze_doc(stress=[["ich"]]), "stress: entries must be constituent ids"),
+        ("generate", _generate_doc(stress=[["ich"]]), "clause.stress: entries must be constituent ids"),
+        ("generate", _generate_doc(stress=["wer"]), "clause.stress: unknown constituent id 'wer'"),
         ("analyze", _analyze_doc(**{"verb.finite": [1]}), "verb.finite: must be a list of strings"),
         ("generate", _generate_doc(**{"verb.finite": [1]}), "verb.finite: must be a list of strings"),
         ("generate", _generate_doc(**{"verb.nonfinite": [None]}), "verb.nonfinite: must be a list of strings"),
@@ -180,7 +181,7 @@ def _generate_doc(**edits):
         ("generate", _generate_doc(**{"verb.finite": ["  "]}), "verb.finite: must be a list of strings, none of them empty or blank"),
         ("analyze", _analyze_doc(**{"verb.nonfinite": [" "]}), "verb.nonfinite: must be a list of strings, none of them empty or blank"),
     ],
-    ids=["stress-entry", "finite-token-analyze", "finite-token-generate", "nonfinite-token",
+    ids=["stress-entry", "stress-entry-generate", "stress-unknown-generate", "finite-token-analyze", "finite-token-generate", "nonfinite-token",
          "pronominal-string", "svc-string", "hoberg-bool", "empty-id", "empty-surface-token-generate",
          "empty-surface-token-analyze", "empty-finite-token", "empty-nonfinite-token",
          "blank-surface-token-generate", "blank-surface-token-analyze", "blank-finite-token", "blank-nonfinite-token"],
@@ -193,6 +194,17 @@ def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, messa
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_generation_reads_no_stress(tmp_path, capsys):
+    # One reader for every mode: generation checks the marks and ignores them.
+    outputs = []
+    for doc in (_generate_doc(), _generate_doc(stress=["ich"])):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["generate", "--clause", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flag", ["false", 0, None])

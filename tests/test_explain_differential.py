@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from wortfolge import Category, ClauseSpec, ClauseType, Constituent, VerbComplex, analyze
 
-from .conftest import c, modifier, observed
+from .conftest import c, modifier
 from .oracle import outcome, reference_explain_order, unusable_stress
 from .strategies import _LEX, observation
 
@@ -49,7 +49,7 @@ def test_unresolved_lexicon_key_raises_key_error(ex5_clause, lex, search):
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray,))
     with pytest.raises(KeyError, match="bald#25"):
-        search(observed(spec, ["ich", "den-mann", "gestern", "bald"]), lex)
+        search(spec.reordered(["ich", "den-mann", "gestern", "bald"]), lex)
 
 
 #: A pronoun subject, a definite dative, a Vorfeld-capable but non-focusable
@@ -82,7 +82,7 @@ def test_every_order_and_stress_mark_of_one_clause_matches_reference_search(
     explained = 0
     for order in itertools.permutations(ids):
         for stress in [(), *((cid,) for cid in ids)]:
-            obs = observed(spec, order, stress)
+            obs = spec.reordered(order, stress)
             got = explain_order(obs, lex)
             assert got == reference_explain_order(obs, lex), (order, stress)
             explained += bool(got)

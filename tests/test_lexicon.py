@@ -113,8 +113,9 @@ def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
     # their one compiled clause: one lookup per keyed constituent.
     from importlib import resources
 
-    from wortfolge import ClauseSpec, InexpressibleTags, Tag, analyze, linearize, rank_readings
+    from wortfolge import InexpressibleTags, Tag, analyze, linearize, rank_readings
     from wortfolge.corpus import load_corpus
+    from wortfolge.documents import Mode
     from wortfolge.lexicon import Lexicon
 
     lookups = []
@@ -128,10 +129,10 @@ def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
     docs = {case.case_id: case.doc for case in load_corpus(corpus)}
     analyzed = 0
     for doc in docs.values():
-        if doc.observed is not None:
+        if doc.mode is Mode.ANALYZE:
             lookups.clear()
-            analyze(doc.observed, lex, table)
-            assert len(lookups) == keyed([doc.observed])
+            analyze(doc.clause, lex, table)
+            assert len(lookups) == keyed([doc.clause])
             analyzed += 1
     assert analyzed > 0
 
@@ -142,8 +143,7 @@ def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
         rank_readings(candidates, lex, table)
         assert len(lookups) == expected, case_id
 
-    obs = docs["ex-12a"].observed
-    spec = ClauseSpec(obs.clause_type, obs.verb, obs.constituents, obs.complementizer)
+    spec = docs["ex-12a"].clause
     lookups.clear()
     with pytest.raises(InexpressibleTags, match="wohl is lexically non-rhematic"):
         linearize(spec, {"wohl": Tag.RHEME}, lex, table)

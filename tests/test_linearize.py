@@ -243,7 +243,6 @@ def test_tag_free_generation_fronts_the_subject(pair, lex):
 
 def test_constituent_without_an_untagged_slot_is_refused_by_every_direction(lex):
     from wortfolge import ClauseSpec, ClauseType, VerbComplex, analyze, realizations
-    from .conftest import observed
 
     spec = ClauseSpec(
         ClauseType.V2,
@@ -255,8 +254,8 @@ def test_constituent_without_an_untagged_slot_is_refused_by_every_direction(lex)
         lambda: linearize(spec, {"hier": Tag.THEME}, lex),
         lambda: realizations(spec, {"hier": Tag.THEME}, lex),
         lambda: enumerate_orders(spec, lex),
-        lambda: analyze(observed(spec, ("er", "hier")), lex),
-        lambda: analyze(observed(spec, ("hier", "er")), lex),
+        lambda: analyze(spec.reordered(("er", "hier")), lex),
+        lambda: analyze(spec.reordered(("hier", "er")), lex),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):

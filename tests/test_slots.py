@@ -34,7 +34,7 @@ from wortfolge.slots import (
 )
 
 from . import oracle
-from .conftest import c, modifier, observed
+from .conftest import c, modifier
 
 SHIPPED_TABLE = resources.files("wortfolge.data").joinpath("slot_table.tsv")
 
@@ -399,7 +399,7 @@ def _answers(table, lex):
     return (
         linearize(_GIBT, {}, lex, table).text,
         linearize(_GIBT, {"ihm": Tag.FOCUS}, lex, table).text,
-        analyze(observed(_GIBT, ("er", "es", "ihm")), lex, table).verdict,
+        analyze(_GIBT.reordered(("er", "es", "ihm")), lex, table).verdict,
         [v.surface.text for v in enumerate_orders(_GIBT, lex, table)],
     )
 

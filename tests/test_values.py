@@ -26,7 +26,6 @@ from wortfolge import (
     Constituent,
     FeatureBundle,
     LexEntry,
-    ObservedClause,
     OrderVariant,
     RankedReading,
     SortKey,
@@ -36,6 +35,7 @@ from wortfolge import (
     VerbComplex,
     Verdict,
 )
+from wortfolge.analyze import ObservedClause
 from wortfolge.corpus import CaseResult, CorpusCase, CorpusSummary
 from wortfolge.documents import ClauseDocument, Mode
 from wortfolge.slots import SlotPattern
@@ -44,7 +44,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _ICH = Constituent("ich", Category.N, ("ich",), FeatureBundle(pronominal=True))
 _VERB = VerbComplex(("habe",), ("gesehen",))
-_OBSERVED = ObservedClause(ClauseType.V2, _VERB, (_ICH,), None, frozenset({"ich"}))
+_OBSERVED = ClauseSpec(ClauseType.V2, _VERB, (_ICH,), None, frozenset({"ich"}))
+_CLAUSE_FIELDS = ("clause_type", "verb", "constituents", "complementizer", "stress")
 _RESULT = AnalysisResult(Verdict.GRAMMATICAL_UNMARKED, "ich", None, None, (), ((("ich", Tag.THEME),),), 0)
 _SURFACE = SurfaceOrder(ClauseType.V2, "ich", (), ("Ich", "habe", "gesehen"), ())
 _READING = CandidateReading("eher#26", _OBSERVED, frozenset({"NEGATED"}))
@@ -59,12 +60,7 @@ VALUES = [
         {"id": "du"},
     ),
     (VerbComplex, (("habe",), ("gesehen",)), ("finite", "nonfinite"), {"nonfinite": ()}),
-    (
-        ClauseSpec,
-        (ClauseType.V2, _VERB, (_ICH,), None),
-        ("clause_type", "verb", "constituents", "complementizer"),
-        {"clause_type": ClauseType.VF},
-    ),
+    (ClauseSpec, (ClauseType.V2, _VERB, (_ICH,), None, frozenset()), _CLAUSE_FIELDS, {"clause_type": ClauseType.VF}),
     (
         SlotPattern,
         (1, 1, 0, Category.N, None, None, True, False, None, None, None, ""),
@@ -73,12 +69,6 @@ VALUES = [
         {"slot": 2},
     ),
     (SortKey, (1, 0, 0, 3), ("slot", "sub_rank", "hoberg", "input_ordinal"), {"input_ordinal": 4}),
-    (
-        ObservedClause,
-        (ClauseType.V2, _VERB, (_ICH,), None, frozenset({"ich"})),
-        ("clause_type", "verb", "constituents", "complementizer", "stress"),
-        {"stress": frozenset()},
-    ),
     (StressWarning, ("habe", "ich"), ("verb_candidate", "vorfeld_candidate"), {"vorfeld_candidate": "du"}),
     (
         AnalysisResult,
@@ -115,14 +105,20 @@ VALUES = [
     ),
     (
         ClauseDocument,
-        (Mode.ANALYZE, None, None, _OBSERVED, (), ()),
-        ("mode", "clause", "tags", "observed", "candidates", "excluded"),
+        (Mode.ANALYZE, _OBSERVED, None, (), ()),
+        ("mode", "clause", "tags", "candidates", "excluded"),
         {"mode": Mode.GENERATE},
     ),
 ]
 
 
-@pytest.fixture(params=VALUES, ids=[case[0].__name__ for case in VALUES])
+#: ``perfbench/inputs.py`` builds clauses under the alias, positionally with five arguments.
+ALIAS = (
+    ObservedClause, (ClauseType.V2, _VERB, (_ICH,), None, frozenset({"ich"})), _CLAUSE_FIELDS, {"stress": frozenset()}
+)
+
+
+@pytest.fixture(params=VALUES + [ALIAS], ids=[case[0].__name__ for case in VALUES] + ["ObservedClause"])
 def value(request):
     return request.param
 
