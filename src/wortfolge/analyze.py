@@ -13,7 +13,8 @@ without generating: the clause is compiled once into the slot keys of every
 constituent under every tag, and an assignment realizes the observed order iff
 no linear-precedence statement is violated (the ID/LP reading of the slot
 table): its theme is admissible, in V2 the Vorfeld rule admits the first
-element, and the Mittelfeld keys strictly increase along the observed order.
+element, and no Mittelfeld key falls below its predecessor's along the
+observed order (equal keys tie; the table orders neither before the other).
 Since that is a property of adjacent pairs, the assignments are found in one
 left-to-right walk over the order that tags a constituent only where its key
 still fits, so the cost grows with the explanations found, not with the
@@ -107,8 +108,8 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[Ta
     an assignment with its last Mittelfeld key; at each position it goes on
     untagged, or under each unused tag the position has a slot for (a theme
     never typically rhematic, and in V2 never in the Mittelfeld), and it dies
-    at the first key not above its predecessor's.  A focus takes the first of
-    its keys above its predecessor's, which leaves the most room for the rest.
+    at the first key below its predecessor's.  A focus takes the first of its
+    keys not below its predecessor's, which leaves the most room for the rest.
     The V2 Vorfeld is never compared; it may carry any tag, and each finished
     assignment must let it open the clause (:meth:`CompiledClause._vorfelds`).
     Results come in :func:`iter_assignments` order; none means the order is
@@ -135,7 +136,7 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[Ta
                 key = ()
                 if keys is not None:
                     for key in keys:
-                        if key > prev:
+                        if key >= prev:
                             break
                     else:
                         continue

@@ -154,6 +154,10 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
             if printed_order and sorted(printed_order) != sorted(ids):
                 raise DocumentError(f"{where}.printed_order: must name every constituent once")
             _parse_stress(printed_stress, ids, f"{where}.printed_stress")
+        else:
+            for field in ("printed", "printed_order", "printed_stress"):
+                if field in raw_case:
+                    raise DocumentError(f"{where}.{field}: only a GENERATE case has a printed line")
         cases.append(
             CorpusCase(
                 case_id=case_id,

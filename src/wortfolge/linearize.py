@@ -16,11 +16,11 @@ forwards (:func:`linearize` takes each element's first key;
 :meth:`CompiledClause.realize`, behind :func:`realizations` and
 :func:`enumerate_orders`, takes every key) and backwards, by the analyzer's
 one walk over a given order, which compares only adjacent keys.
-:func:`linearize` and :func:`realizations` key only the tags of their one
-assignment; enumeration and analysis key every constituent under every tag.
-An assignment moves at most three constituents away from the untagged order,
-so :meth:`CompiledClause.realize` works by local moves: it sorts the untagged
-keys once per clause and re-inserts only the carriers' tagged keys.
+Every direction compiles alike, one signature-index lookup per constituent;
+only the forward sorts append the input ordinal, to break ties.  An
+assignment moves at most three constituents away from the untagged order,
+so :meth:`CompiledClause.realize` works by local moves: it sorts the
+untagged keys once per clause and re-inserts only the carriers' tagged keys.
 :func:`enumerate_orders` leaves out carriers that can license nothing under
 their tag and renders each distinct order once.
 """
@@ -165,11 +165,11 @@ def linearize(
     V2: the Vorfeld pick is removed, the rest is sorted by slot key and the
     finite verb lands in second position.  VF: everything sorts into the
     Mittelfeld (a theme lands in the early theme slot) before the clause-final
-    verb cluster.  The clause is compiled for this one assignment; every
-    element takes its first key (the early focus slot, for a focus).
+    verb cluster.  Every element takes its first key (the early focus slot,
+    for a focus), with its input ordinal appended to break ties.
     """
     table = table or build_slot_table()
-    clause = CompiledClause(spec, tags, lex, table, every_tag=False)
+    clause = CompiledClause(spec, tags, lex, table)
     if clause.assignment_violations:
         raise ValueError("invalid assignment: " + "; ".join(clause.assignment_violations))
     theme, rheme, focus = _carriers(spec, tags)
@@ -198,7 +198,7 @@ def linearize(
             veto = _lexical_veto(tag, clause.entries[i])
             reason = f" ({veto})" if veto else ""
             raise InexpressibleTags(f"no slot for {spec.constituents[i].id} as {tag.value}{reason}")
-        mittelfeld.append(row[column][0])
+        mittelfeld.append((*row[column][0], i))
     mittelfeld.sort()
     return _surface(spec, vorfeld, mittelfeld, focus)
 
@@ -216,10 +216,9 @@ def realizations(
     for a focused constituent that also fits the late focus slot, the
     right-field placement.  Returns an empty list when the tags are
     inexpressible; raises for invalid specs, cooccurrence violations and
-    unresolved lexicon keys.  The relation is :meth:`CompiledClause.realize`;
-    this compiles the clause for one assignment.
+    unresolved lexicon keys.  The relation is :meth:`CompiledClause.realize`.
     """
-    clause = CompiledClause(spec, tags, lex, table or build_slot_table(), every_tag=False)
+    clause = CompiledClause(spec, tags, lex, table or build_slot_table())
     if clause.assignment_violations:
         return []
     theme, rheme, focus = _carriers(spec, tags)
@@ -230,40 +229,39 @@ class CompiledClause:
     """An untagged clause, validated once, with its slot keys precomputed.
 
     The clause is a :class:`ClauseSpec`; its constituent order is the input
-    order, and its stress marks are not read.  ``keys[i][j] holds every slot
-    key the constituent with input ordinal ``i`` can occupy under
-    ``KEY_TAGS[j]``, in table order, as plain ``(slot, sub_rank, hoberg,
-    input_ordinal)`` tuples (which order like :class:`SortKey`), or None
-    where that tagging has no slot or the lexicon vetoes it.  Untagged, THEME
-    and RHEME placements are unique; a focus that fits both the early and the
-    general focus slot has both keys, the later one being the marked
-    right-field realization.  ``entries[i]`` is its lexicon entry (None
-    without a key).  With ``vorfeld_capable``, ``typically_rhematic`` and
-    ``subject`` they are all that generation, enumeration, analysis and
-    disambiguation read.  Analysis reads the keys in one walk over the input
-    order and runs the Vorfeld rule only on the assignments that survive it.
-    Assignments are given as input ordinals of the theme, rheme and focus
-    carriers, None for an absent tag.  With ``every_tag`` false the clause is
-    compiled for the one assignment ``tags``: only the untagged column and
-    each carrier's own column are keyed, and every other entry is None.
+    order, and its stress marks are not read.  ``keys[i][j]`` holds every
+    slot key the constituent with input ordinal ``i`` can occupy under
+    ``KEY_TAGS[j]``, in table order, as plain ``(slot, sub_rank, hoberg)``
+    tuples, or None where that tagging has no slot or the lexicon vetoes it.
+    They hold no input ordinal: generation appends it where it sorts, to
+    break ties, and analysis compares adjacent keys in observed order, where
+    a tie is in order.  Untagged, THEME and RHEME placements are unique; a
+    focus that fits both the early and the general focus slot has both keys,
+    the later one being the marked right-field realization.  ``entries[i]``
+    is its lexicon entry (None without a key).  With ``vorfeld_capable``,
+    ``typically_rhematic`` and ``subject`` they are all that generation,
+    enumeration, analysis and disambiguation read.  Analysis reads the keys
+    in one walk over the input order and runs the Vorfeld rule only on the
+    assignments that survive it.  Assignments are given as input ordinals of
+    the theme, rheme and focus carriers, None for an absent tag.
 
     The clause and ``tags`` are checked in one pass.  An invalid clause
     raises :class:`CooccurrenceViolation` or ``ValueError``; ``tags`` counts
     there as the focus, so two FOCUS carriers are a cooccurrence violation.
     A constituent without an untagged slot in the table (an SVC part of a
-    category the SVC slot does not hold) makes the clause invalid too.  Each
-    constituent's placements are looked up once in the table's signature
-    index, and the lexical veto is applied per column.
-    The assignment's own defects (unknown ids, two carriers of one tag) are
-    kept in ``assignment_violations`` for the caller to refuse.  Every
-    lexicon key is resolved here, once, and nowhere else in the engine: an
-    unresolved key raises ``KeyError`` naming the first such constituent,
-    whatever the assignment.
+    category the SVC slot does not hold) makes the clause invalid too.
+    Compiling is one lookup per constituent in the table's signature index
+    and one in the lexicon; a column is set to None only where the entry
+    vetoes its tag.  The assignment's own defects (unknown ids, two carriers
+    of one tag) are kept in ``assignment_violations`` for the caller to
+    refuse.  Every lexicon key is resolved here, once, and nowhere else in
+    the engine: an unresolved key raises ``KeyError`` naming the first such
+    constituent, whatever the assignment.
     """
 
     __slots__ = (
         "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
-        "assignment_violations", "_untagged",
+        "assignment_violations", "_forward",
     )
 
     def __init__(
@@ -272,7 +270,6 @@ class CompiledClause:
         tags: TagAssignment,
         lex: Lexicon,
         table: SlotTable,
-        every_tag: bool = True,
     ):
         cooccurrence, invalid, self.assignment_violations = _violations(spec, tags)
         if cooccurrence:
@@ -280,38 +277,30 @@ class CompiledClause:
         if invalid:
             raise ValueError("invalid clause spec: " + "; ".join(invalid))
         # A spec defect too, so found before any lexicon key is resolved.
-        placements = [_placements(table, c) for c in spec.constituents]
-        unplaced = [f"{c.id}: no untagged slot" for c, p in zip(spec.constituents, placements) if not p[0]]
+        keys = [_placements(table, c) for c in spec.constituents]
+        unplaced = [f"{c.id}: no untagged slot" for c, row in zip(spec.constituents, keys) if row[0] is None]
         if unplaced:
             raise ValueError("invalid clause spec: " + "; ".join(unplaced))
-        keys, entries, capable, rhematic = [], [], [], []
-        for ordinal, (c, pairs) in enumerate(zip(spec.constituents, placements)):
+        entries, capable, rhematic = [], [], []
+        for i, c in enumerate(spec.constituents):
             entry = None
             if c.lexicon_key is not None:
                 entry = lex.get(c.lexicon_key)
                 if entry is None:
                     raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
+                if not (entry.rhematic and entry.focusable):
+                    keys[i] = tuple(None if _lexical_veto(tag, entry) else k for tag, k in zip(KEY_TAGS, keys[i]))
             entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
-            row = [None] * len(KEY_TAGS)
-            if every_tag:
-                columns = range(len(KEY_TAGS))
-            else:
-                columns = (0, KEY_TAGS.index(tags[c.id])) if c.id in tags else (0,)
-            hoberg = c.hoberg_index or 0
-            for column in columns:
-                if pairs[column] and not _lexical_veto(KEY_TAGS[column], entry):
-                    row[column] = tuple((slot, sub_rank, hoberg, ordinal) for slot, sub_rank in pairs[column])
-            keys.append(tuple(row))
-            rhematic.append(_rhematic_by_default(table, c, pairs[0][0][0]))
+            rhematic.append(_rhematic_by_default(table, c, keys[i][0][0][0]))
         self.clause_type = spec.clause_type
         self.keys = tuple(keys)
         self.entries = tuple(entries)
         self.vorfeld_capable = tuple(capable)
         self.typically_rhematic = tuple(rhematic)
         self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)
-        # The untagged keys in Mittelfeld order, sorted on the first realize.
-        self._untagged = None
+        # The keys with input ordinals, and the untagged ones sorted: built on the first realize.
+        self._forward = None
 
     def vorfeld_pick(self, theme: int | None, rheme: int | None, focus: int | None) -> int | None:
         """The V2 Vorfeld rule: theme, else subject, else first capable element.
@@ -319,7 +308,8 @@ class CompiledClause:
         A theme that cannot open the clause (lexically Vorfeld-incapable)
         falls through to the subject; a rheme never opens the clause.  Among
         the other Vorfeld-capable elements with a slot for their tag, the one
-        with the lowest key opens.  None when nothing can.
+        with the lowest key (the first of equal keys) opens.  None when
+        nothing can.
         """
         if theme is not None and self.vorfeld_capable[theme]:
             return theme
@@ -356,29 +346,30 @@ class CompiledClause:
 
         The realization relation run forwards, by local moves.  ``order`` is
         the Vorfeld's input ordinal (None in VF) followed by the Mittelfeld's,
-        and the keys come sorted in that Mittelfeld order.  A typically
-        rhematic theme licenses nothing.  The untagged keys are sorted once
-        per clause; for each Vorfeld candidate the Vorfeld and the carriers
-        leave that order and the carriers' tagged keys are inserted back, so
-        at most three keys move.  A candidate is skipped when a carrier in its
-        Mittelfeld has no slot for its tag; the focus carrier's early and late
-        keys give one order each, and repeated orders are dropped.
+        and the keys, with the ordinal appended as in :class:`SortKey`, come
+        sorted in that Mittelfeld order.  A typically rhematic theme licenses
+        nothing.  The keys with their ordinals, and the untagged ones sorted,
+        are built once per clause; for each Vorfeld candidate the Vorfeld and
+        the carriers leave that order and the carriers' tagged keys are
+        inserted back, so at most three keys move.  A candidate is skipped
+        when a carrier in its Mittelfeld has no slot for its tag; the focus
+        carrier's early and late keys give one order each, and repeated
+        orders are dropped.
         """
         if theme is not None and self.typically_rhematic[theme]:
             return
-        if self._untagged is None:
-            self._untagged = sorted(row[0][0] for row in self.keys)
+        if self._forward is None:
+            keys = [[None if k is None else tuple((*key, i) for key in k) for k in row]
+                    for i, row in enumerate(self.keys)]
+            self._forward = keys, sorted(row[0][0] for row in keys)
+        keys, untagged = self._forward
         seen = set()
         for vorfeld in self._vorfelds(theme, rheme, focus):
-            moved = [
-                self.keys[i][column]
-                for i, column in ((theme, 1), (rheme, 2), (focus, 3))
-                if i is not None and i != vorfeld
-            ]
+            moved = [keys[i][j] for i, j in ((theme, 1), (rheme, 2), (focus, 3)) if i is not None and i != vorfeld]
             if None in moved:
                 continue
             away = (vorfeld, theme, rheme, focus)
-            rest = [key for key in self._untagged if key[3] not in away]
+            rest = [key for key in untagged if key[3] not in away]
             for combo in itertools.product(*moved):
                 mittelfeld = rest.copy()
                 for key in combo:

@@ -9,11 +9,11 @@ surface order of the Mittelfeld.
 The table itself ships as ``data/slot_table.tsv`` so the transcription can be
 reviewed independently of the matching code.
 
-A constituent's placements depend only on its signature (category,
+A constituent's slot keys depend only on its signature (category,
 definiteness, animacy, pronoun and SVC flags, Hoberg index), so each table
 instance keeps a lazily filled index from signature to the ``(slot,
-sub_rank)`` pairs it matches under each tag; the table is scanned once per
-signature, on its first lookup.  The lexical veto depends on the lexicon
+sub_rank, hoberg)`` keys it takes under each tag; the table is scanned once
+per signature, on its first lookup.  The lexical veto depends on the lexicon
 entry, not on the signature, so it is applied outside the index.
 """
 
@@ -245,9 +245,10 @@ def _lexical_veto(tag: Tag | None, entry) -> str | None:
     return None
 
 
-def _placements(table: SlotTable, c: Constituent) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The ``(slot, sub_rank)`` pairs the constituent matches under each of
-    :data:`KEY_TAGS`, in table order, before any lexical veto.
+def _placements(table: SlotTable, c: Constituent) -> tuple[tuple[tuple[int, int, int], ...] | None, ...]:
+    """The ``(slot, sub_rank, hoberg)`` keys the constituent takes under each
+    of :data:`KEY_TAGS`, in table order, before any lexical veto; None where
+    the tagging has no slot.
 
     Untagged, THEME and RHEME placements are the first match only; FOCUS
     keeps the first match of each slot.  Read from the table's index; a miss
@@ -261,18 +262,18 @@ def _placements(table: SlotTable, c: Constituent) -> tuple[tuple[tuple[int, int]
     return found
 
 
-def _scan(table: SlotTable, c: Constituent, tag: Tag | None) -> tuple[tuple[int, int], ...]:
+def _scan(table: SlotTable, c: Constituent, tag: Tag | None) -> tuple[tuple[int, int, int], ...] | None:
     """The first-match scan of the patterns in table order behind :func:`_placements`."""
-    pairs = []
+    keys = []
     seen_slots = set()
     for pattern in table.patterns:
         if pattern.slot in seen_slots or not pattern.matches(c, tag):
             continue
         seen_slots.add(pattern.slot)
-        pairs.append((pattern.slot, pattern.sub_rank))
+        keys.append((pattern.slot, pattern.sub_rank, c.hoberg_index or 0))
         if tag is not Tag.FOCUS:
             break  # non-focus placements are unique: first match only
-    return tuple(pairs)
+    return tuple(keys) or None
 
 
 def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int) -> bool:

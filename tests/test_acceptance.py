@@ -234,8 +234,8 @@ def test_criterion_7_comparator_laws(lex, table):
             keys = row[KEY_TAGS.index(tag)]
             if keys is None:
                 continue
-            # The first key, its ordinal numbered across the whole pool.
-            pool.append((with_tag(con, tag), SortKey(*keys[0][:3], ordinal)))
+            # The first key, with an ordinal numbered across the whole pool.
+            pool.append((with_tag(con, tag), SortKey(*keys[0], ordinal)))
             ordinal += 1
 
     def order(x, y):  # -1/0/+1 by SortKey ordering

@@ -48,6 +48,14 @@ def clause_file(tmp_path):
     return str(path)
 
 
+OBSERVED_DOC = {"schema_version": "1", "mode": "ANALYZE", "payload": {"observed": OBSERVED_2C}}
+CANDIDATES_DOC = {
+    "schema_version": "1",
+    "mode": "DISAMBIGUATE",
+    "payload": {"candidates": [{"label": "only", "observed": OBSERVED_2C}]},
+}
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -356,10 +364,16 @@ def _corpus_case(**fields):
         ({"cases": [_corpus_case(printed_order=["du"])]}, "cases[0].printed_order: names an unknown constituent"),
         ({"cases": [_corpus_case(printed_order=["ich"])]}, "cases[0].printed_order: must name every constituent once"),
         ({"cases": [_corpus_case(printed_stress=["nobody"])]}, "cases[0].printed_stress: unknown constituent id 'nobody'"),
+        ({"cases": [_corpus_case(doc=OBSERVED_DOC, printed=["Nach", "Rom"])]},
+         "cases[0].printed: only a GENERATE case has a printed line"),
+        ({"cases": [_corpus_case(doc=OBSERVED_DOC, printed_order=["nobody"])]},
+         "cases[0].printed_order: only a GENERATE case has a printed line"),
+        ({"cases": [_corpus_case(doc=CANDIDATES_DOC, printed_stress=["nobody"])]},
+         "cases[0].printed_stress: only a GENERATE case has a printed line"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
          "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
-         "printed-stress-id"],
+         "printed-stress-id", "printed-analyze", "printed-order-analyze", "printed-stress-disambiguate"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1
@@ -404,12 +418,6 @@ def test_explicit_slot_table(clause_file, capsys):
     assert main(["--slot-table", path, "generate", "--clause", clause_file]) == 0
 
 
-OBSERVED_DOC = {"schema_version": "1", "mode": "ANALYZE", "payload": {"observed": OBSERVED_2C}}
-CANDIDATES_DOC = {
-    "schema_version": "1",
-    "mode": "DISAMBIGUATE",
-    "payload": {"candidates": [{"label": "only", "observed": OBSERVED_2C}]},
-}
 #: Per mode: the command's file flag and the payload field that holds its input.
 INPUTS = {
     "GENERATE": ("--clause", "clause"),

@@ -8,8 +8,8 @@ the same order, or ``analyze`` must raise the same exception class with the
 same message.  Under stress marks no assignment can carry, the engine
 validates the clause where the reference did not (see
 :func:`oracle.unusable_stress`).  Random observations reach the walk's
-pruning cases by chance; two small clauses are checked in every order under
-every single stress mark.
+pruning cases by chance; three small clauses, one with tied keys, are
+checked in every order under every single stress mark.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ _WALKED = (
 )
 #: A dative pronoun has an early and a late FOCUS key: the walk's greedy choice.
 _TWO_FOCUS_KEYS = (c("er", "N", "er", pron=True), c("ihm", "D", "ihm", pron=True), modifier("gestern", "gestern", 26))
+#: Two modifiers of one Hoberg class tie on every key they have: the walk
+#: takes a key equal to its predecessor's as in order.
+_TIED = (
+    c("er", "N", "er", pron=True),
+    c("dem-mann", "D", "dem Mann", definite="+", animate="+"),
+    modifier("gestern", "gestern", 26),
+    modifier("damals", "damals", 26),
+)
 
 
 @pytest.mark.parametrize(
@@ -71,6 +79,8 @@ _TWO_FOCUS_KEYS = (c("er", "N", "er", pron=True), c("ihm", "D", "ihm", pron=True
         (_WALKED, ClauseType.VF, 21),
         (_TWO_FOCUS_KEYS, ClauseType.V2, 15),
         (_TWO_FOCUS_KEYS, ClauseType.VF, 10),
+        (_TIED, ClauseType.V2, 40),
+        (_TIED, ClauseType.VF, 28),
     ],
 )
 def test_every_order_and_stress_mark_of_one_clause_matches_reference_search(
