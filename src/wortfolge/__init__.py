@@ -32,7 +32,6 @@ from .lexicon import (
     Lexicon,
     LexiconError,
     NO_NEGATION,
-    dump_lexicon,
     load_default_lexicon,
     load_lexicon,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "Verdict",
     "analyze",
     "build_slot_table",
-    "dump_lexicon",
     "enumerate_orders",
     "linearize",
     "load_default_lexicon",

@@ -34,7 +34,7 @@ from enum import Enum
 
 from .clause import Category, ClauseSpec, ClauseType, Tag, _set, _Value
 from .lexicon import Lexicon
-from .linearize import CompiledClause, TagAssignment, _check_search_size
+from .linearize import CompiledClause, TagAssignment, _tag_pairs
 from .slots import SlotTable, build_slot_table
 
 
@@ -91,9 +91,8 @@ class AnalysisResult(_Value):
 
 
 def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
-    """Check the size cap; return the FOCUS the stress marks fix (``{}`` without
-    marks, None for marks no assignment can carry: an unknown id, two ids)."""
-    _check_search_size(len(obs.constituents))
+    """The FOCUS the stress marks fix: ``{}`` without marks, None for marks no
+    assignment can carry (an unknown id, two ids)."""
     if not obs.stress:
         return {}
     if len(obs.stress) == 1 and obs.stress <= set(obs.order):
@@ -101,7 +100,7 @@ def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
     return None
 
 
-def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[TagAssignment, ...]:
+def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tuple[int | None, ...]]:
     """Every tag assignment whose realizations include the observed order ``ids``.
 
     One left-to-right walk over the observed order.  A branch is a prefix of
@@ -112,9 +111,16 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[Ta
     keys not below its predecessor's, which leaves the most room for the rest.
     The V2 Vorfeld is never compared; it may carry any tag, and each finished
     assignment must let it open the clause (:meth:`CompiledClause._vorfelds`).
-    Results come in :func:`iter_assignments` order; none means the order is
-    ungrammatical.  Stress marks are hard constraints: a non-empty ``fixed``
-    puts FOCUS exactly on the marked constituent.
+    Assignments are ``(theme, rheme, focus)`` carrier triples of input
+    ordinals, None for an absent tag, in :func:`iter_assignments` order; none
+    means the order is ungrammatical.  Stress marks are hard constraints: a
+    non-empty ``fixed`` puts FOCUS exactly on the marked constituent.
+
+    Worst case: a branch's tags, and so its keys, follow from its carriers,
+    and a focus's key from its predecessor's, so at most one branch lives per
+    carrier triple and focus key, O(n^3) per position.  Since no key may fall
+    below its predecessor's, almost all of them die where they are grown, and
+    the cost follows the explanations; there is no size cap.
     """
     v2 = clause.clause_type is ClauseType.V2
     stressed = ids.index(next(iter(fixed))) if fixed else None
@@ -145,12 +151,10 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> tuple[Ta
                     child[j] = i
                 grown.append(child)
         branches = grown
-    finished = sorted(
-        (b[1:] for b in branches if not v2 or 0 in clause._vorfelds(*b[1:])),
+    return sorted(
+        (tuple(b[1:]) for b in branches if not v2 or 0 in clause._vorfelds(*b[1:])),
         key=lambda carriers: [-1 if i is None else i for i in carriers],
     )
-    tags = (Tag.THEME, Tag.RHEME, Tag.FOCUS)
-    return tuple({ids[i]: tag for i, tag in zip(carriers, tags) if i is not None} for carriers in finished)
 
 
 def _detections(clause: CompiledClause, obs: ClauseSpec, table: SlotTable) -> tuple[str, ...]:
@@ -208,14 +212,15 @@ def analyze(
 
 def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
     """:func:`analyze`, also returning the compiled clause it read everything off."""
+    ids = obs.order
     fixed = _stress_focus(obs)
     clause = CompiledClause(obs, fixed or {}, lex, table)
-    explanations = () if fixed is None else _explanations(clause, obs.order, fixed)
+    carriers = [] if fixed is None else _explanations(clause, ids, fixed)
 
-    focus_options: tuple[str, ...] = ()
-    if explanations and all(Tag.FOCUS in tags.values() for tags in explanations):
-        focused = {cid for tags in explanations for cid, t in tags.items() if t is Tag.FOCUS}
-        focus_options = tuple(sorted(focused))
+    # An assignment has at most one focus, so the order costs one focus iff every explanation has one.
+    focused = {focus for _, _, focus in carriers}
+    marked = bool(carriers) and None not in focused
+    focus_options = tuple(sorted(ids[i] for i in focused)) if marked else ()
     focus = focus_options[0] if len(focus_options) == 1 else None
     theme = rheme = None
     if obs.constituents:
@@ -226,13 +231,10 @@ def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledC
             rheme = last.id
     detected = _detections(clause, obs, table)
 
-    costs = [sum(1 for t in tags.values() if t is Tag.FOCUS) for tags in explanations]
-    markedness_cost = min(costs) if costs else 0
-
     # With constituents, no rheme means the final one is inherently non-rhematic.
     warning = None
     if (
-        explanations
+        carriers
         and obs.clause_type is ClauseType.V2
         and obs.constituents
         and rheme is None
@@ -243,22 +245,21 @@ def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledC
             vorfeld_candidate=obs.constituents[0].id,
         )
 
-    if not explanations:
+    if not carriers:
         verdict = Verdict.UNGRAMMATICAL
-    elif markedness_cost > 0 or warning is not None:
+    elif marked or warning is not None:
         verdict = Verdict.GRAMMATICAL_MARKED
     else:
         verdict = Verdict.GRAMMATICAL_UNMARKED
 
-    frozen = tuple(tuple(sorted(tags.items())) for tags in explanations)
     return clause, AnalysisResult(
         verdict=verdict,
         theme=theme,
         rheme=rheme,
         focus=focus,
         focus_options=focus_options,
-        explanations=frozen,
-        markedness_cost=markedness_cost,
+        explanations=tuple(_tag_pairs(ids, *c) for c in carriers),
+        markedness_cost=int(marked),
         warning=warning,
         detected_focus=detected,
     )

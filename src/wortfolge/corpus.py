@@ -106,6 +106,12 @@ _EXPECTED_FIELDS = dict(
     analysis=dict, printed_analysis=dict, readings=dict, rendered=list, ranking=list, rejected=list,
     excluded=list,
 )
+#: The ``expected`` fields each mode's check reads; any other is refused.
+_EXPECTED_BY_MODE = {
+    Mode.GENERATE: {"rendered", "vorfeld", "analysis", "printed_analysis"},
+    Mode.ANALYZE: {"analysis"},
+    Mode.DISAMBIGUATE: {"ranking", "rejected", "excluded", "readings"},
+}
 
 
 def _check_fields(raw: dict, kinds: dict, where: str):
@@ -144,6 +150,15 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         _check_fields(expected, _EXPECTED_FIELDS, f"{where}.expected")
         readings = expected.get("readings", {})
         _check_fields(readings, dict.fromkeys(readings, dict), f"{where}.expected.readings")
+        flags = raw_case.get("flags", {})
+        for key, value in flags.items():
+            if key != "expected_mismatch":
+                raise DocumentError(f"{where}.flags.{key}: unknown flag")
+            if not isinstance(value, bool):
+                raise DocumentError(f"{where}.flags.{key}: must be true or false")
+        for key in expected:
+            if key not in _EXPECTED_BY_MODE[doc.mode]:
+                raise DocumentError(f"{where}.expected.{key}: never checked in {doc.mode.value} mode")
         printed_order = raw_case.get("printed_order", [])
         printed_stress = raw_case.get("printed_stress", [])
         if doc.mode is Mode.GENERATE:
@@ -162,8 +177,8 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
             CorpusCase(
                 case_id=case_id,
                 doc=doc,
-                expected=raw_case.get("expected", {}),
-                expected_mismatch=bool(raw_case.get("flags", {}).get("expected_mismatch", False)),
+                expected=expected,
+                expected_mismatch=flags.get("expected_mismatch", False),
                 printed=tuple(raw_case.get("printed", [])),
                 printed_order=tuple(printed_order),
                 printed_stress=frozenset(printed_stress),

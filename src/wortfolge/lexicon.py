@@ -158,29 +158,6 @@ def load_lexicon(source) -> Lexicon:
     return Lexicon(entries)
 
 
-def dump_lexicon(lex: Lexicon) -> str:
-    """Serialize back to the TSV format accepted by :func:`load_lexicon`."""
-    lines = []
-    for entry in sorted(lex.entries(), key=lambda e: (e.lemma, e.reading_id)):
-        constraints = ",".join(sorted(entry.constraints)) if entry.constraints else "-"
-        lines.append(
-            "\t".join(
-                (
-                    entry.lemma,
-                    entry.reading_id,
-                    str(entry.hoberg_index),
-                    "1" if entry.rhematic else "0",
-                    "1" if entry.focusable else "0",
-                    "1" if entry.vorfeld_capable else "0",
-                    constraints,
-                    "1" if entry.inferred else "0",
-                    entry.gloss,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def load_default_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
     text = resources.files("wortfolge.data").joinpath("lexicon.tsv").read_text("utf-8")

@@ -37,14 +37,8 @@ from .slots import KEY_TAGS, SlotTable, SortKey, _lexical_veto, _placements, _rh
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
 
+#: The most constituents :func:`enumerate_orders` takes; analysis has no cap.
 MAX_SEARCH_CONSTITUENTS = 10
-
-
-def _check_search_size(n: int):
-    """Raise ``ValueError`` for a clause of ``n`` constituents past the search cap."""
-    if n > MAX_SEARCH_CONSTITUENTS:
-        raise ValueError(f"clause has {n} constituents; "
-                         f"exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}")
 
 
 class LinearizeError(Exception):
@@ -152,6 +146,12 @@ def _carriers(spec: ClauseSpec, tags: TagAssignment):
     ordinals = {c.id: i for i, c in enumerate(spec.constituents)}
     carriers = {tag: ordinals[cid] for cid, tag in tags.items()}
     return carriers.get(Tag.THEME), carriers.get(Tag.RHEME), carriers.get(Tag.FOCUS)
+
+
+def _tag_pairs(ids, theme: int | None, rheme: int | None, focus: int | None) -> tuple[tuple[str, Tag], ...]:
+    """An assignment's sorted ``(id, tag)`` pairs, from its carriers' ordinals in ``ids``."""
+    tagged = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
+    return tuple(sorted((ids[i], tag) for i, tag in tagged if i is not None))
 
 
 def linearize(
@@ -456,10 +456,13 @@ def enumerate_orders(
     license nothing under their tag are left out of the assignments, and
     every remaining assignment runs :meth:`CompiledClause.realize` on it.  A
     variant's surface is that of its first focus-free assignment, if it has
-    one (no focus caps), and is rendered once, after the search.  Clause
-    size is capped to keep the search desk-scale.
+    one (no focus caps), and is rendered once, after the search.  The output
+    grows with the assignments, so a clause is capped at
+    ``MAX_SEARCH_CONSTITUENTS`` constituents.
     """
-    _check_search_size(len(spec.constituents))
+    n = len(spec.constituents)
+    if n > MAX_SEARCH_CONSTITUENTS:
+        raise ValueError(f"clause has {n} constituents; exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}")
     clause = CompiledClause(spec, {}, lex, table or build_slot_table())
     ids = [c.id for c in spec.constituents]
     # order -> [(vorfeld, keys, focus) of its surface, whether that is focus-free, assignments]
@@ -468,8 +471,7 @@ def enumerate_orders(
         assignment = None
         for order, keys in clause.realize(theme, rheme, focus):
             if assignment is None:
-                tagged = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
-                assignment = tuple(sorted((ids[i], tag) for i, tag in tagged if i is not None))
+                assignment = _tag_pairs(ids, theme, rheme, focus)
             group = grouped.setdefault(order, [None, False, []])
             if group[0] is None or (focus is None and not group[1]):
                 group[0] = (order[0], keys, focus)

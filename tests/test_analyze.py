@@ -14,6 +14,7 @@ from wortfolge import (
 )
 
 from .conftest import c, modifier
+from .oracle import reference_explain_order
 from .strategies import random_clause, sample_valid_pairs
 
 
@@ -100,6 +101,39 @@ def test_stress_on_the_vorfeld_element_focuses_it(dennoch_clause, lex):
         (("er", Tag.FOCUS),),
         (("er", Tag.FOCUS), ("morgen", Tag.RHEME)),
     )
+
+
+#: Alike constituents: tied modifiers, prepositional objects, genitives.
+_ALIKE = {
+    "M": lambda i: modifier(f"c{i}", "gestern", 26),
+    "PO": lambda i: c(f"c{i}", "PO", f"an x{i}", definite="+", animate="-"),
+    "G": lambda i: c(f"c{i}", "G", f"x{i}", definite="+"),
+}
+
+
+def _alike_clause(kind, clause_type, n):
+    complementizer = "weil" if clause_type is ClauseType.VF else None
+    return ClauseSpec(clause_type, VerbComplex(("hat",)), tuple(_ALIKE[kind](i) for i in range(n)), complementizer)
+
+
+@pytest.mark.parametrize("clause_type", [ClauseType.V2, ClauseType.VF])
+@pytest.mark.parametrize("kind", sorted(_ALIKE))
+def test_analysis_has_no_size_cap(lex, kind, clause_type):
+    # The reference search checks six alike constituents; forty carry the same
+    # tags at the same distance from either end of the clause.
+    small = _alike_clause(kind, clause_type, 6)
+    found = analyze(small, lex)
+    assert tuple(dict(tags) for tags in found.explanations) == reference_explain_order(small, lex)
+
+    def stretched(cid):
+        i = int(cid[1:])
+        return f"c{i if i < 3 else i + 34}"
+
+    large = analyze(_alike_clause(kind, clause_type, 40), lex)
+    assert large.explanations == tuple(
+        tuple(sorted((stretched(cid), tag) for cid, tag in tags)) for tags in found.explanations
+    )
+    assert (large.verdict, large.markedness_cost) == (found.verdict, found.markedness_cost)
 
 
 # --- focus recognition --------------------------------------------------------------

@@ -26,7 +26,7 @@ PUBLIC = [
     "CooccurrenceViolation", "FeatureBundle", "InexpressibleTags", "LexEntry", "Lexicon", "LexiconError",
     "LinearizeError", "NEGATED", "NO_NEGATION", "NoVorfeld", "OrderVariant", "RankedReading", "SlotTable",
     "SortKey", "StressWarning", "SurfaceOrder", "Tag", "TagAssignment", "VerbComplex", "Verdict",
-    "analyze", "build_slot_table", "dump_lexicon", "enumerate_orders", "linearize", "load_default_lexicon",
+    "analyze", "build_slot_table", "enumerate_orders", "linearize", "load_default_lexicon",
     "load_lexicon", "load_slot_table", "rank_readings", "realizations",
 ]
 
@@ -34,6 +34,7 @@ PUBLIC = [
 REMOVED = (
     "sort_key", "all_sort_keys", "_slot_keys", "_no_slot", "NoSlotError", "explain_order",
     "detect_focus_constructions", "validate_clause", "observe", "spec_of", "parse_observed", "_observed_from_order",
+    "dump_lexicon", "_check_search_size",
 )
 
 #: The engine functions the oracle may call: the table and lexicon loaders.

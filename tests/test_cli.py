@@ -260,6 +260,14 @@ def test_analyze_grammatical(tmp_path, capsys):
     assert report["rheme"] == "nach-muenchen"
 
 
+def test_analyze_has_no_clause_size_cap(tmp_path, capsys):
+    objects = [{"id": f"po{i}", "category": "PO", "surface": ["an", f"x{i}"],
+                "features": {"definite": "+", "animate": "-"}} for i in range(11)]
+    obs = {"clause_type": "V2", "verb": {"finite": ["hat"]}, "constituents": objects}
+    assert main(["analyze", "--observed", _write(tmp_path, "obs.json", obs)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "GRAMMATICAL_UNMARKED"
+
+
 def test_disambiguate_command(tmp_path, capsys):
     candidates = [
         {
@@ -370,10 +378,21 @@ def _corpus_case(**fields):
          "cases[0].printed_order: only a GENERATE case has a printed line"),
         ({"cases": [_corpus_case(doc=CANDIDATES_DOC, printed_stress=["nobody"])]},
          "cases[0].printed_stress: only a GENERATE case has a printed line"),
+        ({"cases": [_corpus_case(flags={"expected_mismatchh": True})]},
+         "cases[0].flags.expected_mismatchh: unknown flag"),
+        ({"cases": [_corpus_case(flags={"expected_mismatch": "false"})]},
+         "cases[0].flags.expected_mismatch: must be true or false"),
+        ({"cases": [_corpus_case(expected={"renderd": ["nonsense"]})]},
+         "cases[0].expected.renderd: never checked in GENERATE mode"),
+        ({"cases": [_corpus_case(doc=OBSERVED_DOC, expected={"rendered": ["Nach", "Rom"]})]},
+         "cases[0].expected.rendered: never checked in ANALYZE mode"),
+        ({"cases": [_corpus_case(doc=CANDIDATES_DOC, expected={"analysis": {}})]},
+         "cases[0].expected.analysis: never checked in DISAMBIGUATE mode"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
          "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
-         "printed-stress-id", "printed-analyze", "printed-order-analyze", "printed-stress-disambiguate"],
+         "printed-stress-id", "printed-analyze", "printed-order-analyze", "printed-stress-disambiguate",
+         "unknown-flag", "non-boolean-flag", "misspelt-expected", "rendered-analyze", "analysis-disambiguate"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1

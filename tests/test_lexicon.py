@@ -3,7 +3,6 @@ import pytest
 from wortfolge.lexicon import (
     LexiconError,
     NO_NEGATION,
-    dump_lexicon,
     load_lexicon,
 )
 
@@ -76,11 +75,6 @@ def test_attested_position_classes(lex, lemma, index):
     readings = lex.lookup(lemma)
     assert len(readings) == 1
     assert readings[0].hoberg_index == index
-
-
-def test_dump_load_round_trip(lex):
-    reloaded = load_lexicon(dump_lexicon(lex))
-    assert {e.key: e for e in reloaded.entries()} == {e.key: e for e in lex.entries()}
 
 
 def test_malformed_row_names_line():
