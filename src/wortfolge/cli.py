@@ -38,8 +38,12 @@ from .documents import (
     DocumentError,
     Mode,
     analysis_report,
+    disambiguate_report,
+    error_report,
+    generate_report,
     parse_document,
     parse_tags,
+    variants_report,
     verify_document_keys,
 )
 from .lexicon import LexiconError, load_default_lexicon, load_lexicon
@@ -159,48 +163,19 @@ def _cmd_generate(args, lex, table) -> int:
             except (InexpressibleTags, NoVorfeld):
                 pass
         variants = enumerate_orders(clause, lex, table)
-        report = {
-            "variants": [
-                {
-                    "order": list(v.order),
-                    "rendered": list(v.surface.rendered),
-                    "assignments": [
-                        {cid: tag.value for cid, tag in assignment}
-                        for assignment in v.assignments
-                    ],
-                }
-                for v in variants
-            ],
-            "variant_count": len(variants),
-        }
         lines = [f"{len(variants)} distinct orders:"]
         for v in variants:
             lines.append(f"  {v.surface.text}   [{len(v.assignments)} assignment(s)]")
-        _emit(report, lines, args.pretty)
+        _emit(variants_report(variants), lines, args.pretty)
         return EXIT_OK
 
     surface = linearize(clause, tags, lex, table)
-    report = {
-        "rendered": list(surface.rendered),
-        "text": surface.text,
-        "vorfeld": surface.vorfeld,
-        "mittelfeld": list(surface.mittelfeld),
-        "keys": {
-            cid: {
-                "slot": key.slot,
-                "sub_rank": key.sub_rank,
-                "hoberg": key.hoberg,
-                "input_ordinal": key.input_ordinal,
-            }
-            for cid, key in surface.keys
-        },
-    }
     lines = _interlinear(clause, [clause.by_id(cid) for cid in surface.order], tags.get, surface.rendered)
     if surface.vorfeld is not None:
         lines.append(f"vorfeld: {surface.vorfeld}")
     keys = "  ".join(f"{cid}[{key.slot}.{key.sub_rank}.{key.hoberg}]" for cid, key in surface.keys)
     lines.append(f"mittelfeld slots: {keys}")
-    _emit(report, lines, args.pretty)
+    _emit(generate_report(surface), lines, args.pretty)
     return EXIT_OK
 
 
@@ -209,18 +184,9 @@ def _cmd_analyze(args, lex, table) -> int:
     _check_keys(doc, lex)
     observed = doc.clause
     result = analyze(observed, lex, table)
-    report = analysis_report(result)
-
-    def recovered_tag(cid):
-        if cid == result.focus:
-            return Tag.FOCUS
-        if cid == result.theme:
-            return Tag.THEME
-        if cid == result.rheme:
-            return Tag.RHEME
-        return None
-
-    lines = _interlinear(observed, observed.constituents, recovered_tag)
+    # Later entries win: a constituent shows focus over theme over rheme.
+    recovered = {result.rheme: Tag.RHEME, result.theme: Tag.THEME, result.focus: Tag.FOCUS}
+    lines = _interlinear(observed, observed.constituents, recovered.get)
     lines += [
         f"verdict: {result.verdict.value}",
         f"theme: {result.theme or '-'}   rheme: {result.rheme or '-'}   focus: {result.focus or '-'}",
@@ -234,7 +200,7 @@ def _cmd_analyze(args, lex, table) -> int:
         )
     if result.detected_focus:
         lines.append(f"focus constructions detected on: {', '.join(result.detected_focus)}")
-    _emit(report, lines, args.pretty)
+    _emit(analysis_report(result), lines, args.pretty)
     return EXIT_UNGRAMMATICAL if result.verdict is Verdict.UNGRAMMATICAL else EXIT_OK
 
 
@@ -245,20 +211,6 @@ def _cmd_disambiguate(args, lex, table) -> int:
         raise _InputError("no constructible candidate readings")
 
     ranked = rank_readings(doc.candidates, lex, table)
-    report = {
-        "readings": [
-            {
-                "label": r.reading.label,
-                "rank": r.rank,
-                "constraint_ok": r.constraint_ok,
-                "verdict": r.result.verdict.value,
-                "markedness_cost": r.result.markedness_cost,
-                "focus": r.result.focus,
-            }
-            for r in ranked
-        ],
-        "excluded": [{"label": label, "reason": reason} for label, reason in doc.excluded],
-    }
     lines = []
     for r in ranked:
         flag = "" if r.constraint_ok else "  [constraint-rejected]"
@@ -268,7 +220,7 @@ def _cmd_disambiguate(args, lex, table) -> int:
         )
     for label, reason in doc.excluded:
         lines.append(f"-- {label}: excluded ({reason})")
-    _emit(report, lines, args.pretty)
+    _emit(disambiguate_report(ranked, doc.excluded), lines, args.pretty)
     return EXIT_OK
 
 
@@ -359,13 +311,7 @@ def main(argv=None) -> int:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except LinearizeError as err:
-        print(
-            json.dumps(
-                {"error": {"type": type(err).__name__, "message": str(err)}},
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
+        print(json.dumps(error_report(err), sort_keys=True, ensure_ascii=False))
         return EXIT_GENERATION
 
 

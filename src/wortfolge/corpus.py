@@ -1,10 +1,12 @@
 """Regression corpus: attested example clauses with their expected behaviour.
 
-Each case wraps one clause document plus expectations (rendered order,
-verdict, recovered tags, ranking).  Cases flagged ``expected_mismatch`` are
-the spots where the shipped slot-table transcription and an attested printed
-order disagree; for those the recorded discrepancy itself is asserted, and
-they never fail the corpus run.
+Each case wraps one clause document plus expectations, which one function
+compares with the reports the CLI prints for that document (built by
+:mod:`wortfolge.documents`; :func:`_reports` maps the other fields).  Cases
+flagged ``expected_mismatch`` are the spots where the shipped slot-table
+transcription and an attested printed order disagree; only they record the
+printed line, the recorded discrepancy itself is asserted, and they never
+fail the corpus run.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .documents import (
     Mode,
     _parse_stress,
     analysis_report,
+    disambiguate_report,
+    generate_report,
     parse_document,
     verify_document_keys,
 )
@@ -100,27 +104,27 @@ class CorpusSummary(_Record):
         }
 
 
-#: The JSON type of each optional case field and ``expected`` field (lists hold strings).
+#: How a refusal names each JSON type a field may take; a list holds strings.
+_KINDS = {dict: "an object", list: "a list of strings", str | None: "a string or null"}
+#: The JSON type of each optional case field.
 _CASE_FIELDS = dict(flags=dict, expected=dict, printed=list, printed_order=list, printed_stress=list)
-_EXPECTED_FIELDS = dict(
-    analysis=dict, printed_analysis=dict, readings=dict, rendered=list, ranking=list, rejected=list,
-    excluded=list,
-)
-#: The ``expected`` fields each mode's check reads; any other is refused.
-_EXPECTED_BY_MODE = {
-    Mode.GENERATE: {"rendered", "vorfeld", "analysis", "printed_analysis"},
-    Mode.ANALYZE: {"analysis"},
-    Mode.DISAMBIGUATE: {"ranking", "rejected", "excluded", "readings"},
+#: Each mode's ``expected`` fields and their JSON types; any other is refused.
+_EXPECTED_FIELDS = {
+    Mode.GENERATE: dict(rendered=list, vorfeld=str | None, analysis=dict, printed_analysis=dict),
+    Mode.ANALYZE: dict(analysis=dict),
+    Mode.DISAMBIGUATE: dict(ranking=list, rejected=list, excluded=list, readings=dict),
 }
+#: The case fields that record the attested printed line.
+_PRINTED_FIELDS = ("printed", "printed_order", "printed_stress")
 
 
 def _check_fields(raw: dict, kinds: dict, where: str):
     for key, kind in kinds.items():
-        value = raw.get(key, kind())
-        if kind is dict and not isinstance(value, dict):
-            raise DocumentError(f"{where}.{key}: must be an object")
-        if kind is list and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise DocumentError(f"{where}.{key}: must be a list of strings")
+        if key not in raw:
+            continue
+        value = raw[key]
+        if not isinstance(value, kind) or kind is list and not all(isinstance(v, str) for v in value):
+            raise DocumentError(f"{where}.{key}: must be {_KINDS[kind]}")
 
 
 def load_corpus(text: str) -> tuple[CorpusCase, ...]:
@@ -146,19 +150,19 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
             raise DocumentError(f"{where}: missing doc")
         doc = parse_document(raw_case["doc"])
         _check_fields(raw_case, _CASE_FIELDS, where)
-        expected = raw_case.get("expected", {})
-        _check_fields(expected, _EXPECTED_FIELDS, f"{where}.expected")
-        readings = expected.get("readings", {})
-        _check_fields(readings, dict.fromkeys(readings, dict), f"{where}.expected.readings")
         flags = raw_case.get("flags", {})
         for key, value in flags.items():
             if key != "expected_mismatch":
                 raise DocumentError(f"{where}.flags.{key}: unknown flag")
             if not isinstance(value, bool):
                 raise DocumentError(f"{where}.flags.{key}: must be true or false")
+        expected = raw_case.get("expected", {})
         for key in expected:
-            if key not in _EXPECTED_BY_MODE[doc.mode]:
+            if key not in _EXPECTED_FIELDS[doc.mode]:
                 raise DocumentError(f"{where}.expected.{key}: never checked in {doc.mode.value} mode")
+        _check_fields(expected, _EXPECTED_FIELDS[doc.mode], f"{where}.expected")
+        readings = expected.get("readings", {})
+        _check_fields(readings, dict.fromkeys(readings, dict), f"{where}.expected.readings")
         printed_order = raw_case.get("printed_order", [])
         printed_stress = raw_case.get("printed_stress", [])
         if doc.mode is Mode.GENERATE:
@@ -170,15 +174,26 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
                 raise DocumentError(f"{where}.printed_order: must name every constituent once")
             _parse_stress(printed_stress, ids, f"{where}.printed_stress")
         else:
-            for field in ("printed", "printed_order", "printed_stress"):
+            for field in _PRINTED_FIELDS:
                 if field in raw_case:
                     raise DocumentError(f"{where}.{field}: only a GENERATE case has a printed line")
+        expected_mismatch = flags.get("expected_mismatch", False)
+        if not expected_mismatch:
+            unchecked = [field for field in _PRINTED_FIELDS if field in raw_case]
+            if "printed_analysis" in expected:
+                unchecked.append("expected.printed_analysis")
+            if unchecked:
+                raise DocumentError(f"{where}.{unchecked[0]}: only an expected_mismatch case has a printed line")
+        elif not raw_case.get("printed"):
+            raise DocumentError(f"{where}.printed: an expected_mismatch case must record its printed line")
+        if "printed_analysis" in expected and not printed_order:
+            raise DocumentError(f"{where}.expected.printed_analysis: needs a printed_order")
         cases.append(
             CorpusCase(
                 case_id=case_id,
                 doc=doc,
                 expected=expected,
-                expected_mismatch=flags.get("expected_mismatch", False),
+                expected_mismatch=expected_mismatch,
                 printed=tuple(raw_case.get("printed", [])),
                 printed_order=tuple(printed_order),
                 printed_stress=frozenset(printed_stress),
@@ -193,12 +208,58 @@ def load_default_corpus() -> tuple[CorpusCase, ...]:
     return load_corpus(text)
 
 
-def _check_analysis(expected: dict, result: AnalysisResult, failures: list, prefix: str = "analysis"):
-    """Compare each expected field with the JSON form ``analyze`` prints."""
-    actual = {**analysis_report(result), "has_empty_explanation": () in result.explanations}
+#: Expected fields that hold expected fields of their own, as does each label
+#: of ``readings``; every other value is compared whole, ``warning`` included.
+_GROUPS = ("analysis", "printed_analysis", "readings")
+#: Expected fields compared as sets: both sides sorted.
+_SETS = ("rejected", "excluded")
+
+
+def _analysis(result: AnalysisResult) -> dict:
+    report = analysis_report(result)
+    report["has_empty_explanation"] = {} in report["explanations"]
+    return report
+
+
+def _reports(case: CorpusCase, lex: Lexicon, table: SlotTable) -> dict:
+    """The reports the CLI prints for the case, keyed as ``expected`` is.
+
+    A GENERATE ``analysis`` is that of the generated order, ``printed_analysis``
+    that of ``printed_order`` under ``printed_stress``.  ``ranking`` is the
+    reading labels in rank order, ``rejected`` those with ``constraint_ok``
+    false, ``excluded`` the excluded labels, and ``readings.<label>`` that
+    candidate's full analysis (the first if labels repeat).  Every analysis
+    adds ``has_empty_explanation``.
+    """
+    doc = case.doc
+    if doc.mode is Mode.ANALYZE:
+        return {"analysis": _analysis(analyze(doc.clause, lex, table))}
+    if doc.mode is Mode.DISAMBIGUATE:
+        ranked = rank_readings(doc.candidates, lex, table)
+        report = disambiguate_report(ranked, doc.excluded)
+        return {
+            "ranking": [r["label"] for r in report["readings"]],
+            "rejected": sorted(r["label"] for r in report["readings"] if not r["constraint_ok"]),
+            "excluded": sorted(e["label"] for e in report["excluded"]),
+            "readings": {r.reading.label: _analysis(r.result) for r in reversed(ranked)},
+        }
+    surface = linearize(doc.clause, doc.tags or {}, lex, table)
+    reports = generate_report(surface)
+    reports["analysis"] = _analysis(analyze(doc.clause.reordered(surface.order), lex, table))
+    if case.printed_order:
+        printed = doc.clause.reordered(case.printed_order, case.printed_stress)
+        reports["printed_analysis"] = _analysis(analyze(printed, lex, table))
+    return reports
+
+
+def _compare(expected: dict, actual: dict, failures: list[str], prefix: str = ""):
+    """One failure per expected value that differs from the same field of ``actual``."""
     for name, value in expected.items():
-        if name not in actual or actual[name] != value:
-            failures.append(f"{prefix}.{name}: expected {value!r}, got {actual.get(name)!r}")
+        where = prefix + name
+        if name in actual and (name in _GROUPS or prefix == "readings."):
+            _compare(value, actual[name], failures, where + ".")
+        elif name not in actual or actual[name] != (sorted(value) if name in _SETS else value):
+            failures.append(f"{where}: expected {value!r}, got {actual.get(name)!r}")
 
 
 def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> CaseResult:
@@ -208,64 +269,16 @@ def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> 
         try:
             _check_case(case, lex, table or build_slot_table(), failures)
         except (LinearizeError, ValueError) as err:
-            failures.append(f"analysis failed: {err}")
+            failures.append(f"{case.doc.mode.value.lower()} failed: {err}")
     return CaseResult(case.case_id, not failures, case.expected_mismatch, failures)
 
 
 def _check_case(case: CorpusCase, lex: Lexicon, table: SlotTable, failures: list[str]):
-    doc = case.doc
-    if doc.mode is Mode.GENERATE:
-        try:
-            surface = linearize(doc.clause, doc.tags or {}, lex, table)
-        except (LinearizeError, ValueError) as err:
-            failures.append(f"linearize failed: {err}")
-            return
-        if "rendered" in case.expected and list(surface.rendered) != case.expected["rendered"]:
-            failures.append(
-                f"rendered: expected {' '.join(case.expected['rendered'])!r}, got {surface.text!r}"
-            )
-        if "vorfeld" in case.expected and surface.vorfeld != case.expected["vorfeld"]:
-            failures.append(f"vorfeld: expected {case.expected['vorfeld']!r}, got {surface.vorfeld!r}")
-        if "analysis" in case.expected:
-            obs = doc.clause.reordered(surface.order)
-            _check_analysis(case.expected["analysis"], analyze(obs, lex, table), failures)
-        if case.expected_mismatch:
-            # The transcription and the attested line disagree here; assert the
-            # discrepancy is exactly the recorded one.
-            if not case.printed:
-                failures.append("expected_mismatch case without printed tokens")
-            elif list(surface.rendered) == list(case.printed):
-                failures.append("expected a mismatch against the printed order, but they agree")
-            if case.printed_order and "printed_analysis" in case.expected:
-                obs = doc.clause.reordered(case.printed_order, case.printed_stress)
-                _check_analysis(
-                    case.expected["printed_analysis"],
-                    analyze(obs, lex, table),
-                    failures,
-                    prefix="printed_analysis",
-                )
-    elif doc.mode is Mode.ANALYZE:
-        _check_analysis(case.expected.get("analysis", {}), analyze(doc.clause, lex, table), failures)
-    else:
-        ranked = rank_readings(doc.candidates, lex, table)
-        if "ranking" in case.expected:
-            actual = [r.reading.label for r in ranked]
-            if actual != case.expected["ranking"]:
-                failures.append(f"ranking: expected {case.expected['ranking']}, got {actual}")
-        if "rejected" in case.expected:
-            actual = sorted(r.reading.label for r in ranked if not r.constraint_ok)
-            if actual != sorted(case.expected["rejected"]):
-                failures.append(f"rejected: expected {case.expected['rejected']}, got {actual}")
-        if "excluded" in case.expected:
-            actual = sorted(label for label, _ in doc.excluded)
-            if actual != sorted(case.expected["excluded"]):
-                failures.append(f"excluded: expected {case.expected['excluded']}, got {actual}")
-        for label, expected_analysis in case.expected.get("readings", {}).items():
-            matching = [r for r in ranked if r.reading.label == label]
-            if not matching:
-                failures.append(f"readings.{label}: no such candidate")
-                continue
-            _check_analysis(expected_analysis, matching[0].result, failures, prefix=f"readings.{label}")
+    actual = _reports(case, lex, table)
+    _compare(case.expected, actual, failures)
+    # The recorded discrepancy: the derived order is not the printed one.
+    if case.expected_mismatch and actual["rendered"] == list(case.printed):
+        failures.append("expected a mismatch against the printed order, but they agree")
 
 
 def run_corpus(

@@ -5,13 +5,12 @@ mode is GENERATE (clause + tag assignment), ANALYZE (observed clause) or
 DISAMBIGUATE (candidate readings).  Every mode reads a clause the same way,
 stress marks included, into a :class:`ClauseSpec`.  Field names mirror the
 domain types in snake_case; the format is deliberately diff-friendly for
-corpus files.  The JSON form of an analysis, which ``analyze`` prints and
-the corpus compares against, is built here too.
+corpus files.  Every JSON report the CLI prints is built here too (the
+``*_report`` functions), and the corpus compares its expectations with them.
 """
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 from .analyze import AnalysisResult
@@ -27,9 +26,9 @@ from .clause import (
     _set,
     _Value,
 )
-from .disambiguate import NEGATED, CandidateReading
+from .disambiguate import NEGATED, CandidateReading, RankedReading
 from .lexicon import Lexicon
-from .linearize import TagAssignment
+from .linearize import OrderVariant, SurfaceOrder, TagAssignment
 
 SCHEMA_VERSION = "1"
 
@@ -255,14 +254,6 @@ def parse_document(raw) -> ClauseDocument:
     return ClauseDocument(mode=mode, candidates=candidates, excluded=excluded)
 
 
-def load_document(text: str) -> ClauseDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DocumentError(f"document: invalid JSON ({err})") from None
-    return parse_document(raw)
-
-
 def verify_lexicon_keys(constituents, lex: Lexicon) -> list[str]:
     """Cross-check constituents against the lexicon.
 
@@ -293,6 +284,37 @@ def verify_document_keys(doc: ClauseDocument, lex: Lexicon) -> list[str]:
     return list(dict.fromkeys(problems))
 
 
+def generate_report(surface: SurfaceOrder) -> dict:
+    """The JSON form of a generated order, which ``generate`` prints."""
+    return {
+        "rendered": list(surface.rendered),
+        "text": surface.text,
+        "vorfeld": surface.vorfeld,
+        "mittelfeld": list(surface.mittelfeld),
+        "keys": {cid: key._asdict() for cid, key in surface.keys},
+    }
+
+
+def variants_report(variants: tuple[OrderVariant, ...]) -> dict:
+    """The JSON form of every realizable order, which ``generate --all-variants`` prints."""
+    return {
+        "variants": [
+            {
+                "order": list(v.order),
+                "rendered": list(v.surface.rendered),
+                "assignments": [{cid: tag.value for cid, tag in a} for a in v.assignments],
+            }
+            for v in variants
+        ],
+        "variant_count": len(variants),
+    }
+
+
+def error_report(err: Exception) -> dict:
+    """The JSON form of a generation error, which every command prints on exit 2."""
+    return {"error": {"type": type(err).__name__, "message": str(err)}}
+
+
 def analysis_report(result: AnalysisResult) -> dict:
     """The JSON form of an analysis result."""
     return {
@@ -315,4 +337,22 @@ def analysis_report(result: AnalysisResult) -> dict:
             }
         ),
         "detected_focus": list(result.detected_focus),
+    }
+
+
+def disambiguate_report(ranked: tuple[RankedReading, ...], excluded: tuple[tuple[str, str], ...]) -> dict:
+    """The JSON form of ranked readings and excluded candidates, which ``disambiguate`` prints."""
+    return {
+        "readings": [
+            {
+                "label": r.reading.label,
+                "rank": r.rank,
+                "constraint_ok": r.constraint_ok,
+                "verdict": r.result.verdict.value,
+                "markedness_cost": r.result.markedness_cost,
+                "focus": r.result.focus,
+            }
+            for r in ranked
+        ],
+        "excluded": [{"label": label, "reason": reason} for label, reason in excluded],
     }

@@ -368,7 +368,8 @@ def _corpus_case(**fields):
         ({"cases": [_corpus_case(printed_stress=[["ich"]])]}, "cases[0].printed_stress: must be a list of strings"),
         ({"cases": [_corpus_case(expected={"analysis": None})]}, "cases[0].expected.analysis: must be an object"),
         ({"cases": [_corpus_case(expected={"rendered": [1]})]}, "cases[0].expected.rendered: must be a list of strings"),
-        ({"cases": [_corpus_case(expected={"readings": {"a": 1}})]}, "cases[0].expected.readings.a: must be an object"),
+        ({"cases": [_corpus_case(doc=CANDIDATES_DOC, expected={"readings": {"a": 1}})]},
+         "cases[0].expected.readings.a: must be an object"),
         ({"cases": [_corpus_case(printed_order=["du"])]}, "cases[0].printed_order: names an unknown constituent"),
         ({"cases": [_corpus_case(printed_order=["ich"])]}, "cases[0].printed_order: must name every constituent once"),
         ({"cases": [_corpus_case(printed_stress=["nobody"])]}, "cases[0].printed_stress: unknown constituent id 'nobody'"),
@@ -388,11 +389,27 @@ def _corpus_case(**fields):
          "cases[0].expected.rendered: never checked in ANALYZE mode"),
         ({"cases": [_corpus_case(doc=CANDIDATES_DOC, expected={"analysis": {}})]},
          "cases[0].expected.analysis: never checked in DISAMBIGUATE mode"),
+        ({"cases": [_corpus_case(printed=["x"], expected={"printed_analysis": {"verdict": "nonsense"}})]},
+         "cases[0].printed: only an expected_mismatch case has a printed line"),
+        ({"cases": [_corpus_case(printed_order=["gestern", "ich", "den-mann"])]},
+         "cases[0].printed_order: only an expected_mismatch case has a printed line"),
+        ({"cases": [_corpus_case(printed_stress=["ich"])]},
+         "cases[0].printed_stress: only an expected_mismatch case has a printed line"),
+        ({"cases": [_corpus_case(expected={"printed_analysis": {"verdict": "nonsense"}})]},
+         "cases[0].expected.printed_analysis: only an expected_mismatch case has a printed line"),
+        ({"cases": [_corpus_case(flags={"expected_mismatch": True}, printed=["x"],
+                                 expected={"printed_analysis": {}})]},
+         "cases[0].expected.printed_analysis: needs a printed_order"),
+        ({"cases": [_corpus_case(flags={"expected_mismatch": True})]},
+         "cases[0].printed: an expected_mismatch case must record its printed line"),
+        ({"cases": [_corpus_case(expected={"vorfeld": 5})]}, "cases[0].expected.vorfeld: must be a string or null"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
          "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
          "printed-stress-id", "printed-analyze", "printed-order-analyze", "printed-stress-disambiguate",
-         "unknown-flag", "non-boolean-flag", "misspelt-expected", "rendered-analyze", "analysis-disambiguate"],
+         "unknown-flag", "non-boolean-flag", "misspelt-expected", "rendered-analyze", "analysis-disambiguate",
+         "printed-unflagged", "printed-order-unflagged", "printed-stress-unflagged", "printed-analysis-unflagged",
+         "printed-analysis-without-order", "flagged-without-printed", "vorfeld-type"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1
@@ -423,6 +440,83 @@ def test_engine_refusal_fails_the_corpus_case(tmp_path, capsys, extra, failure, 
     assert out.splitlines()[0] == "synthetic: FAIL"
     assert out.splitlines()[1].endswith(failure)
     assert err == ""
+
+
+def _clause_with(edit):
+    clause = json.loads(json.dumps(GENERATE_5A["payload"]["clause"]))
+    edit(clause)
+    return clause
+
+
+_LEXICON_ROW = "gestern\t26\t26\t1\t1\t1\t-\t0\tyesterday\n"
+_VERB = {"id": "hat", "category": "V_FIN", "surface": ["hat"]}
+#: Per documented input error: the arguments (a name among the files stands
+#: for its path), the files, the exit code, stdout and stderr.
+INPUT_ERRORS = {
+    "filter-matches-nothing": (
+        ["corpus", "run", str(CORPUS), "--filter", "nope"], {}, 1,
+        "total 0, passed 0, failed 0, expected-mismatch 0\n", "no case matches 'nope'\n",
+    ),
+    "every-candidate-excluded": (
+        ["disambiguate", "--candidates", "in.json"],
+        {"in.json": [{"label": "a", "np_attachment": {"head_is_pronoun": True}}]}, 1,
+        "", "input error: no constructible candidate readings\n",
+    ),
+    "features-not-object": (
+        ["generate", "--clause", "in.json"],
+        {"in.json": _clause_with(lambda c: c["constituents"][0].update(features="x"))}, 1,
+        "", "input error: clause.constituents[0](ich): features must be an object\n",
+    ),
+    "stress-not-list": (
+        ["analyze", "--observed", "in.json"], {"in.json": _clause_with(lambda c: c.update(stress="ich"))}, 1,
+        "", "input error: observed.stress: must be a list of constituent ids\n",
+    ),
+    "unknown-clause-type": (
+        ["generate", "--clause", "in.json"], {"in.json": _clause_with(lambda c: c.update(clause_type="V3"))}, 1,
+        "", "input error: clause: unknown clause_type 'V3'\n",
+    ),
+    "tags-not-object": (
+        ["generate", "--clause", "in.json"], {"in.json": {"clause": GENERATE_5A["payload"]["clause"], "tags": ["ich"]}},
+        1, "", "input error: tags: must be an object mapping ids to tags\n",
+    ),
+    "candidates-empty": (
+        ["disambiguate", "--candidates", "in.json"], {"in.json": []}, 1,
+        "", "input error: candidates: must be a non-empty list\n",
+    ),
+    "candidates-not-list": (
+        ["disambiguate", "--candidates", "in.json"], {"in.json": {"candidates": "x"}}, 1,
+        "", "input error: candidates: must be a non-empty list\n",
+    ),
+    "verb-constituent": (
+        ["generate", "--clause", "in.json"], {"in.json": _clause_with(lambda c: c["constituents"].append(_VERB))}, 2,
+        '{"error": {"message": "hat: verbs are not orderable constituents", "type": "CooccurrenceViolation"}}\n', "",
+    ),
+    "lexicon-duplicate-entry": (
+        ["--lexicon", "lex.tsv", "generate", "--clause", "in.json"],
+        {"lex.tsv": _LEXICON_ROW * 2, "in.json": GENERATE_5A}, 1,
+        "", "input error: line 2: duplicate entry gestern#26\n",
+    ),
+    "lexicon-empty-lemma": (
+        ["--lexicon", "lex.tsv", "generate", "--clause", "in.json"],
+        {"lex.tsv": _LEXICON_ROW.removeprefix("gestern"), "in.json": GENERATE_5A}, 1,
+        "", "input error: line 1: empty lemma or reading_id\n",
+    ),
+    "lexicon-bad-hoberg-index": (
+        ["--lexicon", "lex.tsv", "generate", "--clause", "in.json"],
+        {"lex.tsv": _LEXICON_ROW.replace("\t26\t26", "\t26\tx"), "in.json": GENERATE_5A}, 1,
+        "", "input error: line 1: bad Hoberg index 'x'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_ERRORS))
+def test_documented_input_errors(tmp_path, capsys, name):
+    argv, files, code, out, err = INPUT_ERRORS[name]
+    for file, content in files.items():
+        (tmp_path / file).write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_lexicon_env_var(clause_file, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """The shipped corpus: structure, coverage, and full pass."""
 
+import copy
+import functools
+
 import pytest
 
 from wortfolge import Tag
@@ -99,25 +102,65 @@ def test_empty_corpus_is_ok(lex, table):
     assert summary.counts["total"] == 0
 
 
-def test_failing_synthetic_case_is_reported(corpus, lex, table):
-    case = next(c for c in corpus if c.case_id == "ex-5a")
-    broken = case._replace(expected={**case.expected, "rendered": ["Falsche", "Reihenfolge"]})
-    result = run_case(broken, lex, table)
-    assert not result.passed
-    assert result.failures
+#: The fields of an analysis report, and the other fields the reports answer.
+ANALYSIS_FIELDS = [
+    "verdict", "theme", "rheme", "focus", "focus_options", "markedness_cost", "detected_focus",
+    "warning", "has_empty_explanation", "explanation_count",
+]
+REPORT_FIELDS = ["rendered", "vorfeld", "ranking", "rejected", "excluded"]
 
 
-@pytest.mark.parametrize(
-    "field",
-    ["verdict", "theme", "rheme", "focus", "focus_options", "markedness_cost", "detected_focus",
-     "warning", "has_empty_explanation", "explanation_count"],
-)
+def _corrupt(value):
+    """A value of the same JSON type (a string for null or an object) that no report holds."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return [*value, "corrupted"]
+    return "corrupted"
+
+
+def _analyses(expected):
+    """The path of each analysis the case expects."""
+    paths = [(name,) for name in ("analysis", "printed_analysis") if name in expected]
+    return paths + [("readings", label) for label in expected.get("readings", {})]
+
+
+def test_every_expected_field_has_its_corruption_test(corpus):
+    for case in corpus:
+        assert set(case.expected) <= {*REPORT_FIELDS, "analysis", "printed_analysis", "readings"}, case.case_id
+        for path in _analyses(case.expected):
+            analysis = functools.reduce(dict.__getitem__, path, case.expected)
+            assert set(analysis) <= set(ANALYSIS_FIELDS), (case.case_id, path)
+
+
+@pytest.mark.parametrize("field", ANALYSIS_FIELDS)
 def test_each_corrupted_analysis_field_fails_its_case(corpus, lex, table, field):
-    case = next(c for c in corpus if c.case_id == "ex-2c")
-    assert run_case(case, lex, table).passed
-    analysis = {**case.expected["analysis"], field: "corrupted"}
-    broken = case._replace(expected={**case.expected, "analysis": analysis})
-    result = run_case(broken, lex, table)
-    assert not result.passed
-    assert len(result.failures) == 1
-    assert result.failures[0].startswith(f"analysis.{field}: expected 'corrupted', got ")
+    # In each analysis of each shipped case: the expected value corrupted, or
+    # a corrupted one added where the case expects none.
+    for case in corpus:
+        for path in _analyses(case.expected):
+            expected = copy.deepcopy(case.expected)
+            analysis = functools.reduce(dict.__getitem__, path, expected)
+            analysis[field] = _corrupt(analysis[field]) if field in analysis else "corrupted"
+            failures = run_case(case._replace(expected=expected), lex, table).failures
+            assert len(failures) == 1, (case.case_id, path, failures)
+            assert failures[0].startswith(f"{'.'.join(path)}.{field}: expected "), (case.case_id, failures)
+
+
+@pytest.mark.parametrize("field", [*REPORT_FIELDS, "printed"])
+def test_each_corrupted_report_field_fails_its_case(corpus, lex, table, field):
+    cases = [c for c in corpus if field in c.expected or field == "printed" and c.expected_mismatch]
+    assert cases
+    for case in cases:
+        assert run_case(case, lex, table).passed
+        if field == "printed":
+            # The printed line made the derived one: the recorded discrepancy is gone.
+            broken = case._replace(printed=tuple(case.expected["rendered"]))
+            message = "expected a mismatch against the printed order, but they agree"
+        else:
+            broken = case._replace(expected={**case.expected, field: _corrupt(case.expected[field])})
+            message = f"{field}: expected "
+        failures = run_case(broken, lex, table).failures
+        assert len(failures) == 1 and failures[0].startswith(message), (case.case_id, failures)

@@ -8,9 +8,9 @@ from wortfolge.cli import EXIT_INPUT, main
 from wortfolge.documents import (
     DocumentError,
     Mode,
-    load_document,
     parse_candidates,
     parse_clause,
+    parse_document,
     parse_tags,
     verify_lexicon_keys,
 )
@@ -78,14 +78,12 @@ def test_errors_name_their_location():
 
 
 def test_full_document_parsing():
-    doc = load_document(
-        json.dumps(
-            {
-                "schema_version": "1",
-                "mode": "GENERATE",
-                "payload": {"clause": CLAUSE_JSON, "tags": {"gestern": "THEME"}},
-            }
-        )
+    doc = parse_document(
+        {
+            "schema_version": "1",
+            "mode": "GENERATE",
+            "payload": {"clause": CLAUSE_JSON, "tags": {"gestern": "THEME"}},
+        }
     )
     assert doc.mode is Mode.GENERATE
     assert doc.tags == {"gestern": Tag.THEME}
@@ -93,12 +91,12 @@ def test_full_document_parsing():
 
 def test_unknown_mode_rejected():
     with pytest.raises(DocumentError, match="mode"):
-        load_document(json.dumps({"schema_version": "1", "mode": "PARSE", "payload": {}}))
+        parse_document({"schema_version": "1", "mode": "PARSE", "payload": {}})
 
 
 def test_unsupported_schema_version_rejected():
     with pytest.raises(DocumentError, match="schema_version"):
-        load_document(json.dumps({"schema_version": "2", "mode": "GENERATE", "payload": {}}))
+        parse_document({"schema_version": "2", "mode": "GENERATE", "payload": {}})
 
 
 def test_candidate_exclusion_at_construction():
