@@ -45,7 +45,6 @@ from .linearize import (
     TagAssignment,
     enumerate_orders,
     linearize,
-    realizations,
 )
 from .slots import (
     SlotTable,
@@ -91,5 +90,4 @@ __all__ = [
     "load_lexicon",
     "load_slot_table",
     "rank_readings",
-    "realizations",
 ]

@@ -66,6 +66,22 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
 
 
+def _tsv_rows(text: str, columns: int, error: type[Exception]):
+    """Yield ``(lineno, fields)`` for each data line of the TSV ``text``.
+
+    Lines end at ``"\\n"`` only; blank lines and ``#`` comment lines are
+    skipped.  A line without exactly ``columns`` tab-separated fields raises
+    ``error``, naming the line.
+    """
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise error(f"line {lineno}: expected {columns} columns, got {len(fields)}")
+        yield lineno, fields
+
+
 class Category(str, Enum):
     """Syntactic category of a clause element.
 

@@ -12,7 +12,6 @@ fail the corpus run.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .analyze import AnalysisResult, analyze
 from .clause import _set, _Value
@@ -203,11 +202,6 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
     return tuple(cases)
 
 
-def load_default_corpus() -> tuple[CorpusCase, ...]:
-    text = resources.files("wortfolge.data").joinpath("corpus.json").read_text("utf-8")
-    return load_corpus(text)
-
-
 #: Expected fields that hold expected fields of their own, as does each label
 #: of ``readings``; every other value is compared whole, ``warning`` included.
 _GROUPS = ("analysis", "printed_analysis", "readings")
@@ -228,8 +222,7 @@ def _reports(case: CorpusCase, lex: Lexicon, table: SlotTable) -> dict:
     that of ``printed_order`` under ``printed_stress``.  ``ranking`` is the
     reading labels in rank order, ``rejected`` those with ``constraint_ok``
     false, ``excluded`` the excluded labels, and ``readings.<label>`` that
-    candidate's full analysis (the first if labels repeat).  Every analysis
-    adds ``has_empty_explanation``.
+    candidate's full analysis.  Every analysis adds ``has_empty_explanation``.
     """
     doc = case.doc
     if doc.mode is Mode.ANALYZE:
@@ -241,7 +234,7 @@ def _reports(case: CorpusCase, lex: Lexicon, table: SlotTable) -> dict:
             "ranking": [r["label"] for r in report["readings"]],
             "rejected": sorted(r["label"] for r in report["readings"] if not r["constraint_ok"]),
             "excluded": sorted(e["label"] for e in report["excluded"]),
-            "readings": {r.reading.label: _analysis(r.result) for r in reversed(ranked)},
+            "readings": {r.reading.label: _analysis(r.result) for r in ranked},
         }
     surface = linearize(doc.clause, doc.tags or {}, lex, table)
     reports = generate_report(surface)

@@ -23,6 +23,7 @@ from .clause import (
     NA,
     Tag,
     VerbComplex,
+    _all_words,
     _set,
     _Value,
 )
@@ -121,7 +122,7 @@ def _parse_constituent(raw, where) -> Constituent:
     except ValueError:
         raise DocumentError(f"{where}: unknown category {raw_category!r}") from None
     surface = _require(raw, "surface", where, list)
-    if not all(isinstance(tok, str) and tok.strip() for tok in surface):
+    if not _all_words(surface):
         raise DocumentError(f"{where}: surface tokens must be strings, none of them empty or blank")
     hoberg = raw.get("hoberg_index")
     if hoberg is not None and (not isinstance(hoberg, int) or isinstance(hoberg, bool)):
@@ -143,7 +144,7 @@ def _parse_verb(raw, where) -> VerbComplex:
     finite = _require(raw, "finite", where, list)
     nonfinite = raw.get("nonfinite", [])
     for name, tokens in (("finite", finite), ("nonfinite", nonfinite)):
-        if not isinstance(tokens, list) or not all(isinstance(tok, str) and tok.strip() for tok in tokens):
+        if not isinstance(tokens, list) or not _all_words(tokens):
             raise DocumentError(f"{where}.{name}: must be a list of strings, none of them empty or blank")
     return VerbComplex(finite=tuple(finite), nonfinite=tuple(nonfinite))
 
@@ -169,7 +170,7 @@ def parse_clause(raw, where="clause") -> ClauseSpec:
         raise DocumentError(f"{where}: unknown clause_type {raw_type!r}") from None
     verb = _parse_verb(_require(raw, "verb", where), f"{where}.verb")
     complementizer = raw.get("complementizer")
-    if complementizer is not None and not (isinstance(complementizer, str) and complementizer.strip()):
+    if complementizer is not None and not _all_words((complementizer,)):
         raise DocumentError(f"{where}.complementizer: must be a string, neither empty nor blank")
     constituents = tuple(
         _parse_constituent(c, f"{where}.constituents[{i}]")
@@ -198,14 +199,21 @@ def parse_candidates(raw, where="candidates"):
 
     Returns ``(candidates, excluded)`` where excluded lists ``(label, reason)``
     pairs for readings impossible to build, e.g. a PP adjunct on a pronominal
-    head.
+    head.  The reports address every candidate, excluded or not, by its
+    label, so labels must be non-empty and distinct.
     """
     if not isinstance(raw, list) or not raw:
         raise DocumentError(f"{where}: must be a non-empty list")
     candidates = []
     excluded = []
+    labels = set()
     for i, raw_candidate in enumerate(raw):
         label = _require(raw_candidate, "label", f"{where}[{i}]", str)
+        if not label:
+            raise DocumentError(f"{where}[{i}].label: must not be empty")
+        if label in labels:
+            raise DocumentError(f"{where}[{i}].label: duplicate label {label!r}")
+        labels.add(label)
         attachment = raw_candidate.get("np_attachment")
         if attachment is not None:
             # Pronouns take no adjuncts, so the reading cannot be built.

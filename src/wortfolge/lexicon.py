@@ -9,10 +9,9 @@ default to fully flexible (rhematic, focusable, Vorfeld-capable).
 
 from __future__ import annotations
 
-import io
 from importlib import resources
 
-from .clause import _set, _Value
+from .clause import _set, _tsv_rows, _Value
 
 #: Usage-constraint atoms an entry may carry.
 NO_NEGATION = "NO_NEGATION"
@@ -66,25 +65,15 @@ class LexEntry(_Value):
 
 
 class Lexicon:
-    """Immutable lemma -> readings map; concurrent lookups are safe."""
+    """Immutable ``lemma#reading_id`` key -> entry map; concurrent lookups are safe."""
 
     def __init__(self, entries):
-        by_lemma: dict[str, list[LexEntry]] = {}
         by_key: dict[str, LexEntry] = {}
         for entry in entries:
             if entry.key in by_key:
                 raise LexiconError(f"duplicate entry {entry.key}")
             by_key[entry.key] = entry
-            by_lemma.setdefault(entry.lemma, []).append(entry)
-        self._by_lemma = {
-            lemma: tuple(sorted(readings, key=lambda e: e.reading_id))
-            for lemma, readings in by_lemma.items()
-        }
         self._by_key = by_key
-
-    def lookup(self, lemma: str) -> tuple[LexEntry, ...]:
-        """All readings for a lemma, stably ordered; empty if unknown."""
-        return self._by_lemma.get(lemma, ())
 
     def get(self, key: str) -> LexEntry | None:
         """Resolve a ``lemma#reading_id`` key, or None."""
@@ -92,9 +81,6 @@ class Lexicon:
 
     def entries(self) -> tuple[LexEntry, ...]:
         return tuple(self._by_key.values())
-
-    def __len__(self):
-        return len(self._by_key)
 
 
 def _parse_bool(raw, lineno, column):
@@ -105,26 +91,15 @@ def _parse_bool(raw, lineno, column):
     raise LexiconError(f"line {lineno}: {column} must be 0 or 1, got {raw!r}")
 
 
-def load_lexicon(source) -> Lexicon:
-    """Load a lexicon from TSV text or a text stream.
+def load_lexicon(text: str) -> Lexicon:
+    """Load a lexicon from TSV text.
 
     Columns, tab-separated: lemma, reading_id, hoberg_index, rhematic,
     focusable, vorfeld_capable, constraints (comma-joined atoms or ``-``),
     inferred, gloss.  Lines starting with ``#`` are comments.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
-    entries = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(_COLUMNS):
-            raise LexiconError(
-                f"line {lineno}: expected {len(_COLUMNS)} columns, got {len(fields)}"
-            )
+    entries = {}
+    for lineno, fields in _tsv_rows(text, len(_COLUMNS), LexiconError):
         lemma, reading_id, raw_index, raw_rh, raw_foc, raw_vf, raw_constraints, raw_inf, gloss = fields
         if not lemma or not reading_id:
             raise LexiconError(f"line {lineno}: empty lemma or reading_id")
@@ -152,10 +127,10 @@ def load_lexicon(source) -> Lexicon:
             inferred=_parse_bool(raw_inf, lineno, "inferred"),
             gloss=gloss,
         )
-        if any(e.reading_id == reading_id for e in entries if e.lemma == lemma):
-            raise LexiconError(f"line {lineno}: duplicate entry {lemma}#{reading_id}")
-        entries.append(entry)
-    return Lexicon(entries)
+        if entry.key in entries:
+            raise LexiconError(f"line {lineno}: duplicate entry {entry.key}")
+        entries[entry.key] = entry
+    return Lexicon(entries.values())
 
 
 def load_default_lexicon() -> Lexicon:

@@ -398,25 +398,20 @@ def iter_assignments(themes, rhemes, focuses):
 class OrderVariant(_Value):
     """One distinct surface order with every assignment that realizes it."""
 
-    __slots__ = ("vorfeld", "mittelfeld", "surface", "assignments")
+    __slots__ = ("surface", "assignments")
 
-    def __init__(
-        self,
-        vorfeld: str | None,
-        mittelfeld: tuple[str, ...],
-        surface: SurfaceOrder,
-        assignments: tuple[tuple[tuple[str, Tag], ...], ...],
-    ):
-        _set(self, "vorfeld", vorfeld)
-        _set(self, "mittelfeld", mittelfeld)
+    def __init__(self, surface: SurfaceOrder, assignments: tuple[tuple[tuple[str, Tag], ...], ...]):
         _set(self, "surface", surface)
         _set(self, "assignments", assignments)
 
     @property
+    def vorfeld(self) -> str | None:
+        return self.surface.vorfeld
+
+    @property
     def order(self) -> tuple[str, ...]:
-        if self.vorfeld is None:
-            return self.mittelfeld
-        return (self.vorfeld,) + self.mittelfeld
+        """Constituent ids in surface order, Vorfeld first."""
+        return self.surface.order
 
 
 def _live_carriers(clause: CompiledClause):
@@ -477,5 +472,4 @@ def enumerate_orders(
                 group[0] = (order[0], keys, focus)
                 group[1] = focus is None
             group[2].append(assignment)
-    surfaces = [(_surface(spec, *chosen), assignments) for chosen, _, assignments in grouped.values()]
-    return tuple(OrderVariant(s.vorfeld, s.mittelfeld, s, tuple(a)) for s, a in surfaces)
+    return tuple(OrderVariant(_surface(spec, *chosen), tuple(a)) for chosen, _, a in grouped.values())

@@ -20,11 +20,10 @@ entry, not on the signature, so it is applied outside the index.
 from __future__ import annotations
 
 import functools
-import io
 from collections import namedtuple
 from importlib import resources
 
-from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES, _set, _Value
+from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES, _set, _tsv_rows, _Value
 
 
 class SlotTableError(Exception):
@@ -170,18 +169,10 @@ def _parse_features(raw: str, lineno: int):
     return definite, animate, False, svc
 
 
-def load_slot_table(source) -> SlotTable:
-    """Parse slot-table TSV (see ``data/slot_table.tsv`` for the format)."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
+def load_slot_table(text: str) -> SlotTable:
+    """Parse slot-table TSV text (see ``data/slot_table.tsv`` for the format)."""
     patterns = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 8:
-            raise SlotTableError(f"line {lineno}: expected 8 columns, got {len(fields)}")
+    for lineno, fields in _tsv_rows(text, 8, SlotTableError):
         raw_row, raw_slot, raw_sub, raw_cat, raw_feats, raw_tag, raw_range, annotation = fields
         try:
             row, slot, sub_rank = int(raw_row), int(raw_slot), int(raw_sub)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from wortfolge import (
@@ -8,6 +10,7 @@ from wortfolge import (
     FeatureBundle,
     VerbComplex,
 )
+from wortfolge.corpus import load_corpus
 from wortfolge.lexicon import load_default_lexicon
 from wortfolge.slots import build_slot_table
 
@@ -20,6 +23,12 @@ def lex():
 @pytest.fixture(scope="session")
 def table():
     return build_slot_table()
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The shipped corpus cases."""
+    return load_corpus(resources.files("wortfolge.data").joinpath("corpus.json").read_text("utf-8"))
 
 
 def c(cid, category, surface, definite="na", animate="na", pron=False, svc=False,

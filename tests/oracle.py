@@ -452,13 +452,8 @@ def reference_enumerate_orders(spec, lex, table=None):
             if frozen not in slot["assignments"]:
                 slot["assignments"].append(frozen)
     return tuple(
-        OrderVariant(
-            vorfeld=key[0],
-            mittelfeld=key[1],
-            surface=slot["surface"],
-            assignments=tuple(slot["assignments"]),
-        )
-        for key, slot in grouped.items()
+        OrderVariant(surface=slot["surface"], assignments=tuple(slot["assignments"]))
+        for slot in grouped.values()
     )
 
 

@@ -17,7 +17,7 @@ from wortfolge import (
     linearize,
     rank_readings,
 )
-from wortfolge.corpus import load_default_corpus, run_case
+from wortfolge.corpus import run_case
 from wortfolge.documents import Mode
 from wortfolge.linearize import CompiledClause
 from wortfolge.slots import KEY_TAGS
@@ -59,8 +59,7 @@ MISMATCH_EXPECTATIONS = {
 }
 
 
-def test_criterion_1_generation_regression(lex, table):
-    corpus = load_default_corpus()
+def test_criterion_1_generation_regression(corpus, lex, table):
     failures = []
     for case_id, expected_text in PRINTED_ORDERS.items():
         case = _corpus_case(corpus, case_id)
@@ -86,8 +85,7 @@ def test_criterion_1_generation_regression(lex, table):
 
 # 2 ---------------------------------------------------------------------------
 
-def test_criterion_2_grammaticality_verdicts(lex, table):
-    corpus = load_default_corpus()
+def test_criterion_2_grammaticality_verdicts(corpus, lex, table):
     failures = []
     derivable = ["ex-1a", "ex-1b", "ex-1c", "ex-1d", "ex-2a", "ex-2b", "ex-3a", "ex-4a"]
     for case_id in derivable:
@@ -117,8 +115,7 @@ def test_criterion_2_grammaticality_verdicts(lex, table):
 
 # 3 ---------------------------------------------------------------------------
 
-def test_criterion_3_information_structure_recovery(lex, table):
-    corpus = load_default_corpus()
+def test_criterion_3_information_structure_recovery(corpus, lex, table):
     failures = []
 
     def check(case_id, field, expected):
@@ -151,8 +148,7 @@ def test_criterion_3_information_structure_recovery(lex, table):
 
 # 4 ---------------------------------------------------------------------------
 
-def test_criterion_4_disambiguation(lex, table):
-    corpus = load_default_corpus()
+def test_criterion_4_disambiguation(corpus, lex, table):
     failures = []
 
     ex13 = _corpus_case(corpus, "ex-13")

@@ -27,14 +27,14 @@ PUBLIC = [
     "LinearizeError", "NEGATED", "NO_NEGATION", "NoVorfeld", "OrderVariant", "RankedReading", "SlotTable",
     "SortKey", "StressWarning", "SurfaceOrder", "Tag", "TagAssignment", "VerbComplex", "Verdict",
     "analyze", "build_slot_table", "enumerate_orders", "linearize", "load_default_lexicon",
-    "load_lexicon", "load_slot_table", "rank_readings", "realizations",
+    "load_lexicon", "load_slot_table", "rank_readings",
 ]
 
 #: Wrappers and helpers the engine no longer runs.
 REMOVED = (
     "sort_key", "all_sort_keys", "_slot_keys", "_no_slot", "NoSlotError", "explain_order",
     "detect_focus_constructions", "validate_clause", "observe", "spec_of", "parse_observed", "_observed_from_order",
-    "dump_lexicon", "_check_search_size",
+    "dump_lexicon", "_check_search_size", "load_default_corpus",
 )
 
 #: The engine functions the oracle may call: the table and lexicon loaders.
@@ -62,6 +62,13 @@ def test_removed_names_are_defined_nowhere():
     for module in _modules():
         for name in REMOVED:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_test_only_members_stay_deleted():
+    # Only tests called these; an order variant keeps no copy of its surface's order.
+    assert not hasattr(wortfolge.Lexicon, "lookup")
+    assert not hasattr(wortfolge.Lexicon, "__len__")
+    assert wortfolge.OrderVariant._fields == ("surface", "assignments")
 
 
 def test_observed_clause_is_only_an_alias_in_analyze():

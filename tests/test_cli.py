@@ -450,6 +450,7 @@ def _clause_with(edit):
 
 _LEXICON_ROW = "gestern\t26\t26\t1\t1\t1\t-\t0\tyesterday\n"
 _VERB = {"id": "hat", "category": "V_FIN", "surface": ["hat"]}
+_CLAUSE = GENERATE_5A["payload"]["clause"]
 #: Per documented input error: the arguments (a name among the files stands
 #: for its path), the files, the exit code, stdout and stderr.
 INPUT_ERRORS = {
@@ -486,6 +487,21 @@ INPUT_ERRORS = {
     "candidates-not-list": (
         ["disambiguate", "--candidates", "in.json"], {"in.json": {"candidates": "x"}}, 1,
         "", "input error: candidates: must be a non-empty list\n",
+    ),
+    "candidate-label-duplicate": (
+        ["disambiguate", "--candidates", "in.json"],
+        {"in.json": [{"label": "a", "observed": _CLAUSE}, {"label": "b", "observed": _CLAUSE},
+                     {"label": "a", "observed": _CLAUSE}]}, 1,
+        "", "input error: candidates[2].label: duplicate label 'a'\n",
+    ),
+    "candidate-label-duplicate-of-excluded": (
+        ["disambiguate", "--candidates", "in.json"],
+        {"in.json": [{"label": "a", "np_attachment": {"head_is_pronoun": True}}, {"label": "a", "observed": _CLAUSE}]},
+        1, "", "input error: candidates[1].label: duplicate label 'a'\n",
+    ),
+    "candidate-label-empty": (
+        ["disambiguate", "--candidates", "in.json"], {"in.json": [{"label": "", "observed": _CLAUSE}]}, 1,
+        "", "input error: candidates[0].label: must not be empty\n",
     ),
     "verb-constituent": (
         ["generate", "--clause", "in.json"], {"in.json": _clause_with(lambda c: c["constituents"].append(_VERB))}, 2,

@@ -7,7 +7,7 @@ import pytest
 
 from wortfolge import Tag
 from wortfolge.analyze import analyze
-from wortfolge.corpus import load_corpus, load_default_corpus, run_case, run_corpus
+from wortfolge.corpus import load_corpus, run_case, run_corpus
 from wortfolge.documents import Mode
 
 EXPECTED_CASE_IDS = {
@@ -20,11 +20,6 @@ EXPECTED_CASE_IDS = {
     "ex-12a", "ex-12b",
     "ex-13", "ex-14", "ex-15",
 }
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return load_default_corpus()
 
 
 def test_every_attested_example_appears_exactly_once(corpus):

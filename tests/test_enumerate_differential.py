@@ -22,9 +22,8 @@ from wortfolge import (
     Constituent,
     Tag,
     enumerate_orders,
-    realizations,
 )
-from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, iter_assignments
+from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, iter_assignments, realizations
 
 from .oracle import outcome, reference_enumerate_orders, reference_realizations
 from .strategies import _LEX, clause_and_tags, random_clause

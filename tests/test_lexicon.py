@@ -10,44 +10,48 @@ ROW = "vielleicht\t12\t12\t0\t0\t1\t-\t0\tprobably\n"
 HOMONYM_ROW = "eher\t5\t5\t0\t0\t0\tNO_NEGATION\t1\trather\n"
 
 
+def _readings(lex, lemma):
+    return [entry for entry in lex.entries() if entry.lemma == lemma]
+
+
 def test_load_single_row():
     lex = load_lexicon(ROW)
-    (entry,) = lex.lookup("vielleicht")
+    (entry,) = lex.entries()
+    assert entry.key == "vielleicht#12"
     assert entry.hoberg_index == 12
     assert not entry.rhematic and not entry.focusable and entry.vorfeld_capable
 
 
 def test_load_constraint_row():
     lex = load_lexicon(HOMONYM_ROW)
-    (entry,) = lex.lookup("eher")
+    (entry,) = lex.entries()
     assert entry.constraints == {NO_NEGATION}
     assert entry.inferred
 
 
 def test_empty_stream_gives_empty_lexicon():
     lex = load_lexicon("")
-    assert len(lex) == 0
-    assert lex.lookup("anything") == ()
+    assert lex.entries() == ()
+    assert lex.get("anything#1") is None
 
 
 def test_comments_and_blank_lines_skipped():
     lex = load_lexicon("# header\n\n" + ROW)
-    assert len(lex) == 1
+    assert [entry.key for entry in lex.entries()] == ["vielleicht#12"]
 
 
 def test_homonym_lookup_returns_both_readings(lex):
-    readings = lex.lookup("eher")
-    assert {e.hoberg_index for e in readings} == {26, 5}
-    assert [e.reading_id for e in readings] == sorted(e.reading_id for e in readings)
+    assert {e.hoberg_index for e in _readings(lex, "eher")} == {26, 5}
+    assert lex.get("eher#26").hoberg_index == 26
 
 
 def test_single_reading_lookup(lex):
-    (entry,) = lex.lookup("gestern")
+    (entry,) = _readings(lex, "gestern")
     assert entry.hoberg_index == 26
 
 
 def test_unknown_lemma_lookup(lex):
-    assert lex.lookup("xyzzy") == ()
+    assert _readings(lex, "xyzzy") == []
 
 
 def test_key_resolution(lex):
@@ -72,7 +76,7 @@ def test_key_resolution(lex):
     ],
 )
 def test_attested_position_classes(lex, lemma, index):
-    readings = lex.lookup(lemma)
+    readings = _readings(lex, lemma)
     assert len(readings) == 1
     assert readings[0].hoberg_index == index
 
@@ -102,13 +106,10 @@ def test_bad_boolean_rejected():
         load_lexicon("x\t1\t1\t2\t1\t1\t-\t0\tgloss\n")
 
 
-def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
+def test_each_lexicon_key_is_resolved_once(corpus, lex, table, monkeypatch):
     # analyze, rank_readings and a refused linearize read every entry off
     # their one compiled clause: one lookup per keyed constituent.
-    from importlib import resources
-
     from wortfolge import InexpressibleTags, Tag, analyze, linearize, rank_readings
-    from wortfolge.corpus import load_corpus
     from wortfolge.documents import Mode
     from wortfolge.lexicon import Lexicon
 
@@ -119,8 +120,7 @@ def test_each_lexicon_key_is_resolved_once(lex, table, monkeypatch):
     def keyed(clauses):
         return sum(c.lexicon_key is not None for clause in clauses for c in clause.constituents)
 
-    corpus = resources.files("wortfolge.data").joinpath("corpus.json").read_text("utf-8")
-    docs = {case.case_id: case.doc for case in load_corpus(corpus)}
+    docs = {case.case_id: case.doc for case in corpus}
     analyzed = 0
     for doc in docs.values():
         if doc.mode is Mode.ANALYZE:

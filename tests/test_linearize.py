@@ -9,8 +9,8 @@ from wortfolge import (
     Tag,
     enumerate_orders,
     linearize,
-    realizations,
 )
+from wortfolge.linearize import realizations
 
 from .conftest import c, modifier
 from .strategies import specs_with_tags
@@ -242,7 +242,7 @@ def test_tag_free_generation_fronts_the_subject(pair, lex):
 
 
 def test_constituent_without_an_untagged_slot_is_refused_by_every_direction(lex):
-    from wortfolge import ClauseSpec, ClauseType, VerbComplex, analyze, realizations
+    from wortfolge import ClauseSpec, ClauseType, VerbComplex, analyze
 
     spec = ClauseSpec(
         ClauseType.V2,

@@ -85,8 +85,8 @@ VALUES = [
     ),
     (
         OrderVariant,
-        ("ich", (), _SURFACE, ((),)),
-        ("vorfeld", "mittelfeld", "surface", "assignments"),
+        (_SURFACE, ((),)),
+        ("surface", "assignments"),
         {"assignments": ()},
     ),
     (
