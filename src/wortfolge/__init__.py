@@ -48,7 +48,6 @@ from .linearize import (
 )
 from .slots import (
     SlotTable,
-    SortKey,
     build_slot_table,
     load_slot_table,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "OrderVariant",
     "RankedReading",
     "SlotTable",
-    "SortKey",
     "StressWarning",
     "SurfaceOrder",
     "Tag",

@@ -83,11 +83,10 @@ def _tsv_rows(text: str, columns: int, error: type[Exception]):
 
 
 class Category(str, Enum):
-    """Syntactic category of a clause element.
+    """Syntactic category of an orderable constituent.
 
-    The verb categories exist so that every clause element is classifiable,
-    but verbs live in :class:`VerbComplex` and are never members of the
-    orderable constituent set (German verb placement admits no variation).
+    Verbs are not constituents: they live in :class:`VerbComplex`, since
+    German verb placement admits no variation.
     """
 
     N = "N"        # nominative complement (subject)
@@ -101,11 +100,7 @@ class Category(str, Enum):
     NOM = "NOM"    # nominal complement
     ADJ = "ADJ"    # adjectival complement
     M = "M"        # modifier (adverbial), carries a Hoberg position class
-    V_FIN = "V_FIN"
-    V_NONFIN = "V_NONFIN"
 
-
-VERBAL_CATEGORIES = frozenset({Category.V_FIN, Category.V_NONFIN})
 
 #: Categories whose slot patterns key on definiteness/animacy; for these the
 #: tri-state features must be resolved to +/- on non-pronominal, non-SVC
@@ -203,7 +198,7 @@ class ClauseSpec(_Value):
 
     The order of ``constituents`` is the input order.  Generation reorders
     them and reads it only to break ties between equal slot keys (the input
-    ordinal, the last field of a :class:`~wortfolge.slots.SortKey`); analysis
+    ordinal, the last field of each key in ``SurfaceOrder.keys``); analysis
     reads it as the observed surface order, in V2 with the Vorfeld occupant
     first and in VF after the complementizer.  ``stress`` names the
     constituents the input marks as contrastively stressed (the capitals
@@ -261,10 +256,10 @@ def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], lis
 
     Stress marks are not read.  A malformed clause produces violations, never
     exceptions.  Returns three lists of violations: cooccurrence (the slash
-    groups, the focus slot holding more than one constituent, verbs among the
-    constituents), which no assignment can order; the spec's own defects; and
-    the assignment's (unknown ids, two carriers of one tag).  Empty lists
-    mean the clause and the assignment are well formed.
+    groups, the focus slot holding more than one constituent), which no
+    assignment can order; the spec's own defects; and the assignment's
+    (unknown ids, two carriers of one tag).  Empty lists mean the clause and
+    the assignment are well formed.
     """
     invalid = []
     if not spec.verb.finite:
@@ -278,16 +273,13 @@ def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], lis
             invalid.append("blank or non-string complementizer")
 
     seen_ids = set()
-    nominatives, exclusives, focused, verbs = [], [], [], []
+    nominatives, exclusives, focused = [], [], []
     for c in spec.constituents:
         if c.id in seen_ids:
             invalid.append(f"duplicate constituent id {c.id!r}")
         seen_ids.add(c.id)
         if tags.get(c.id) is Tag.FOCUS:
             focused.append(c.id)
-        if c.category in VERBAL_CATEGORIES:
-            verbs.append(f"{c.id}: verbs are not orderable constituents")
-            continue
         if c.category is Category.N:
             nominatives.append(c.id)
         elif c.category in _EXCLUSIVE_ADVERBIALS:
@@ -322,7 +314,6 @@ def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], lis
         cooccurrence.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
     if len(focused) > 1:
         cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
-    cooccurrence += verbs
 
     assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in seen_ids]
     carriers = {tag: [] for tag in Tag}

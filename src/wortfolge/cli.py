@@ -73,7 +73,7 @@ def _read_file(path: str) -> str:
 def _load_json(path: str):
     try:
         return json.loads(_read_file(path))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise _InputError(f"{path}: invalid JSON ({err})") from None
 
 
@@ -173,7 +173,7 @@ def _cmd_generate(args, lex, table) -> int:
     lines = _interlinear(clause, [clause.by_id(cid) for cid in surface.order], tags.get, surface.rendered)
     if surface.vorfeld is not None:
         lines.append(f"vorfeld: {surface.vorfeld}")
-    keys = "  ".join(f"{cid}[{key.slot}.{key.sub_rank}.{key.hoberg}]" for cid, key in surface.keys)
+    keys = "  ".join(f"{cid}[{slot}.{sub_rank}.{hoberg}]" for cid, (slot, sub_rank, hoberg, _) in surface.keys)
     lines.append(f"mittelfeld slots: {keys}")
     _emit(generate_report(surface), lines, args.pretty)
     return EXIT_OK

@@ -107,6 +107,8 @@ class CorpusSummary(_Record):
 _KINDS = {dict: "an object", list: "a list of strings", str | None: "a string or null"}
 #: The JSON type of each optional case field.
 _CASE_FIELDS = dict(flags=dict, expected=dict, printed=list, printed_order=list, printed_stress=list)
+#: Every field a case may have; any other is refused.
+_CASE_KEYS = ("case_id", "doc", "note", *_CASE_FIELDS)
 #: Each mode's ``expected`` fields and their JSON types; any other is refused.
 _EXPECTED_FIELDS = {
     Mode.GENERATE: dict(rendered=list, vorfeld=str | None, analysis=dict, printed_analysis=dict),
@@ -129,7 +131,7 @@ def _check_fields(raw: dict, kinds: dict, where: str):
 def load_corpus(text: str) -> tuple[CorpusCase, ...]:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DocumentError(f"corpus: invalid JSON ({err})") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("cases"), list):
         raise DocumentError("corpus: expected an object with a 'cases' list")
@@ -139,6 +141,9 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         where = f"cases[{i}]"
         if not isinstance(raw_case, dict):
             raise DocumentError(f"{where}: expected an object")
+        for key in raw_case:
+            if key not in _CASE_KEYS:
+                raise DocumentError(f"{where}.{key}: unknown field")
         case_id = raw_case.get("case_id")
         if not isinstance(case_id, str) or not case_id:
             raise DocumentError(f"{where}: missing case_id")

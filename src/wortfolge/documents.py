@@ -32,6 +32,8 @@ from .lexicon import Lexicon
 from .linearize import OrderVariant, SurfaceOrder, TagAssignment
 
 SCHEMA_VERSION = "1"
+#: The JSON names of the fields of a slot key in ``SurfaceOrder.keys``.
+KEY_FIELDS = ("slot", "sub_rank", "hoberg", "input_ordinal")
 
 
 class Mode(str, Enum):
@@ -299,7 +301,7 @@ def generate_report(surface: SurfaceOrder) -> dict:
         "text": surface.text,
         "vorfeld": surface.vorfeld,
         "mittelfeld": list(surface.mittelfeld),
-        "keys": {cid: key._asdict() for cid, key in surface.keys},
+        "keys": {cid: dict(zip(KEY_FIELDS, key)) for cid, key in surface.keys},
     }
 
 

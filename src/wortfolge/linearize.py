@@ -32,7 +32,7 @@ import itertools
 
 from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _set, _Value, _violations
 from .lexicon import Lexicon
-from .slots import KEY_TAGS, SlotTable, SortKey, _lexical_veto, _placements, _rhematic_by_default, build_slot_table
+from .slots import KEY_TAGS, SlotTable, _lexical_veto, _placements, _rhematic_by_default, build_slot_table
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
@@ -60,21 +60,23 @@ class NoVorfeld(LinearizeError):
 
 
 class SurfaceOrder(_Value):
-    __slots__ = ("clause_type", "vorfeld", "mittelfeld", "rendered", "keys")
+    """A generated order; ``keys`` pairs each Mittelfeld id with its slot key, in surface order."""
+
+    __slots__ = ("vorfeld", "rendered", "keys")
 
     def __init__(
         self,
-        clause_type: ClauseType,
         vorfeld: str | None,
-        mittelfeld: tuple[str, ...],
         rendered: tuple[str, ...],
-        keys: tuple[tuple[str, SortKey], ...],
+        keys: tuple[tuple[str, tuple[int, int, int, int]], ...],
     ):
-        _set(self, "clause_type", clause_type)
         _set(self, "vorfeld", vorfeld)
-        _set(self, "mittelfeld", mittelfeld)
         _set(self, "rendered", rendered)
         _set(self, "keys", keys)
+
+    @property
+    def mittelfeld(self) -> tuple[str, ...]:
+        return tuple([cid for cid, _ in self.keys])
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -133,11 +135,9 @@ def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> 
     ordered = [cs[key[3]] for key in keys]
     opener = [] if vorfeld is None else [cs[vorfeld]]
     return SurfaceOrder(
-        clause_type=spec.clause_type,
         vorfeld=None if vorfeld is None else cs[vorfeld].id,
-        mittelfeld=tuple(c.id for c in ordered),
         rendered=_render(spec, opener + ordered, None if focus is None else cs[focus]),
-        keys=tuple((c.id, SortKey(*key)) for c, key in zip(ordered, keys)),
+        keys=tuple(zip([c.id for c in ordered], keys)),
     )
 
 
@@ -346,7 +346,7 @@ class CompiledClause:
 
         The realization relation run forwards, by local moves.  ``order`` is
         the Vorfeld's input ordinal (None in VF) followed by the Mittelfeld's,
-        and the keys, with the ordinal appended as in :class:`SortKey`, come
+        and the keys, with the ordinal appended as in ``SurfaceOrder.keys``, come
         sorted in that Mittelfeld order.  A typically rhematic theme licenses
         nothing.  The keys with their ordinals, and the untagged ones sorted,
         are built once per clause; for each Vorfeld candidate the Vorfeld and

@@ -20,10 +20,9 @@ entry, not on the signature, so it is applied outside the index.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from importlib import resources
 
-from .clause import Category, Constituent, MINUS, PLUS, Tag, VERBAL_CATEGORIES, _set, _tsv_rows, _Value
+from .clause import Category, Constituent, MINUS, PLUS, Tag, _set, _tsv_rows, _Value
 
 
 class SlotTableError(Exception):
@@ -89,16 +88,6 @@ class SlotPattern(_Value):
             if c.hoberg_index is None or not self.hoberg_lo <= c.hoberg_index <= self.hoberg_hi:
                 return False
         return True
-
-
-class SortKey(namedtuple("SortKey", ("slot", "sub_rank", "hoberg", "input_ordinal"))):
-    """Lexicographic position key; total order over distinct input ordinals.
-
-    A named tuple, so it orders and compares like the plain tuples the
-    engine sorts.
-    """
-
-    __slots__ = ()
 
 
 #: The taggings a constituent is placed under, in column order of
@@ -182,8 +171,6 @@ def load_slot_table(text: str) -> SlotTable:
             category = None if raw_cat == "*" else Category(raw_cat)
         except ValueError:
             raise SlotTableError(f"line {lineno}: unknown category {raw_cat!r}") from None
-        if category in VERBAL_CATEGORIES:
-            raise SlotTableError(f"line {lineno}: verbal category {raw_cat!r} is not orderable")
         definite, animate, pron, svc = _parse_features(raw_feats, lineno)
         try:
             required_tag = None if raw_tag == "-" else Tag(raw_tag)

@@ -20,6 +20,7 @@ that.  A tagged clause is modelled as its constituents with the tag attached
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from wortfolge import (
     AnalysisResult,
@@ -32,7 +33,6 @@ from wortfolge import (
     InexpressibleTags,
     NoVorfeld,
     OrderVariant,
-    SortKey,
     StressWarning,
     SurfaceOrder,
     Tag,
@@ -40,6 +40,11 @@ from wortfolge import (
     build_slot_table,
 )
 from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS
+
+#: A slot key: it sorts and compares as the plain ``(slot, sub_rank, hoberg,
+#: input_ordinal)`` tuple the engine uses, and names its fields for the
+#: references that read them.
+SlotKey = namedtuple("SlotKey", ("slot", "sub_rank", "hoberg", "input_ordinal"))
 
 # --- tagged clauses ------------------------------------------------------------
 
@@ -135,7 +140,7 @@ def all_sort_keys(table, c, input_ordinal, tag=None, lex=None):
     veto = _reference_lexical_veto(tag, entry)
     hoberg = c.hoberg_index or 0
     patterns = [] if veto else placing_patterns(table, c, tag)
-    keys = tuple(SortKey(p.slot, p.sub_rank, hoberg, input_ordinal) for p in patterns)
+    keys = tuple(SlotKey(p.slot, p.sub_rank, hoberg, input_ordinal) for p in patterns)
     if not keys and tag is None:
         raise ValueError(f"invalid clause spec: {c.id}: no untagged slot")
     if not keys:
@@ -153,7 +158,6 @@ def sort_key(table, c, input_ordinal, tag=None, lex=None):
 # validation into one pass, with the engine's constants copied alongside.
 
 NA = "na"
-VERBAL_CATEGORIES = frozenset({Category.V_FIN, Category.V_NONFIN})
 FEATURE_KEYED_CATEGORIES = frozenset({Category.N, Category.A, Category.D, Category.PO})
 
 
@@ -176,9 +180,6 @@ def reference_validate_clause(spec):
         if c.id in seen_ids:
             violations.append(f"duplicate constituent id {c.id!r}")
         seen_ids.add(c.id)
-        if c.category in VERBAL_CATEGORIES:
-            violations.append(f"{c.id}: verbs belong in the verb complex, not the constituent set")
-            continue
         if not c.surface:
             violations.append(f"{c.id}: empty surface")
         elif not all(isinstance(tok, str) and tok.strip() for tok in c.surface):
@@ -257,9 +258,6 @@ def reference_check_cooccurrence(spec):
     focused = [c.id for c in spec.constituents if c.tag is Tag.FOCUS]
     if len(focused) > 1:
         violations.append(f"focus slot admits one constituent: {', '.join(focused)}")
-    for c in spec.constituents:
-        if c.category in VERBAL_CATEGORIES:
-            violations.append(f"{c.id}: verbs are not orderable constituents")
     return violations
 
 
@@ -368,9 +366,7 @@ def _reference_render(tagged_spec, ordered, vorfeld):
 def _reference_surface(tagged_spec, keyed, vorfeld):
     ordered = [c for _, c in keyed]
     return SurfaceOrder(
-        clause_type=tagged_spec.clause_type,
         vorfeld=vorfeld.id if vorfeld is not None else None,
-        mittelfeld=tuple(c.id for c in ordered),
         rendered=_reference_render(tagged_spec, ordered, vorfeld),
         keys=tuple((c.id, key) for key, c in keyed),
     )

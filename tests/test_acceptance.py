@@ -9,7 +9,6 @@ import random
 from itertools import permutations
 
 from wortfolge import (
-    SortKey,
     Tag,
     Verdict,
     analyze,
@@ -231,10 +230,10 @@ def test_criterion_7_comparator_laws(lex, table):
             if keys is None:
                 continue
             # The first key, with an ordinal numbered across the whole pool.
-            pool.append((with_tag(con, tag), SortKey(*keys[0], ordinal)))
+            pool.append((with_tag(con, tag), (*keys[0], ordinal)))
             ordinal += 1
 
-    def order(x, y):  # -1/0/+1 by SortKey ordering
+    def order(x, y):  # -1/0/+1 by slot-key ordering
         return (x[1] > y[1]) - (x[1] < y[1])
 
     for _ in range(10_000):

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import wortfolge
 from wortfolge.clause import _Value
-from wortfolge.slots import SortKey
 
 TESTS = Path(__file__).resolve().parent
 
@@ -25,16 +24,17 @@ PUBLIC = [
     "AnalysisResult", "CandidateReading", "Category", "ClauseSpec", "ClauseType", "Constituent",
     "CooccurrenceViolation", "FeatureBundle", "InexpressibleTags", "LexEntry", "Lexicon", "LexiconError",
     "LinearizeError", "NEGATED", "NO_NEGATION", "NoVorfeld", "OrderVariant", "RankedReading", "SlotTable",
-    "SortKey", "StressWarning", "SurfaceOrder", "Tag", "TagAssignment", "VerbComplex", "Verdict",
+    "StressWarning", "SurfaceOrder", "Tag", "TagAssignment", "VerbComplex", "Verdict",
     "analyze", "build_slot_table", "enumerate_orders", "linearize", "load_default_lexicon",
     "load_lexicon", "load_slot_table", "rank_readings",
 ]
 
-#: Wrappers and helpers the engine no longer runs.
+#: Wrappers, helpers and types the engine no longer has.
 REMOVED = (
     "sort_key", "all_sort_keys", "_slot_keys", "_no_slot", "NoSlotError", "explain_order",
     "detect_focus_constructions", "validate_clause", "observe", "spec_of", "parse_observed", "_observed_from_order",
-    "dump_lexicon", "_check_search_size", "load_default_corpus",
+    "dump_lexicon", "_check_search_size", "load_default_corpus", "SortKey",
+    "VERBAL_CATEGORIES",
 )
 
 #: The engine functions the oracle may call: the table and lexicon loaders.
@@ -65,10 +65,12 @@ def test_removed_names_are_defined_nowhere():
 
 
 def test_test_only_members_stay_deleted():
-    # Only tests called these; an order variant keeps no copy of its surface's order.
+    # Only tests called these; an order variant keeps no copy of its surface's
+    # order, and a surface keeps its Mittelfeld ids only in its keys.
     assert not hasattr(wortfolge.Lexicon, "lookup")
     assert not hasattr(wortfolge.Lexicon, "__len__")
     assert wortfolge.OrderVariant._fields == ("surface", "assignments")
+    assert wortfolge.SurfaceOrder._fields == ("vorfeld", "rendered", "keys")
 
 
 def test_observed_clause_is_only_an_alias_in_analyze():
@@ -82,7 +84,7 @@ def _allowed_from_engine(name, obj):
         return True
     if not isinstance(obj, type):
         return False
-    return issubclass(obj, (_Value, Enum, BaseException)) or obj is SortKey
+    return issubclass(obj, (_Value, Enum, BaseException))
 
 
 def test_oracle_takes_no_matcher_from_the_engine():

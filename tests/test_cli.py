@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from importlib import resources
 
@@ -403,13 +404,14 @@ def _corpus_case(**fields):
         ({"cases": [_corpus_case(flags={"expected_mismatch": True})]},
          "cases[0].printed: an expected_mismatch case must record its printed line"),
         ({"cases": [_corpus_case(expected={"vorfeld": 5})]}, "cases[0].expected.vorfeld: must be a string or null"),
+        ({"cases": [_corpus_case(expect={"rendered": ["nonsense"]})]}, "cases[0].expect: unknown field"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
          "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
          "printed-stress-id", "printed-analyze", "printed-order-analyze", "printed-stress-disambiguate",
          "unknown-flag", "non-boolean-flag", "misspelt-expected", "rendered-analyze", "analysis-disambiguate",
          "printed-unflagged", "printed-order-unflagged", "printed-stress-unflagged", "printed-analysis-unflagged",
-         "printed-analysis-without-order", "flagged-without-printed", "vorfeld-type"],
+         "printed-analysis-without-order", "flagged-without-printed", "vorfeld-type", "misspelt-expect"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1
@@ -451,6 +453,20 @@ def _clause_with(edit):
 _LEXICON_ROW = "gestern\t26\t26\t1\t1\t1\t-\t0\tyesterday\n"
 _VERB = {"id": "hat", "category": "V_FIN", "surface": ["hat"]}
 _CLAUSE = GENERATE_5A["payload"]["clause"]
+#: JSON nested deeper than the interpreter's recursion limit.
+_DEEP = "[" * 200_000
+
+
+def _recursion_message(text):
+    """How the JSON parser of this interpreter refuses ``text``; the wording varies by version."""
+    try:
+        json.loads(text)
+    except RecursionError as err:
+        return str(err)
+    raise AssertionError("the text parsed")
+
+
+_TOO_DEEP = _recursion_message(_DEEP)
 #: Per documented input error: the arguments (a name among the files stands
 #: for its path), the files, the exit code, stdout and stderr.
 INPUT_ERRORS = {
@@ -504,8 +520,15 @@ INPUT_ERRORS = {
         "", "input error: candidates[0].label: must not be empty\n",
     ),
     "verb-constituent": (
-        ["generate", "--clause", "in.json"], {"in.json": _clause_with(lambda c: c["constituents"].append(_VERB))}, 2,
-        '{"error": {"message": "hat: verbs are not orderable constituents", "type": "CooccurrenceViolation"}}\n', "",
+        ["generate", "--clause", "in.json"], {"in.json": _clause_with(lambda c: c["constituents"].append(_VERB))}, 1,
+        "", "input error: clause.constituents[3](hat): unknown category 'V_FIN'\n",
+    ),
+    "deep-json-generate": (
+        ["generate", "--clause", "in.json"], {"in.json": _DEEP}, 1,
+        "", f"input error: in.json: invalid JSON ({_TOO_DEEP})\n",
+    ),
+    "deep-json-corpus": (
+        ["corpus", "run", "in.json"], {"in.json": _DEEP}, 1, "", f"input error: corpus: invalid JSON ({_TOO_DEEP})\n",
     ),
     "lexicon-duplicate-entry": (
         ["--lexicon", "lex.tsv", "generate", "--clause", "in.json"],
@@ -532,7 +555,9 @@ def test_documented_input_errors(tmp_path, capsys, name):
         (tmp_path / file).write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     assert main(argv) == code
-    assert capsys.readouterr() == (out, err)
+    printed, message = capsys.readouterr()
+    # A message names a file by its path; the table names it by its file name.
+    assert (printed, message.replace(f"{tmp_path}{os.sep}", "")) == (out, err)
 
 
 def test_lexicon_env_var(clause_file, tmp_path, capsys, monkeypatch):

@@ -6,7 +6,6 @@ import threading
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
 
 from wortfolge import (
     Category,
@@ -21,13 +20,12 @@ from wortfolge import (
     enumerate_orders,
     linearize,
 )
-from wortfolge.clause import TRISTATE_VALUES, VERBAL_CATEGORIES, _violations
+from wortfolge.clause import TRISTATE_VALUES, _violations
 from wortfolge.cli import main
 from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
     KEY_TAGS,
     SlotTableError,
-    SortKey,
     _placements,
     build_slot_table,
     load_slot_table,
@@ -137,7 +135,7 @@ def test_focused_object_pronoun_has_early_and_late_slots(table, lex):
     ihn = c("ihn", "A", "ihn", pron=True)
     assert _slots(table, ihn, tag=Tag.FOCUS) == list(table.focus_slots)
     # the early slot wins for the deterministic key
-    assert linearize(_vf(ihn), {"ihn": Tag.FOCUS}, lex, table).keys[0][1].slot == table.focus_slots[0]
+    assert linearize(_vf(ihn), {"ihn": Tag.FOCUS}, lex, table).keys[0][1][0] == table.focus_slots[0]
 
 
 def test_focused_subject_pronoun_has_only_the_early_slot(table):
@@ -171,7 +169,7 @@ def test_constituent_without_untagged_slot_is_an_invalid_clause(table, lex):
         CompiledClause(spec, {}, lex, table)
 
 
-# --- SortKey ordering -----------------------------------------------------------
+# --- slot-key ordering ----------------------------------------------------------
 
 def _untagged_keys(table, lex, *constituents):
     """The untagged ``(slot, sub_rank, hoberg)`` key of each constituent of
@@ -202,7 +200,7 @@ def test_equal_indexes_keep_input_order(table, lex):
     for first, second in ((gestern, damals), (damals, gestern)):
         surface = linearize(_vf(first, second), {}, lex, table)
         assert surface.mittelfeld == (first.id, second.id)
-        assert surface.keys == ((first.id, SortKey(*ka, 0)), (second.id, SortKey(*kb, 1)))
+        assert surface.keys == ((first.id, (*ka, 0)), (second.id, (*kb, 1)))
 
 
 def test_untagged_sort_reproduces_the_three_modifier_order(table, lex, ex6_clause):
@@ -243,8 +241,6 @@ def test_default_order_is_total(table):
 def _accepted_signatures():
     """One constituent per slot-matching signature the clause validator accepts."""
     for category in Category:
-        if category in VERBAL_CATEGORIES:
-            continue
         indexes = range(1, 45) if category is Category.M else (None,)
         for definite, animate, pron, svc, index in itertools.product(
             TRISTATE_VALUES, TRISTATE_VALUES, (False, True), (False, True), indexes
@@ -509,25 +505,6 @@ def test_example_seven_clause_cooccurs(table, lex, ex7_clause):
     CompiledClause(ex7_clause, {}, lex, table)  # raises on a cooccurrence violation
 
 
-# --- comparator laws (hypothesis) ---------------------------------------------
-
-sort_keys = st.builds(
-    SortKey,
-    slot=st.integers(1, 27),
-    sub_rank=st.integers(1, 2),
-    hoberg=st.integers(0, 44),
-    input_ordinal=st.integers(0, 9),
-)
-
-
-@given(sort_keys, sort_keys, sort_keys)
-def test_key_comparison_is_a_total_order(a, b, c_):
-    assert (a < b) == (not b <= a)
-    if a < b and b < c_:
-        assert a < c_
-    assert sorted([a, b, c_]) == sorted([c_, b, a])
-
-
 # --- loader errors -------------------------------------------------------------
 
 #: A minimal well-formed table (THEME 2 < RHEME 5 < general FOCUS 7, late
@@ -555,7 +532,7 @@ _MINIMAL_TABLE = (
         ({4: "3\t4\t1\tM\t-\t-\t1..44\t-"}, "line 4: bad index range '1..44'"),
         ({4: "3\t4\t1\tM\t-\t-\t44-1\t-"}, "line 4: inverted index range '44-1'"),
         ({4: "3\t4\t1\tM\t-\t-\t0-50\t-"}, "line 4: index range '0-50' outside 1..44"),
-        ({6: "5\t6\t1\tV_FIN\t-\t-\t-\t-"}, "line 6: verbal category 'V_FIN' is not orderable"),
+        ({6: "5\t6\t1\tV_FIN\t-\t-\t-\t-"}, "line 6: unknown category 'V_FIN'"),
         ({7: "5\t8\t1\t*\t-\tFOCUS\t-\t-"}, "slot ordinals must be dense from 1"),
         ({1: "1\t1\t1\tN\tpron\tTHEME\t-\t-"}, "expected exactly one THEME slot"),
         ({5: "4\t5\t1\tM\t-\t-\t1-44\t-"}, "expected exactly one RHEME slot"),
