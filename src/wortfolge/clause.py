@@ -3,9 +3,9 @@
 Everything here is immutable value data with no behaviour beyond construction
 and validation, so instances are safe to share freely.  A clause carries no
 tags: theme, rheme and focus are given separately, as an assignment from
-constituent ids to tags.  One pass checks a clause and its assignment; it
-collects violations into lists instead of raising, and empty lists mean the
-clause is well formed.
+constituent ids to tags.  The clause-level checks (verb, complementizer,
+cooccurrence, assignment) live here; a constituent's own defects are facts
+of its signature, kept in the slot table's index beside its slot keys.
 
 The value types of the package are plain classes on :class:`_Value`: their
 fields are their ``__slots__``, set once in ``__init__``, and equality, hash,
@@ -243,23 +243,27 @@ class ClauseSpec(_Value):
         return None
 
 
-_EXCLUSIVE_ADVERBIALS = (Category.SIT, Category.DIR, Category.EXP)
-
-
 def _all_words(tokens) -> bool:
     """Whether every surface or verb token is a string with a visible character."""
-    return all(isinstance(tok, str) and tok.strip() for tok in tokens)
+    try:
+        return all(map(str.strip, tokens))
+    except TypeError:  # a token that is not a string
+        return False
 
 
-def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], list[str]]:
-    """Every defect of the clause under the assignment ``tags``, in one pass.
+#: The tags an assignment may give, for the check that no tag is given twice.
+_TAGS = frozenset(Tag)
 
-    Stress marks are not read.  A malformed clause produces violations, never
-    exceptions.  Returns three lists of violations: cooccurrence (the slash
-    groups, the focus slot holding more than one constituent), which no
-    assignment can order; the spec's own defects; and the assignment's
-    (unknown ids, two carriers of one tag).  Empty lists mean the clause and
-    the assignment are well formed.
+
+def _violations(spec: ClauseSpec, tags: dict, ids: set, nominatives: list, exclusives: list):
+    """The clause-level defects of the clause under the assignment ``tags``.
+
+    The compiled clause checks each constituent and passes the ``ids`` it
+    saw and the input ordinals of the nominative and the SIT/DIR/EXP group.
+    Returns three lists of violations, never raising: cooccurrence (the
+    slash groups, the focus slot holding more than one constituent), which
+    no assignment can order; the verb's and the complementizer's; and the
+    assignment's (unknown ids, two carriers of one tag).
     """
     invalid = []
     if not spec.verb.finite:
@@ -272,54 +276,22 @@ def _violations(spec: ClauseSpec, tags: dict) -> tuple[list[str], list[str], lis
         if not _all_words((spec.complementizer,)):
             invalid.append("blank or non-string complementizer")
 
-    seen_ids = set()
-    nominatives, exclusives, focused = [], [], []
-    for c in spec.constituents:
-        if c.id in seen_ids:
-            invalid.append(f"duplicate constituent id {c.id!r}")
-        seen_ids.add(c.id)
-        if tags.get(c.id) is Tag.FOCUS:
-            focused.append(c.id)
-        if c.category is Category.N:
-            nominatives.append(c.id)
-        elif c.category in _EXCLUSIVE_ADVERBIALS:
-            exclusives.append(c.id)
-        if not c.surface:
-            invalid.append(f"{c.id}: empty surface")
-        elif not _all_words(c.surface):
-            invalid.append(f"{c.id}: blank or non-string surface token")
-        if c.category is Category.M:
-            if c.hoberg_index is None:
-                invalid.append(f"{c.id}: modifier without Hoberg index")
-            elif not isinstance(c.hoberg_index, int) or isinstance(c.hoberg_index, bool):
-                invalid.append(f"{c.id}: Hoberg index {c.hoberg_index!r} is not an integer")
-            elif not 1 <= c.hoberg_index <= 44:
-                invalid.append(f"{c.id}: Hoberg index {c.hoberg_index} outside 1..44")
-        elif c.hoberg_index is not None:
-            invalid.append(f"{c.id}: Hoberg index on non-modifier")
-        if (
-            c.category in FEATURE_KEYED_CATEGORIES
-            and not c.features.pronominal
-            and not c.features.svc
-        ):
-            if c.features.definite == NA or c.features.animate == NA:
-                invalid.append(
-                    f"{c.id}: {c.category.value} requires resolved definiteness/animacy"
-                )
-
     cooccurrence = []
-    if len(nominatives) > 1:
-        cooccurrence.append(f"nominative alternatives cannot cooccur: {', '.join(nominatives)}")
-    if len(exclusives) > 1:
-        cooccurrence.append(f"SIT/DIR/EXP cannot cooccur: {', '.join(exclusives)}")
-    if len(focused) > 1:
-        cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
+    for group, name in ((nominatives, "nominative alternatives"), (exclusives, "SIT/DIR/EXP")):
+        if len(group) > 1:
+            cooccurrence.append(f"{name} cannot cooccur: {', '.join([spec.constituents[i].id for i in group])}")
+    if Tag.FOCUS in tags.values():
+        focused = [c.id for c in spec.constituents if tags.get(c.id) is Tag.FOCUS]
+        if len(focused) > 1:
+            cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
 
-    assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in seen_ids]
-    carriers = {tag: [] for tag in Tag}
-    for cid, tag in tags.items():
-        carriers[tag].append(cid)
-    for tag, ids in carriers.items():
-        if len(ids) > 1:
-            assignment.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(ids))}")
+    assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in ids]
+    given = set(tags.values())
+    if len(given) < len(tags) or not given <= _TAGS:
+        carriers = {tag: [] for tag in Tag}
+        for cid, tag in tags.items():
+            carriers[tag].append(cid)
+        for tag, carrying in carriers.items():
+            if len(carrying) > 1:
+                assignment.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carrying))}")
     return cooccurrence, invalid, assignment

@@ -68,6 +68,8 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _InputError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise _InputError(f"{path}: invalid UTF-8 ({err})") from None
 
 
 def _load_json(path: str):

@@ -19,6 +19,7 @@ from .documents import (
     ClauseDocument,
     DocumentError,
     Mode,
+    SCHEMA_VERSION,
     _parse_stress,
     analysis_report,
     disambiguate_report,
@@ -135,6 +136,11 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         raise DocumentError(f"corpus: invalid JSON ({err})") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("cases"), list):
         raise DocumentError("corpus: expected an object with a 'cases' list")
+    for key in raw:
+        if key not in ("schema_version", "description", "cases"):
+            raise DocumentError(f"corpus.{key}: unknown field")
+    if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise DocumentError(f"corpus: unsupported schema_version {raw['schema_version']!r}")
     cases = []
     seen = set()
     for i, raw_case in enumerate(raw["cases"]):

@@ -30,9 +30,9 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .clause import Category, ClauseSpec, ClauseType, Constituent, Tag, _set, _Value, _violations
+from .clause import ClauseSpec, ClauseType, Constituent, Tag, _all_words, _set, _Value, _violations
 from .lexicon import Lexicon
-from .slots import KEY_TAGS, SlotTable, _lexical_veto, _placements, _rhematic_by_default, build_slot_table
+from .slots import KEY_TAGS, SlotTable, _lexical_veto, _signature, build_slot_table
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
@@ -245,18 +245,20 @@ class CompiledClause:
     assignments that survive it.  Assignments are given as input ordinals of
     the theme, rheme and focus carriers, None for an absent tag.
 
-    The clause and ``tags`` are checked in one pass.  An invalid clause
-    raises :class:`CooccurrenceViolation` or ``ValueError``; ``tags`` counts
-    there as the focus, so two FOCUS carriers are a cooccurrence violation.
-    A constituent without an untagged slot in the table (an SVC part of a
-    category the SVC slot does not hold) makes the clause invalid too.
     Compiling is one lookup per constituent in the table's signature index
-    and one in the lexicon; a column is set to None only where the entry
-    vetoes its tag.  The assignment's own defects (unknown ids, two carriers
-    of one tag) are kept in ``assignment_violations`` for the caller to
-    refuse.  Every lexicon key is resolved here, once, and nowhere else in
-    the engine: an unresolved key raises ``KeyError`` naming the first such
-    constituent, whatever the assignment.
+    (its keys, typically rhematic flag, cooccurrence group and signature
+    defects) plus the constituent's own checks (duplicate id, surface
+    tokens, lexicon entry), then the clause-level ``clause._violations``.
+    An invalid clause raises :class:`CooccurrenceViolation` or
+    ``ValueError``; ``tags`` counts there as the focus, so two FOCUS
+    carriers are a cooccurrence violation, and a constituent without an
+    untagged slot (an SVC part of a category the SVC slot does not hold)
+    makes the clause invalid too.  A key column is None only where the
+    entry vetoes its tag.  The assignment's own defects (unknown ids, two
+    carriers of one tag) are kept in ``assignment_violations`` for the
+    caller to refuse.  Every lexicon key is resolved here, once, and
+    nowhere else in the engine: an unresolved key raises ``KeyError``
+    naming the first such constituent, whatever the assignment.
     """
 
     __slots__ = (
@@ -271,17 +273,31 @@ class CompiledClause:
         lex: Lexicon,
         table: SlotTable,
     ):
-        cooccurrence, invalid, self.assignment_violations = _violations(spec, tags)
+        ids, invalid, unplaced, rows, groups = set(), [], [], [], ([], [])
+        for i, c in enumerate(spec.constituents):
+            if c.id in ids:
+                invalid.append(f"duplicate constituent id {c.id!r}")
+            ids.add(c.id)
+            if not c.surface:
+                invalid.append(f"{c.id}: empty surface")
+            elif not _all_words(c.surface):
+                invalid.append(f"{c.id}: blank or non-string surface token")
+            facts = _signature(table, c)
+            defects, placements, _, group = facts
+            if defects:
+                invalid += [f"{c.id}: {defect}" for defect in defects]
+            elif placements[0] is None:
+                unplaced.append(f"{c.id}: no untagged slot")
+            if group is not None:
+                groups[group].append(i)
+            rows.append(facts)
+        cooccurrence, clause_invalid, self.assignment_violations = _violations(spec, tags, ids, *groups)
         if cooccurrence:
             raise CooccurrenceViolation(cooccurrence)
-        if invalid:
-            raise ValueError("invalid clause spec: " + "; ".join(invalid))
-        # A spec defect too, so found before any lexicon key is resolved.
-        keys = [_placements(table, c) for c in spec.constituents]
-        unplaced = [f"{c.id}: no untagged slot" for c, row in zip(spec.constituents, keys) if row[0] is None]
-        if unplaced:
-            raise ValueError("invalid clause spec: " + "; ".join(unplaced))
-        entries, capable, rhematic = [], [], []
+        for violations in (clause_invalid + invalid, unplaced):  # no untagged slot: a spec defect too
+            if violations:
+                raise ValueError("invalid clause spec: " + "; ".join(violations))
+        keys, entries, capable = [row[1] for row in rows], [], []
         for i, c in enumerate(spec.constituents):
             entry = None
             if c.lexicon_key is not None:
@@ -292,13 +308,12 @@ class CompiledClause:
                     keys[i] = tuple(None if _lexical_veto(tag, entry) else k for tag, k in zip(KEY_TAGS, keys[i]))
             entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
-            rhematic.append(_rhematic_by_default(table, c, keys[i][0][0][0]))
         self.clause_type = spec.clause_type
         self.keys = tuple(keys)
         self.entries = tuple(entries)
         self.vorfeld_capable = tuple(capable)
-        self.typically_rhematic = tuple(rhematic)
-        self.subject = next((i for i, c in enumerate(spec.constituents) if c.category is Category.N), None)
+        self.typically_rhematic = tuple([row[2] for row in rows])
+        self.subject = groups[0][0] if groups[0] else None
         # The keys with input ordinals, and the untagged ones sorted: built on the first realize.
         self._forward = None
 

@@ -10,11 +10,13 @@ The table itself ships as ``data/slot_table.tsv`` so the transcription can be
 reviewed independently of the matching code.
 
 A constituent's slot keys depend only on its signature (category,
-definiteness, animacy, pronoun and SVC flags, Hoberg index), so each table
-instance keeps a lazily filled index from signature to the ``(slot,
-sub_rank, hoberg)`` keys it takes under each tag; the table is scanned once
-per signature, on its first lookup.  The lexical veto depends on the lexicon
-entry, not on the signature, so it is applied outside the index.
+definiteness, animacy, pronoun and SVC flags, Hoberg index), and so do its
+own defects (a bad Hoberg index, unresolved features), its typically
+rhematic flag and its cooccurrence group.  Each table instance keeps a
+lazily filled index from signature to these facts; the table is scanned
+once per signature, on its first lookup, and a defective signature is
+never filed.  The lexical veto depends on the lexicon entry, not on the
+signature, so it is applied outside the index.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .clause import Category, Constituent, MINUS, PLUS, Tag, _set, _tsv_rows, _Value
+from .clause import FEATURE_KEYED_CATEGORIES, MINUS, NA, PLUS, Category, Constituent, Tag, _set, _tsv_rows, _Value
 
 
 class SlotTableError(Exception):
@@ -91,7 +93,7 @@ class SlotPattern(_Value):
 
 
 #: The taggings a constituent is placed under, in column order of
-#: :func:`_placements`.
+#: the placements of :func:`_signature`.
 KEY_TAGS = (None, Tag.THEME, Tag.RHEME, Tag.FOCUS)
 
 
@@ -100,7 +102,7 @@ class SlotTable:
 
     def __init__(self, patterns):
         self.patterns = tuple(patterns)
-        # signature -> placements; filled on each signature's first lookup
+        # signature -> the facts of :func:`_signature`, filed on its first lookup
         self._index = {}
         slots = sorted({p.slot for p in self.patterns})
         if slots != list(range(1, len(slots) + 1)):
@@ -223,25 +225,60 @@ def _lexical_veto(tag: Tag | None, entry) -> str | None:
     return None
 
 
-def _placements(table: SlotTable, c: Constituent) -> tuple[tuple[tuple[int, int, int], ...] | None, ...]:
-    """The ``(slot, sub_rank, hoberg)`` keys the constituent takes under each
-    of :data:`KEY_TAGS`, in table order, before any lexical veto; None where
-    the tagging has no slot.
+def _signature(table: SlotTable, c: Constituent):
+    """The facts of the constituent's signature: ``(defects, placements, rhematic, group)``.
 
-    Untagged, THEME and RHEME placements are the first match only; FOCUS
-    keeps the first match of each slot.  Read from the table's index; a miss
-    scans the patterns once for the constituent's signature and fills it.
+    ``defects`` are the signature's own, without the constituent id; a
+    defective signature has no placements and no rhematic flag.
+    ``placements`` holds the ``(slot, sub_rank, hoberg)`` keys under each of
+    :data:`KEY_TAGS` before any lexical veto, None without a slot: the first
+    match in table order, for FOCUS the first of each slot.  ``group`` is 0
+    for the nominatives, 1 for SIT/DIR/EXP, else None.  A category that is
+    not a :class:`Category` is refused before the index is read.  A miss
+    scans the patterns once; its facts are filed only if they hold no defect
+    and both flags equal True or False, which bounds the index.  The key holds the
+    Hoberg index's type, so ``26``, ``26.0`` and ``True`` stay apart; an
+    unhashable field is never filed.
     """
-    f = c.features
-    signature = (c.category, f.definite, f.animate, f.pronominal, f.svc, c.hoberg_index)
-    found = table._index.get(signature)
-    if found is None:
-        found = table._index[signature] = tuple(_scan(table, c, tag) for tag in KEY_TAGS)
-    return found
+    if c.category.__class__ is not Category:
+        return (f"unknown category {c.category!r}",), None, None, None
+    f, hoberg = c.features, c.hoberg_index
+    signature = (c.category, f.definite, f.animate, f.pronominal, f.svc, hoberg, hoberg.__class__)
+    try:
+        facts = table._index.get(signature)
+    except TypeError:
+        facts = signature = None
+    if facts is not None:
+        return facts
+    defects = []
+    if c.category is Category.M:
+        if hoberg is None:
+            defects.append("modifier without Hoberg index")
+        elif not isinstance(hoberg, int) or isinstance(hoberg, bool):
+            defects.append(f"Hoberg index {hoberg!r} is not an integer")
+        elif not 1 <= hoberg <= 44:
+            defects.append(f"Hoberg index {hoberg} outside 1..44")
+    elif hoberg is not None:
+        defects.append("Hoberg index on non-modifier")
+    if c.category in FEATURE_KEYED_CATEGORIES and not f.pronominal and not f.svc and NA in (f.definite, f.animate):
+        defects.append(f"{c.category.value} requires resolved definiteness/animacy")
+    group = 0 if c.category is Category.N else 1 if c.category in (Category.SIT, Category.DIR, Category.EXP) else None
+    if defects:
+        return tuple(defects), None, None, group
+    placements = tuple(_scan(table, c, tag) for tag in KEY_TAGS)
+    # Typically rhematic: late-field complements (PO, SIT/DIR/EXP, nominal genitives, SVC parts,
+    # non-pronominal Nom/Adj) and indefinite A/D open the clause only under contrastive focus.
+    rhematic = placements[0] is not None and (
+        c.category in (Category.A, Category.D) and c.indefinite or placements[0][0][0] >= table.late_field_start
+    )
+    facts = (), placements, rhematic, group
+    if signature is not None and f.pronominal in (True, False) and f.svc in (True, False):
+        table._index[signature] = facts
+    return facts
 
 
 def _scan(table: SlotTable, c: Constituent, tag: Tag | None) -> tuple[tuple[int, int, int], ...] | None:
-    """The first-match scan of the patterns in table order behind :func:`_placements`."""
+    """The first-match scan of the patterns in table order behind :func:`_signature`."""
     keys = []
     seen_slots = set()
     for pattern in table.patterns:
@@ -252,16 +289,3 @@ def _scan(table: SlotTable, c: Constituent, tag: Tag | None) -> tuple[tuple[int,
         if tag is not Tag.FOCUS:
             break  # non-focus placements are unique: first match only
     return tuple(keys) or None
-
-
-def _rhematic_by_default(table: SlotTable, c: Constituent, slot: int) -> bool:
-    """Whether the constituent is typically rhematic, given its untagged slot.
-
-    Covers complements whose untagged slot falls in the late field (the
-    prepositional/final rows: PO, SIT/DIR/EXP, nominal genitives, SVC parts,
-    non-pronominal Nom/Adj) plus indefinite accusatives/datives.  Such
-    elements open the clause only under contrastive focus.
-    """
-    if c.category in (Category.A, Category.D) and c.indefinite:
-        return True
-    return slot >= table.late_field_start

@@ -104,7 +104,7 @@ def test_oracle_takes_no_matcher_from_the_engine():
         assert _allowed_from_engine(name, obj), name
     # Nothing reaches the engine's matcher through an attribute either.
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not attributes & {"matches", "_index", "_placements", "_scan", "keys"}
+    assert not attributes & {"matches", "_index", "_signature", "_scan", "keys"}
 
 
 def test_test_modules_share_only_the_oracle_and_the_helpers():

@@ -3,16 +3,26 @@ import re
 
 import pytest
 
-from wortfolge import ClauseSpec, ClauseType, Tag, VerbComplex, analyze, linearize
-from wortfolge.clause import _violations
+from wortfolge import ClauseSpec, ClauseType, CooccurrenceViolation, Tag, VerbComplex, analyze, linearize
+from wortfolge.lexicon import load_default_lexicon
+from wortfolge.linearize import CompiledClause
+from wortfolge.slots import build_slot_table
 
 from .conftest import c
 
+_LEX = load_default_lexicon()
 
 def _clause_violations(spec):
-    """The clause's own violations under no assignment, slash-group conflicts first."""
-    cooccurrence, invalid, _ = _violations(spec, {})
-    return cooccurrence + invalid
+    """The violations compiling the clause under no assignment reports: its
+    slash-group conflicts if it has any, else its spec defects; none if it
+    compiles."""
+    try:
+        CompiledClause(spec, {}, _LEX, build_slot_table())
+    except CooccurrenceViolation as err:
+        return list(err.violations)
+    except ValueError as err:
+        return str(err).removeprefix("invalid clause spec: ").split("; ")
+    return []
 
 
 def test_ex5_clause_is_valid(ex5_clause):

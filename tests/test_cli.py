@@ -405,13 +405,16 @@ def _corpus_case(**fields):
          "cases[0].printed: an expected_mismatch case must record its printed line"),
         ({"cases": [_corpus_case(expected={"vorfeld": 5})]}, "cases[0].expected.vorfeld: must be a string or null"),
         ({"cases": [_corpus_case(expect={"rendered": ["nonsense"]})]}, "cases[0].expect: unknown field"),
+        ({"schema_version": "99", "cases": [_corpus_case()]}, "corpus: unsupported schema_version '99'"),
+        ({"cases": [_corpus_case()], "extra": True}, "corpus.extra: unknown field"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
          "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
          "printed-stress-id", "printed-analyze", "printed-order-analyze", "printed-stress-disambiguate",
          "unknown-flag", "non-boolean-flag", "misspelt-expected", "rendered-analyze", "analysis-disambiguate",
          "printed-unflagged", "printed-order-unflagged", "printed-stress-unflagged", "printed-analysis-unflagged",
-         "printed-analysis-without-order", "flagged-without-printed", "vorfeld-type", "misspelt-expect"],
+         "printed-analysis-without-order", "flagged-without-printed", "vorfeld-type", "misspelt-expect",
+         "schema-version", "unknown-top-level-field"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1
@@ -451,6 +454,8 @@ def _clause_with(edit):
 
 
 _LEXICON_ROW = "gestern\t26\t26\t1\t1\t1\t-\t0\tyesterday\n"
+#: How Python describes a file that opens with a 0xff byte, read as UTF-8.
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 _VERB = {"id": "hat", "category": "V_FIN", "surface": ["hat"]}
 _CLAUSE = GENERATE_5A["payload"]["clause"]
 #: JSON nested deeper than the interpreter's recursion limit.
@@ -545,6 +550,15 @@ INPUT_ERRORS = {
         {"lex.tsv": _LEXICON_ROW.replace("\t26\t26", "\t26\tx"), "in.json": GENERATE_5A}, 1,
         "", "input error: line 1: bad Hoberg index 'x'\n",
     ),
+    "clause-not-utf8": (
+        ["generate", "--clause", "in.json"], {"in.json": b"\xff{}"}, 1,
+        "", f"input error: in.json: invalid UTF-8 ({_NOT_UTF8})\n",
+    ),
+    "lexicon-not-utf8": (
+        ["--lexicon", "lex.tsv", "generate", "--clause", "in.json"],
+        {"lex.tsv": b"\xff" + _LEXICON_ROW.encode(), "in.json": GENERATE_5A}, 1,
+        "", f"input error: lex.tsv: invalid UTF-8 ({_NOT_UTF8})\n",
+    ),
 }
 
 
@@ -552,7 +566,10 @@ INPUT_ERRORS = {
 def test_documented_input_errors(tmp_path, capsys, name):
     argv, files, code, out, err = INPUT_ERRORS[name]
     for file, content in files.items():
-        (tmp_path / file).write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+        if isinstance(content, bytes):
+            (tmp_path / file).write_bytes(content)
+        else:
+            (tmp_path / file).write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     assert main(argv) == code
     printed, message = capsys.readouterr()

@@ -9,6 +9,7 @@ from wortfolge import Tag
 from wortfolge.analyze import analyze
 from wortfolge.corpus import load_corpus, run_case, run_corpus
 from wortfolge.documents import Mode
+from wortfolge.linearize import CompiledClause
 
 EXPECTED_CASE_IDS = {
     "ex-1a", "ex-1b", "ex-1c", "ex-1d", "ex-1e",
@@ -69,12 +70,10 @@ def test_detectors_are_sound_against_the_search(corpus, lex, table):
             ), (case.case_id, detected)
 
 
-def test_every_corpus_clause_validates(corpus):
-    from wortfolge.clause import _violations
-
+def test_every_corpus_clause_validates(corpus, lex, table):
     for case in corpus:
         for clause in case.doc.clauses:
-            assert _violations(clause, {}) == ([], [], []), case.case_id
+            CompiledClause(clause, {}, lex, table)  # raises on an invalid clause
 
 
 def test_theme_is_the_vorfeld_element_except_under_focus_fronting(corpus, lex, table):

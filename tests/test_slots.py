@@ -20,13 +20,13 @@ from wortfolge import (
     enumerate_orders,
     linearize,
 )
-from wortfolge.clause import TRISTATE_VALUES, _violations
+from wortfolge.clause import TRISTATE_VALUES
 from wortfolge.cli import main
 from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
     KEY_TAGS,
     SlotTableError,
-    _placements,
+    _signature,
     build_slot_table,
     load_slot_table,
 )
@@ -40,7 +40,7 @@ SHIPPED_TABLE = resources.files("wortfolge.data").joinpath("slot_table.tsv")
 def _slots(table, constituent, tag=None):
     """The slots the engine places the constituent in under the tag, in
     table order, before any lexical veto."""
-    return [key[0] for key in _placements(table, constituent)[KEY_TAGS.index(tag)] or ()]
+    return [key[0] for key in _signature(table, constituent)[1][KEY_TAGS.index(tag)] or ()]
 
 
 def _slot(table, constituent, tag=None):
@@ -83,8 +83,8 @@ def test_definite_animate_object_precedes_pragmatic_band(table):
 def test_arrow_order_accusative_before_dative_in_pronoun_slot(table):
     a = c("a", "A", "ihn", pron=True)
     d = c("d", "D", "ihm", pron=True)
-    (slot_a, rank_a, _), = _placements(table, a)[0]
-    (slot_d, rank_d, _), = _placements(table, d)[0]
+    (slot_a, rank_a, _), = _signature(table, a)[1][0]
+    (slot_d, rank_d, _), = _signature(table, d)[1][0]
     assert slot_a == slot_d
     assert rank_a < rank_d
 
@@ -240,14 +240,14 @@ def test_default_order_is_total(table):
 
 def _accepted_signatures():
     """One constituent per slot-matching signature the clause validator accepts."""
+    table = load_slot_table(SHIPPED_TABLE.read_text("utf-8"))
     for category in Category:
         indexes = range(1, 45) if category is Category.M else (None,)
         for definite, animate, pron, svc, index in itertools.product(
             TRISTATE_VALUES, TRISTATE_VALUES, (False, True), (False, True), indexes
         ):
             x = Constituent("x", category, ("x",), FeatureBundle(definite, animate, pron, svc), index)
-            cooccurrence, invalid, _ = _violations(_vf(x), {})
-            if not cooccurrence + invalid:
+            if not _signature(table, x)[0]:
                 yield x
 
 
@@ -268,13 +268,13 @@ def test_signature_index_agrees_with_an_independent_scan():
     assert len(ACCEPTED) == 1924
     warm = load_slot_table(text)
     for x in reversed(ACCEPTED):
-        _placements(warm, x)
+        _signature(warm, x)
     # Each signature is first looked up in the cold table here.
     cold = load_slot_table(text)
     for x in ACCEPTED:
         expected = _oracle_placements(cold, x)
-        assert _placements(cold, x) == expected, x
-        assert _placements(warm, x) == expected, x
+        assert _signature(cold, x)[1] == expected, x
+        assert _signature(warm, x)[1] == expected, x
 
 
 def test_compiled_keys_agree_with_the_oracle_keyer(table, lex):
@@ -299,7 +299,7 @@ def test_compiled_keys_agree_with_the_oracle_keyer(table, lex):
 def test_every_accepted_constituent_has_one_untagged_slot_or_is_refused(table, lex):
     refused = 0
     for x in ACCEPTED:
-        keys = _placements(table, x)[0]
+        keys = _signature(table, x)[1][0]
         if x.features.svc and x.category not in (Category.N, Category.A, Category.D, Category.G, Category.PO):
             assert keys is None, x
             with pytest.raises(ValueError, match=r"^invalid clause spec: x: no untagged slot$"):
@@ -330,7 +330,7 @@ def _without(table, tag):
     """Per group, the number of placed signatures without a slot for the tag."""
     counts = {}
     for x in ACCEPTED:
-        placements = _placements(table, x)
+        placements = _signature(table, x)[1]
         if placements[0] and not placements[KEY_TAGS.index(tag)]:
             counts[_group(x)] = counts.get(_group(x), 0) + 1
     return counts
@@ -366,16 +366,79 @@ def test_no_pattern_is_dead(table):
     assert placing == {id(p) for p in table.patterns}
 
 
+def _beside_a_pronoun(*constituents):
+    """The V2 clause of the constituents after a pronominal subject."""
+    return ClauseSpec(ClauseType.V2, VerbComplex(("sieht",)), (c("x", "N", "er", pron=True), *constituents))
+
+
+def _y(category, surface, hoberg=None, **features):
+    """Constituent ``y``, built without the conversions of :func:`c`."""
+    surface = tuple(surface.split(" ")) if isinstance(surface, str) else surface
+    return Constituent("y", category, surface, FeatureBundle(**features), hoberg)
+
+
+#: Malformed constituents whose signature fields compare equal to those of
+#: valid ones (``"A" == Category.A``, ``True == 1``, ``26.0 == 26``), each
+#: with the defect compiling a clause with it reports.
+MALFORMED = {
+    "hoberg-str": (_y(Category.M, "gestern", "26"), "y: Hoberg index '26' is not an integer"),
+    "hoberg-float": (_y(Category.M, "gestern", 26.0), "y: Hoberg index 26.0 is not an integer"),
+    "hoberg-bool": (_y(Category.M, "eher", True), "y: Hoberg index True is not an integer"),
+    "hoberg-unhashable": (_y(Category.M, "gestern", [26]), "y: Hoberg index [26] is not an integer"),
+    "blank-token": (_y(Category.A, "den \t", definite="+", animate="+"), "y: blank or non-string surface token"),
+    "unresolved-features": (_y(Category.A, "etwas"), "y: A requires resolved definiteness/animacy"),
+    "str-category-pronoun": (_y("A", "ihn", pronominal=True), "y: unknown category 'A'"),
+    "str-category-unresolved": (_y("A", "etwas"), "y: unknown category 'A'"),
+}
+
+#: Valid clauses holding the well-formed twins of those signatures.
+WARMING = (
+    _beside_a_pronoun(_y(Category.A, "ihn", pronominal=True), c("m", "M", "gestern", hoberg=26)),
+    _beside_a_pronoun(_y(Category.A, "den Mann", definite="+", animate="+"), c("m", "M", "eher", hoberg=1)),
+)
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_the_index_cache_state_cannot_change_an_answer(lex, name):
+    constituent, defect = MALFORMED[name]
+    spec = _beside_a_pronoun(constituent)
+    text = SHIPPED_TABLE.read_text("utf-8")
+    fresh, warmed = load_slot_table(text), load_slot_table(text)
+    for clause in WARMING:
+        linearize(clause, {}, lex, warmed)
+        analyze(clause.reordered(("m", "x", "y")), lex, warmed)
+    for table in (fresh, warmed, fresh):
+        for call in (lambda: linearize(spec, {}, lex, table), lambda: analyze(spec, lex, table)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert (type(err.value), str(err.value)) == (ValueError, f"invalid clause spec: {defect}"), table
+
+
+def test_the_index_files_only_a_bounded_set_of_signatures(lex):
+    table = load_slot_table(SHIPPED_TABLE.read_text("utf-8"))
+    for clause in WARMING:
+        linearize(clause, {}, lex, table)
+    filed = len(table._index)
+    for i in range(200):
+        for constituent in (_y(Category.M, "eher", 45 + i), _y(Category.A, "ihn", pronominal=f"yes{i}"),
+                            _y(Category.G, "dessen", pronominal=f"yes{i}")):
+            try:
+                linearize(_beside_a_pronoun(constituent), {}, lex, table)
+            except ValueError:
+                pass
+    assert len(table._index) == filed
+
+
 def test_threads_filling_one_index_agree():
     # More threads than cores, switching often, all filling one cold index.
     text = SHIPPED_TABLE.read_text("utf-8")
     alone = load_slot_table(text)
-    expected = [_placements(alone, x) for x in ACCEPTED]
+    expected = [_signature(alone, x)[1] for x in ACCEPTED]
     shared = load_slot_table(text)
     results = {}
 
     def key_all(worker):
-        results[worker] = [_placements(shared, x) for x in ACCEPTED]
+        results[worker] = [_signature(shared, x)[1] for x in ACCEPTED]
 
     threads = [threading.Thread(target=key_all, args=(worker,)) for worker in range(4)]
     interval = sys.getswitchinterval()
