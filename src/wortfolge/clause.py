@@ -255,7 +255,7 @@ def _all_words(tokens) -> bool:
 _TAGS = frozenset(Tag)
 
 
-def _violations(spec: ClauseSpec, tags: dict, ids: set, nominatives: list, exclusives: list):
+def _violations(spec: ClauseSpec, tags: dict, ids: dict, nominatives: list, exclusives: list):
     """The clause-level defects of the clause under the assignment ``tags``.
 
     The compiled clause checks each constituent and passes the ``ids`` it

@@ -141,10 +141,9 @@ def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> 
     )
 
 
-def _carriers(spec: ClauseSpec, tags: TagAssignment):
+def _carriers(clause: CompiledClause, tags: TagAssignment):
     """Input ordinals of a well-formed assignment's theme, rheme and focus (None if absent)."""
-    ordinals = {c.id: i for i, c in enumerate(spec.constituents)}
-    carriers = {tag: ordinals[cid] for cid, tag in tags.items()}
+    carriers = {tag: clause.ordinals[cid] for cid, tag in tags.items()}
     return carriers.get(Tag.THEME), carriers.get(Tag.RHEME), carriers.get(Tag.FOCUS)
 
 
@@ -172,7 +171,7 @@ def linearize(
     clause = CompiledClause(spec, tags, lex, table)
     if clause.assignment_violations:
         raise ValueError("invalid assignment: " + "; ".join(clause.assignment_violations))
-    theme, rheme, focus = _carriers(spec, tags)
+    theme, rheme, focus = _carriers(clause, tags)
     if theme is not None and clause.typically_rhematic[theme]:
         raise InexpressibleTags(
             f"{spec.constituents[theme].id} defaults to the late field and cannot be thematic; "
@@ -221,7 +220,7 @@ def realizations(
     clause = CompiledClause(spec, tags, lex, table or build_slot_table())
     if clause.assignment_violations:
         return []
-    theme, rheme, focus = _carriers(spec, tags)
+    theme, rheme, focus = _carriers(clause, tags)
     return [_surface(spec, order[0], keys, focus) for order, keys in clause.realize(theme, rheme, focus)]
 
 
@@ -243,7 +242,8 @@ class CompiledClause:
     enumeration, analysis and disambiguation read.  Analysis reads the keys
     in one walk over the input order and runs the Vorfeld rule only on the
     assignments that survive it.  Assignments are given as input ordinals of
-    the theme, rheme and focus carriers, None for an absent tag.
+    the theme, rheme and focus carriers, None for an absent tag, which
+    ``ordinals`` (id to input ordinal) gives for a dict assignment.
 
     Compiling is one lookup per constituent in the table's signature index
     (its keys, typically rhematic flag, cooccurrence group and signature
@@ -263,7 +263,7 @@ class CompiledClause:
 
     __slots__ = (
         "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
-        "assignment_violations", "_forward",
+        "assignment_violations", "ordinals", "_forward",
     )
 
     def __init__(
@@ -273,11 +273,11 @@ class CompiledClause:
         lex: Lexicon,
         table: SlotTable,
     ):
-        ids, invalid, unplaced, rows, groups = set(), [], [], [], ([], [])
+        ordinals, invalid, unplaced, rows, groups = {}, [], [], [], ([], [])
         for i, c in enumerate(spec.constituents):
-            if c.id in ids:
+            if c.id in ordinals:
                 invalid.append(f"duplicate constituent id {c.id!r}")
-            ids.add(c.id)
+            ordinals[c.id] = i
             if not c.surface:
                 invalid.append(f"{c.id}: empty surface")
             elif not _all_words(c.surface):
@@ -291,7 +291,7 @@ class CompiledClause:
             if group is not None:
                 groups[group].append(i)
             rows.append(facts)
-        cooccurrence, clause_invalid, self.assignment_violations = _violations(spec, tags, ids, *groups)
+        cooccurrence, clause_invalid, self.assignment_violations = _violations(spec, tags, ordinals, *groups)
         if cooccurrence:
             raise CooccurrenceViolation(cooccurrence)
         for violations in (clause_invalid + invalid, unplaced):  # no untagged slot: a spec defect too
@@ -308,7 +308,7 @@ class CompiledClause:
                     keys[i] = tuple(None if _lexical_veto(tag, entry) else k for tag, k in zip(KEY_TAGS, keys[i]))
             entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
-        self.clause_type = spec.clause_type
+        self.clause_type, self.ordinals = spec.clause_type, ordinals
         self.keys = tuple(keys)
         self.entries = tuple(entries)
         self.vorfeld_capable = tuple(capable)
