@@ -242,11 +242,11 @@ class CompiledClause:
     enumeration, analysis and disambiguation read.  Analysis reads the keys
     in one walk over the input order and runs the Vorfeld rule only on the
     assignments that survive it.  Assignments are given as input ordinals of
-    the theme, rheme and focus carriers, None for an absent tag, which
-    ``ordinals`` (id to input ordinal) gives for a dict assignment.
+    the theme, rheme and focus carriers, None for an absent tag;
+    ``ordinals`` maps each constituent id to its input ordinal.
 
     Compiling is one lookup per constituent in the table's signature index
-    (its keys, typically rhematic flag, cooccurrence group and signature
+    (its keys, typically-rhematic flag, cooccurrence group and signature
     defects) plus the constituent's own checks (duplicate id, surface
     tokens, lexicon entry), then the clause-level ``clause._violations``.
     An invalid clause raises :class:`CooccurrenceViolation` or
