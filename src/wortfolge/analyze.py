@@ -124,8 +124,8 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     """
     v2 = clause.clause_type is ClauseType.V2
     stressed = ids.index(next(iter(fixed))) if fixed else None
-    # A branch is [previous Mittelfeld key, theme, rheme, focus]: index j holds KEY_TAGS[j]'s carrier.
-    branches = [[(), None, None, None]]
+    # A branch is (previous Mittelfeld key, theme, rheme, focus): index j holds KEY_TAGS[j]'s carrier.
+    branches = [((), None, None, None)]
     for i, row in enumerate(clause.keys):
         vorfeld = v2 and i == 0
         columns = (3,) if i == stressed else (0, 1, 2) if fixed else (0, 1, 2, 3)
@@ -135,7 +135,7 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
         options = [(j, None) for j in columns] if vorfeld else [(j, row[j]) for j in columns if row[j]]
         grown = []
         for branch in branches:
-            prev = branch[0]
+            prev, theme, rheme, focus = branch
             for j, keys in options:
                 if j and branch[j] is not None:
                     continue
@@ -146,13 +146,11 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
                             break
                     else:
                         continue
-                child = [key, *branch[1:]]
-                if j:
-                    child[j] = i
-                grown.append(child)
+                grown.append((key, theme, rheme, focus) if not j else (key, i, rheme, focus) if j == 1
+                             else (key, theme, i, focus) if j == 2 else (key, theme, rheme, i))
         branches = grown
     return sorted(
-        (tuple(b[1:]) for b in branches if not v2 or 0 in clause._vorfelds(*b[1:])),
+        (b[1:] for b in branches if not v2 or 0 in clause._vorfelds(*b[1:])),
         key=lambda carriers: [-1 if i is None else i for i in carriers],
     )
 

@@ -141,10 +141,12 @@ class FeatureBundle(_Value):
     __slots__ = ("definite", "animate", "pronominal", "svc")
 
     def __init__(self, definite: str = NA, animate: str = NA, pronominal: bool = False, svc: bool = False):
-        if definite not in TRISTATE_VALUES:
-            raise ValueError(f"definite must be one of {TRISTATE_VALUES}, got {definite!r}")
-        if animate not in TRISTATE_VALUES:
-            raise ValueError(f"animate must be one of {TRISTATE_VALUES}, got {animate!r}")
+        for name, flag in (("pronominal", pronominal), ("svc", svc)):
+            if flag is not True and flag is not False:
+                raise ValueError(f"{name} must be true or false")
+        for name, value in (("definite", definite), ("animate", animate)):
+            if value not in TRISTATE_VALUES:
+                raise ValueError(f"{name} must be one of {TRISTATE_VALUES}, got {value!r}")
         _set(self, "definite", definite)
         _set(self, "animate", animate)
         _set(self, "pronominal", pronominal)

@@ -97,17 +97,12 @@ def _parse_features(raw, where) -> FeatureBundle:
         return FeatureBundle()
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: features must be an object")
-    flags = {}
-    for flag in ("pronominal", "svc"):
-        value = raw.get(flag, False)
-        if not isinstance(value, bool):
-            raise DocumentError(f"{where}: {flag} must be true or false")
-        flags[flag] = value
     try:
         return FeatureBundle(
             definite=raw.get("definite", NA),
             animate=raw.get("animate", NA),
-            **flags,
+            pronominal=raw.get("pronominal", False),
+            svc=raw.get("svc", False),
         )
     except ValueError as err:
         raise DocumentError(f"{where}: {err}") from None

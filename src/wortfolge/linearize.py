@@ -19,8 +19,8 @@ one walk over a given order, which compares only adjacent keys.
 Every direction compiles alike, one signature-index lookup per constituent;
 only the forward sorts append the input ordinal, to break ties.  An
 assignment moves at most three constituents away from the untagged order,
-so :meth:`CompiledClause.realize` works by local moves: it sorts the
-untagged keys once per clause and re-inserts only the carriers' tagged keys.
+so :meth:`CompiledClause.realize` sorts the untagged keys once per clause
+and, per Vorfeld candidate, swaps in only the carriers' tagged keys.
 :func:`enumerate_orders` leaves out carriers that can license nothing under
 their tag and renders each distinct order once.
 """
@@ -28,7 +28,6 @@ their tag and renders each distinct order once.
 from __future__ import annotations
 
 import bisect
-import itertools
 
 from .clause import ClauseSpec, ClauseType, Constituent, Tag, _all_words, _set, _Value, _violations
 from .lexicon import Lexicon
@@ -149,8 +148,13 @@ def _carriers(clause: CompiledClause, tags: TagAssignment):
 
 def _tag_pairs(ids, theme: int | None, rheme: int | None, focus: int | None) -> tuple[tuple[str, Tag], ...]:
     """An assignment's sorted ``(id, tag)`` pairs, from its carriers' ordinals in ``ids``."""
-    tagged = ((theme, Tag.THEME), (rheme, Tag.RHEME), (focus, Tag.FOCUS))
-    return tuple(sorted((ids[i], tag) for i, tag in tagged if i is not None))
+    pairs = [] if theme is None else [(ids[theme], Tag.THEME)]
+    if rheme is not None:
+        pairs.append((ids[rheme], Tag.RHEME))
+    if focus is not None:
+        pairs.append((ids[focus], Tag.FOCUS))
+    pairs.sort()
+    return tuple(pairs)
 
 
 def linearize(
@@ -305,7 +309,8 @@ class CompiledClause:
                 if entry is None:
                     raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
                 if not (entry.rhematic and entry.focusable):
-                    keys[i] = tuple(None if _lexical_veto(tag, entry) else k for tag, k in zip(KEY_TAGS, keys[i]))
+                    untagged, theme, rheme, focus = keys[i]
+                    keys[i] = (untagged, theme, rheme if entry.rhematic else None, focus if entry.focusable else None)
             entries.append(entry)
             capable.append(entry is None or entry.vorfeld_capable)
         self.clause_type, self.ordinals = spec.clause_type, ordinals
@@ -359,17 +364,17 @@ class CompiledClause:
     def realize(self, theme: int | None, rheme: int | None, focus: int | None):
         """Yield each ``(order, mittelfeld keys)`` the assignment licenses.
 
-        The realization relation run forwards, by local moves.  ``order`` is
-        the Vorfeld's input ordinal (None in VF) followed by the Mittelfeld's,
-        and the keys, with the ordinal appended as in ``SurfaceOrder.keys``, come
-        sorted in that Mittelfeld order.  A typically rhematic theme licenses
-        nothing.  The keys with their ordinals, and the untagged ones sorted,
-        are built once per clause; for each Vorfeld candidate the Vorfeld and
-        the carriers leave that order and the carriers' tagged keys are
-        inserted back, so at most three keys move.  A candidate is skipped
-        when a carrier in its Mittelfeld has no slot for its tag; the focus
-        carrier's early and late keys give one order each, and repeated
-        orders are dropped.
+        The realization relation run forwards, by straight insertion.
+        ``order`` is the Vorfeld's input ordinal (None in VF) followed by the
+        Mittelfeld's, and the keys, with the ordinal appended as in
+        ``SurfaceOrder.keys``, come sorted in that Mittelfeld order.  A
+        typically rhematic theme licenses nothing.  The keys with ordinals,
+        and the untagged ones sorted, are built once per clause.  A Vorfeld
+        candidate is one pass over a copy of that list: the Vorfeld's key
+        leaves, each carrier's untagged key is swapped for its first tagged
+        one, and the candidate is skipped at a carrier with no slot for its
+        tag.  Each later key of a focus (one per FOCUS slot it fits) takes
+        its earlier key's place in a copy.  Repeated orders are dropped.
         """
         if theme is not None and self.typically_rhematic[theme]:
             return
@@ -380,19 +385,29 @@ class CompiledClause:
         keys, untagged = self._forward
         seen = set()
         for vorfeld in self._vorfelds(theme, rheme, focus):
-            moved = [keys[i][j] for i, j in ((theme, 1), (rheme, 2), (focus, 3)) if i is not None and i != vorfeld]
-            if None in moved:
-                continue
-            away = (vorfeld, theme, rheme, focus)
-            rest = [key for key in untagged if key[3] not in away]
-            for combo in itertools.product(*moved):
-                mittelfeld = rest.copy()
-                for key in combo:
-                    bisect.insort(mittelfeld, key)
-                order = (vorfeld, *(key[3] for key in mittelfeld))
-                if order not in seen:
-                    seen.add(order)
-                    yield order, mittelfeld
+            mittelfeld = untagged.copy()
+            if vorfeld is not None:
+                del mittelfeld[bisect.bisect_left(mittelfeld, keys[vorfeld][0][0])]
+            placed = ()
+            for i, j in ((theme, 1), (rheme, 2), (focus, 3)):
+                if i is None or i == vorfeld:
+                    continue
+                placed = keys[i][j]
+                if placed is None:
+                    break
+                del mittelfeld[bisect.bisect_left(mittelfeld, keys[i][0][0])]
+                bisect.insort(mittelfeld, placed[0])
+            else:
+                # Only a focus, placed last, holds more than one key.
+                for n in range(len(placed) or 1):
+                    if n:
+                        mittelfeld = mittelfeld.copy()
+                        del mittelfeld[bisect.bisect_left(mittelfeld, placed[n - 1])]
+                        bisect.insort(mittelfeld, placed[n])
+                    order = (vorfeld, *[key[3] for key in mittelfeld])
+                    if order not in seen:
+                        seen.add(order)
+                        yield order, mittelfeld
 
 
 def iter_assignments(themes, rhemes, focuses):

@@ -235,10 +235,10 @@ def _signature(table: SlotTable, c: Constituent):
     match in table order, for FOCUS the first of each slot.  ``group`` is 0
     for the nominatives, 1 for SIT/DIR/EXP, else None.  A category that is
     not a :class:`Category` is refused before the index is read.  A miss
-    scans the patterns once; its facts are filed only if they hold no defect
-    and both flags equal True or False, which bounds the index.  The key holds the
-    Hoberg index's type, so ``26``, ``26.0`` and ``True`` stay apart; an
-    unhashable field is never filed.
+    scans the patterns once; its facts are filed only if they hold no defect,
+    which bounds the index.  The key holds the Hoberg index's type, so
+    ``26``, ``26.0`` and ``True`` stay apart; an unhashable field is never
+    filed.
     """
     if c.category.__class__ is not Category:
         return (f"unknown category {c.category!r}",), None, None, None
@@ -272,7 +272,7 @@ def _signature(table: SlotTable, c: Constituent):
         c.category in (Category.A, Category.D) and c.indefinite or placements[0][0][0] >= table.late_field_start
     )
     facts = (), placements, rhematic, group
-    if signature is not None and f.pronominal in (True, False) and f.svc in (True, False):
+    if signature is not None:
         table._index[signature] = facts
     return facts
 

@@ -66,6 +66,13 @@ def test_blank_complementizer_reported(ex5_vf_clause, lex, complementizer):
         linearize(bad, {}, lex)
 
 
+def test_by_id_raises_key_error_for_an_unknown_id(ex5_clause):
+    with pytest.raises(KeyError, match="niemand"):
+        ex5_clause.by_id("niemand")
+    with pytest.raises(KeyError, match="niemand"):
+        ex5_clause.reordered(("niemand",))
+
+
 def test_hoberg_index_iff_modifier(ex5_clause):
     no_index = ex5_clause._replace(
         constituents=tuple(

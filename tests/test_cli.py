@@ -407,6 +407,8 @@ def _corpus_case(**fields):
         ({"cases": [_corpus_case(expect={"rendered": ["nonsense"]})]}, "cases[0].expect: unknown field"),
         ({"schema_version": "99", "cases": [_corpus_case()]}, "corpus: unsupported schema_version '99'"),
         ({"cases": [_corpus_case()], "extra": True}, "corpus.extra: unknown field"),
+        ({"cases": [_corpus_case(), _corpus_case()]}, "cases[1]: duplicate case_id 'synthetic'"),
+        ({"cases": [{"case_id": "synthetic"}]}, "cases[0]: missing doc"),
     ],
     ids=["cases", "case", "flags", "expected", "printed", "printed_order", "printed_stress",
          "expected-analysis", "expected-rendered", "expected-readings", "printed-order-id", "printed-order-partial",
@@ -414,7 +416,7 @@ def _corpus_case(**fields):
          "unknown-flag", "non-boolean-flag", "misspelt-expected", "rendered-analyze", "analysis-disambiguate",
          "printed-unflagged", "printed-order-unflagged", "printed-stress-unflagged", "printed-analysis-unflagged",
          "printed-analysis-without-order", "flagged-without-printed", "vorfeld-type", "misspelt-expect",
-         "schema-version", "unknown-top-level-field"],
+         "schema-version", "unknown-top-level-field", "duplicate-case-id", "missing-doc"],
 )
 def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
     assert main(["corpus", "run", _write(tmp_path, "corpus.json", corpus)]) == 1

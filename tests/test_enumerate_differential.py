@@ -11,6 +11,7 @@ raise the same exception class with the same message.
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,14 @@ from wortfolge import (
     ClauseType,
     Constituent,
     Tag,
+    analyze,
     enumerate_orders,
+    load_slot_table,
 )
-from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, iter_assignments, realizations
+from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, CompiledClause, iter_assignments, realizations
 
-from .oracle import outcome, reference_enumerate_orders, reference_realizations
-from .strategies import _LEX, clause_and_tags, random_clause
+from .oracle import outcome, reference_analyze, reference_enumerate_orders, reference_realizations, unusable_stress
+from .strategies import _LEX, clause_and_tags, observation, random_clause
 
 
 @settings(max_examples=200, deadline=None)
@@ -74,3 +77,41 @@ def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause
             realizations(spec, tags, lex)
     with pytest.raises(KeyError, match="bald#25"):
         enumerate_orders(spec, lex)
+
+
+def _early_modifier_focus_table():
+    """The shipped table with one more pattern: a focused modifier also fits the early FOCUS slot.
+
+    On the shipped table no modifier has more than one FOCUS key; here most
+    have two, the early and the general slot.  A table has exactly two FOCUS
+    slots (the loader refuses any other count), so two keys are the most a
+    focus can hold.
+    """
+    text = resources.files("wortfolge.data").joinpath("slot_table.tsv").read_text("utf-8")
+    last_early = "2\t5\t2\tD\tpron\tFOCUS\t-\t-\n"
+    assert last_early in text
+    return load_slot_table(text.replace(last_early, last_early + "2\t5\t1\tM\t-\tFOCUS\t1-44\t-\n"))
+
+
+def test_two_focus_keys_on_a_custom_table_match_the_reference():
+    table = _early_modifier_focus_table()
+    two_keyed = moved = 0
+    for seed in range(60):
+        spec, tags = clause_and_tags(seed)
+        assert outcome(realizations, spec, tags, _LEX, table) == outcome(
+            reference_realizations, spec, tags, _LEX, table
+        )
+        orders = outcome(enumerate_orders, spec, _LEX, table)
+        assert orders == outcome(reference_enumerate_orders, spec, _LEX, table)
+        if orders[0] == "returned":
+            clause = CompiledClause(spec, {}, _LEX, table)
+            two_keyed += sum(
+                1 for c, row in zip(spec.constituents, clause.keys) if c.category is Category.M and len(row[3] or ()) == 2
+            )
+            moved += orders[1] != enumerate_orders(spec, _LEX)
+        obs = observation(seed)
+        got = outcome(analyze, obs, _LEX, table)
+        if not (unusable_stress(obs) and got[0] == "raised"):
+            assert got == outcome(reference_analyze, obs, _LEX, table)
+    # The pool reaches the path: modifiers with two FOCUS keys, and orders the shipped table lacks.
+    assert two_keyed and moved

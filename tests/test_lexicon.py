@@ -1,6 +1,7 @@
 import pytest
 
 from wortfolge.lexicon import (
+    Lexicon,
     LexiconError,
     NO_NEGATION,
     load_lexicon,
@@ -89,6 +90,13 @@ def test_malformed_row_names_line():
 def test_duplicate_key_rejected():
     with pytest.raises(LexiconError, match="duplicate"):
         load_lexicon(ROW + ROW)
+
+
+def test_lexicon_refuses_a_duplicate_entry():
+    # load_lexicon refuses a repeated key with its line; the map refuses one given directly.
+    (entry,) = load_lexicon(ROW).entries()
+    with pytest.raises(LexiconError, match="^duplicate entry vielleicht#12$"):
+        Lexicon([entry, entry])
 
 
 def test_bad_index_rejected():

@@ -420,10 +420,11 @@ def test_the_index_files_only_a_bounded_set_of_signatures(lex):
         linearize(clause, {}, lex, table)
     filed = len(table._index)
     for i in range(200):
-        for constituent in (_y(Category.M, "eher", 45 + i), _y(Category.A, "ihn", pronominal=f"yes{i}"),
-                            _y(Category.G, "dessen", pronominal=f"yes{i}")):
+        # A non-boolean flag is refused by FeatureBundle itself, before any lookup.
+        for make in (lambda: _y(Category.M, "eher", 45 + i), lambda: _y(Category.A, "ihn", pronominal=f"yes{i}"),
+                     lambda: _y(Category.G, "dessen", pronominal=f"yes{i}")):
             try:
-                linearize(_beside_a_pronoun(constituent), {}, lex, table)
+                linearize(_beside_a_pronoun(make()), {}, lex, table)
             except ValueError:
                 pass
     assert len(table._index) == filed

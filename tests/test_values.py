@@ -193,6 +193,17 @@ def test_replace_reruns_coercion_and_validation():
     assert _READING._replace(constraint_context=["NEGATED"]).constraint_context == frozenset({"NEGATED"})
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+@pytest.mark.parametrize("flag", ["pronominal", "svc"])
+def test_feature_bundle_refuses_a_non_boolean_flag(flag, value):
+    # 1 == True, so a flag must be the bool itself; documents give the same message.
+    with pytest.raises(ValueError) as err:
+        FeatureBundle(**{flag: value})
+    assert str(err.value) == f"{flag} must be true or false"
+    with pytest.raises(ValueError, match=f"^{flag} must be true or false$"):
+        FeatureBundle()._replace(**{flag: value})
+
+
 def test_corpus_results_stay_mutable_and_unhashable():
     result = CaseResult("ex-1", True, False)
     assert result.failures == [] and result.failures is not CaseResult("ex-1", True, False).failures
