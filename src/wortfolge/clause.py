@@ -265,7 +265,8 @@ def _violations(spec: ClauseSpec, tags: dict, ids: dict, nominatives: list, excl
     Returns three lists of violations, never raising: cooccurrence (the
     slash groups, the focus slot holding more than one constituent), which
     no assignment can order; the verb's and the complementizer's; and the
-    assignment's (unknown ids, two carriers of one tag).
+    assignment's (unknown ids, a value that is not a tag, two carriers of
+    one tag).
     """
     invalid = []
     if not spec.verb.finite:
@@ -292,7 +293,10 @@ def _violations(spec: ClauseSpec, tags: dict, ids: dict, nominatives: list, excl
     if len(given) < len(tags) or not given <= _TAGS:
         carriers = {tag: [] for tag in Tag}
         for cid, tag in tags.items():
-            carriers[tag].append(cid)
+            if tag in carriers:
+                carriers[tag].append(cid)
+            else:
+                assignment.append(f"{cid}: unknown tag {tag!r}")
         for tag, carrying in carriers.items():
             if len(carrying) > 1:
                 assignment.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carrying))}")

@@ -10,11 +10,15 @@ parser; a document of another mode is an input error.  ``generate --tags``
 replaces the document's assignment.
 
 Exit codes: 0 ok, 1 input error, 2 generation error, 3 ungrammatical verdict,
-4 corpus failure.  A generation error (inexpressible tags, no Vorfeld, a
-cooccurrence violation) prints ``{"error": {"message": ..., "type": ...}}``
-on stdout.  A cooccurrence violation (two subjects, two of SIT/DIR/EXP) is a
-generation error in every command, since no tag assignment can order such a
-clause: ``analyze`` and ``disambiguate`` exit 2 with that object too.
+4 corpus failure.  A field the document parser does not read is an input
+error, and so is a clause the engine refuses as invalid (``invalid clause
+spec: ...``), an unresolved lexicon key or a ``hoberg_index`` that
+contradicts its entry included.  A generation error (inexpressible tags, no
+Vorfeld, a cooccurrence violation) prints ``{"error": {"message": ...,
+"type": ...}}`` on stdout.  A cooccurrence violation (two subjects, two of
+SIT/DIR/EXP) is a generation error in every command, and outranks every
+other clause defect, since no tag assignment can order such a clause:
+``analyze`` and ``disambiguate`` exit 2 with that object too.
 Machine-readable JSON is the default output; ``--pretty`` prints a compact
 human-readable account instead.  Reports are deterministic byte-for-byte for
 identical inputs.
@@ -44,7 +48,6 @@ from .documents import (
     parse_document,
     parse_tags,
     variants_report,
-    verify_document_keys,
 )
 from .lexicon import LexiconError, load_default_lexicon, load_lexicon
 from .linearize import InexpressibleTags, LinearizeError, NoVorfeld, _fields, enumerate_orders, linearize
@@ -96,13 +99,6 @@ def _read_document(path: str, mode: Mode) -> ClauseDocument:
     return doc
 
 
-def _check_keys(doc: ClauseDocument, lex):
-    """Lexicon inconsistencies are input errors; the engine never sees them."""
-    problems = verify_document_keys(doc, lex)
-    if problems:
-        raise _InputError("; ".join(problems))
-
-
 def _emit(payload, pretty_lines, pretty: bool):
     if pretty:
         print("\n".join(pretty_lines))
@@ -152,9 +148,6 @@ def _cmd_generate(args, lex, table) -> int:
     doc = _read_document(args.clause, Mode.GENERATE)
     clause = doc.clause
     tags = parse_tags(_load_json(args.tags)) if args.tags else doc.tags
-    # Cooccurrence and tagging defects are generation errors (exit 2), raised
-    # by the engine itself; only lexicon inconsistencies are input errors.
-    _check_keys(doc, lex)
 
     if args.all_variants:
         if tags:
@@ -183,7 +176,6 @@ def _cmd_generate(args, lex, table) -> int:
 
 def _cmd_analyze(args, lex, table) -> int:
     doc = _read_document(args.observed, Mode.ANALYZE)
-    _check_keys(doc, lex)
     observed = doc.clause
     result = analyze(observed, lex, table)
     # Later entries win: a constituent shows focus over theme over rheme.
@@ -208,7 +200,6 @@ def _cmd_analyze(args, lex, table) -> int:
 
 def _cmd_disambiguate(args, lex, table) -> int:
     doc = _read_document(args.candidates, Mode.DISAMBIGUATE)
-    _check_keys(doc, lex)
     if not doc.candidates:
         raise _InputError("no constructible candidate readings")
 

@@ -21,11 +21,11 @@ from .documents import (
     Mode,
     SCHEMA_VERSION,
     _parse_stress,
+    _refuse_unknown,
     analysis_report,
     disambiguate_report,
     generate_report,
     parse_document,
-    verify_document_keys,
 )
 from .disambiguate import rank_readings
 from .lexicon import Lexicon
@@ -136,9 +136,7 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         raise DocumentError(f"corpus: invalid JSON ({err})") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("cases"), list):
         raise DocumentError("corpus: expected an object with a 'cases' list")
-    for key in raw:
-        if key not in ("schema_version", "description", "cases"):
-            raise DocumentError(f"corpus.{key}: unknown field")
+    _refuse_unknown(raw, ("schema_version", "description", "cases"), "corpus")
     if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise DocumentError(f"corpus: unsupported schema_version {raw['schema_version']!r}")
     cases = []
@@ -147,9 +145,7 @@ def load_corpus(text: str) -> tuple[CorpusCase, ...]:
         where = f"cases[{i}]"
         if not isinstance(raw_case, dict):
             raise DocumentError(f"{where}: expected an object")
-        for key in raw_case:
-            if key not in _CASE_KEYS:
-                raise DocumentError(f"{where}.{key}: unknown field")
+        _refuse_unknown(raw_case, _CASE_KEYS, where)
         case_id = raw_case.get("case_id")
         if not isinstance(case_id, str) or not case_id:
             raise DocumentError(f"{where}: missing case_id")
@@ -267,13 +263,11 @@ def _compare(expected: dict, actual: dict, failures: list[str], prefix: str = ""
 
 
 def run_case(case: CorpusCase, lex: Lexicon, table: SlotTable | None = None) -> CaseResult:
-    # Lexicon problems are input errors, as in the CLI: the engine never sees them.
-    failures = verify_document_keys(case.doc, lex)
-    if not failures:
-        try:
-            _check_case(case, lex, table or build_slot_table(), failures)
-        except (LinearizeError, ValueError) as err:
-            failures.append(f"{case.doc.mode.value.lower()} failed: {err}")
+    failures = []
+    try:
+        _check_case(case, lex, table or build_slot_table(), failures)
+    except (LinearizeError, ValueError) as err:
+        failures.append(f"{case.doc.mode.value.lower()} failed: {err}")
     return CaseResult(case.case_id, not failures, case.expected_mismatch, failures)
 
 

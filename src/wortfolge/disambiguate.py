@@ -52,8 +52,9 @@ def rank_readings(
     among the survivors ungrammatical readings rank below marked ones, and
     grammatical readings ascend by markedness cost.  Ties keep caller order.
     Each candidate is compiled once, and its constraints are read off the
-    lexicon entries its compiled clause resolved.  An invalid candidate
-    raises its clause error, and an unresolved lexicon key ``KeyError``.
+    lexicon entries its compiled clause resolved.  The first invalid
+    candidate raises its clause error, an unresolved or contradicted
+    lexicon key among its ``invalid clause spec`` defects.
     """
     candidates = list(candidates)
     if not candidates:

@@ -5,8 +5,11 @@ mode is GENERATE (clause + tag assignment), ANALYZE (observed clause) or
 DISAMBIGUATE (candidate readings).  Every mode reads a clause the same way,
 stress marks included, into a :class:`ClauseSpec`.  Field names mirror the
 domain types in snake_case; the format is deliberately diff-friendly for
-corpus files.  Every JSON report the CLI prints is built here too (the
-``*_report`` functions), and the corpus compares its expectations with them.
+corpus files.  A field the parser does not read is refused, so a misspelt
+one is never silently ignored; lexicon keys are not looked up here, since
+the engine checks them when it compiles the clause.  Every JSON report the
+CLI prints is built here too (the ``*_report`` functions), and the corpus
+compares its expectations with them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .clause import (
     _Value,
 )
 from .disambiguate import NEGATED, CandidateReading, RankedReading
-from .lexicon import Lexicon
 from .linearize import OrderVariant, SurfaceOrder, TagAssignment
 
 SCHEMA_VERSION = "1"
@@ -44,6 +46,8 @@ class Mode(str, Enum):
 
 #: The payload field that holds each mode's input.
 PAYLOAD_FIELDS = {Mode.GENERATE: "clause", Mode.ANALYZE: "observed", Mode.DISAMBIGUATE: "candidates"}
+#: Every field a payload of each mode may hold.
+_PAYLOAD_KEYS = {Mode.GENERATE: ("clause", "tags"), Mode.ANALYZE: ("observed",), Mode.DISAMBIGUATE: ("candidates",)}
 
 
 class DocumentError(Exception):
@@ -75,11 +79,6 @@ class ClauseDocument(_Value):
         _set(self, "candidates", candidates)
         _set(self, "excluded", excluded)
 
-    @property
-    def clauses(self) -> tuple:
-        """Every clause the document carries: its clause, or each candidate's."""
-        return (self.clause,) if self.clause is not None else tuple(c.clause for c in self.candidates)
-
 
 def _require(obj, key, where, kind=None):
     if not isinstance(obj, dict):
@@ -92,11 +91,19 @@ def _require(obj, key, where, kind=None):
     return value
 
 
+def _refuse_unknown(raw: dict, known, where):
+    """Refuse the first field of ``raw`` not in ``known``: nothing would read it."""
+    for key in raw:
+        if key not in known:
+            raise DocumentError(f"{where}.{key}: unknown field")
+
+
 def _parse_features(raw, where) -> FeatureBundle:
     if raw is None:
         return FeatureBundle()
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: features must be an object")
+    _refuse_unknown(raw, ("definite", "animate", "pronominal", "svc"), f"{where}.features")
     try:
         return FeatureBundle(
             definite=raw.get("definite", NA),
@@ -113,6 +120,7 @@ def _parse_constituent(raw, where) -> Constituent:
     if not cid:
         raise DocumentError(f"{where}: id must not be empty")
     where = f"{where}({cid})"
+    _refuse_unknown(raw, ("id", "category", "surface", "features", "hoberg_index", "lexicon_key"), where)
     raw_category = _require(raw, "category", where, str)
     try:
         category = Category(raw_category)
@@ -139,6 +147,7 @@ def _parse_constituent(raw, where) -> Constituent:
 
 def _parse_verb(raw, where) -> VerbComplex:
     finite = _require(raw, "finite", where, list)
+    _refuse_unknown(raw, ("finite", "nonfinite"), where)
     nonfinite = raw.get("nonfinite", [])
     for name, tokens in (("finite", finite), ("nonfinite", nonfinite)):
         if not isinstance(tokens, list) or not _all_words(tokens):
@@ -161,6 +170,7 @@ def parse_clause(raw, where="clause") -> ClauseSpec:
     """A clause in any mode; its constituents keep their order, and ``stress``
     may name some of them (only analysis reads it)."""
     raw_type = _require(raw, "clause_type", where, str)
+    _refuse_unknown(raw, ("clause_type", "verb", "constituents", "complementizer", "stress"), where)
     try:
         clause_type = ClauseType(raw_type)
     except ValueError:
@@ -206,6 +216,7 @@ def parse_candidates(raw, where="candidates"):
     labels = set()
     for i, raw_candidate in enumerate(raw):
         label = _require(raw_candidate, "label", f"{where}[{i}]", str)
+        _refuse_unknown(raw_candidate, ("label", "observed", "constraint_context", "np_attachment"), f"{where}[{i}]")
         if not label:
             raise DocumentError(f"{where}[{i}].label: must not be empty")
         if label in labels:
@@ -213,8 +224,10 @@ def parse_candidates(raw, where="candidates"):
         labels.add(label)
         attachment = raw_candidate.get("np_attachment")
         if attachment is not None:
+            head_is_pronoun = _require(attachment, "head_is_pronoun", f"{where}[{i}].np_attachment", bool)
+            _refuse_unknown(attachment, ("head_is_pronoun",), f"{where}[{i}].np_attachment")
             # Pronouns take no adjuncts, so the reading cannot be built.
-            if _require(attachment, "head_is_pronoun", f"{where}[{i}].np_attachment", bool):
+            if head_is_pronoun:
                 excluded.append((label, "pronominal heads take no NP adjunct"))
                 continue
         clause = parse_clause(
@@ -250,43 +263,15 @@ def parse_document(raw) -> ClauseDocument:
     except ValueError:
         raise DocumentError(f"document: unknown mode {raw_mode!r}") from None
     payload = _require(raw, "payload", "document", dict)
+    _refuse_unknown(raw, ("schema_version", "mode", "payload"), "document")
     value = _require(payload, PAYLOAD_FIELDS[mode], "payload")
+    _refuse_unknown(payload, _PAYLOAD_KEYS[mode], "payload")
     if mode is Mode.GENERATE:
         return ClauseDocument(mode=mode, clause=parse_clause(value), tags=parse_tags(payload.get("tags")))
     if mode is Mode.ANALYZE:
         return ClauseDocument(mode=mode, clause=parse_clause(value, "observed"))
     candidates, excluded = parse_candidates(value)
     return ClauseDocument(mode=mode, candidates=candidates, excluded=excluded)
-
-
-def verify_lexicon_keys(constituents, lex: Lexicon) -> list[str]:
-    """Cross-check constituents against the lexicon.
-
-    Reports unresolved keys and Hoberg indexes that contradict the resolved
-    reading; meant to run right after parsing, before any engine call.
-    """
-    problems = []
-    for c in constituents:
-        if c.lexicon_key is None:
-            continue
-        entry = lex.get(c.lexicon_key)
-        if entry is None:
-            lemma = c.lexicon_key.split("#", 1)[0]
-            problems.append(f"{c.id}: lexicon has no reading {c.lexicon_key!r} (lemma {lemma!r})")
-            continue
-        if c.hoberg_index is not None and c.hoberg_index != entry.hoberg_index:
-            problems.append(
-                f"{c.id}: hoberg_index {c.hoberg_index} contradicts "
-                f"{entry.key} (class {entry.hoberg_index})"
-            )
-    return problems
-
-
-def verify_document_keys(doc: ClauseDocument, lex: Lexicon) -> list[str]:
-    """:func:`verify_lexicon_keys` over every clause of the document, each
-    problem once (candidate readings often share constituents)."""
-    problems = (problem for clause in doc.clauses for problem in verify_lexicon_keys(clause.constituents, lex))
-    return list(dict.fromkeys(problems))
 
 
 def generate_report(surface: SurfaceOrder) -> dict:

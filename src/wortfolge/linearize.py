@@ -218,8 +218,9 @@ def realizations(
     without a theme, fronting the focused constituent into the Vorfeld, and
     for a focused constituent that also fits the late focus slot, the
     right-field placement.  Returns an empty list when the tags are
-    inexpressible; raises for invalid specs, cooccurrence violations and
-    unresolved lexicon keys.  The relation is :meth:`CompiledClause.realize`.
+    inexpressible or malformed; raises for invalid specs (lexicon defects
+    included) and cooccurrence violations.  The relation is
+    :meth:`CompiledClause.realize`.
     """
     clause = CompiledClause(spec, tags, lex, table or build_slot_table())
     if clause.assignment_violations:
@@ -249,20 +250,22 @@ class CompiledClause:
     the theme, rheme and focus carriers, None for an absent tag;
     ``ordinals`` maps each constituent id to its input ordinal.
 
-    Compiling is one lookup per constituent in the table's signature index
-    (its keys, typically-rhematic flag, cooccurrence group and signature
-    defects) plus the constituent's own checks (duplicate id, surface
-    tokens, lexicon entry), then the clause-level ``clause._violations``.
+    Compiling is one pass over the constituents: a lookup in the table's
+    signature index (its keys, typically-rhematic flag, cooccurrence group
+    and signature defects) plus the constituent's own checks (duplicate id,
+    surface tokens, lexicon entry), then the clause-level
+    ``clause._violations``.
     An invalid clause raises :class:`CooccurrenceViolation` or
     ``ValueError``; ``tags`` counts there as the focus, so two FOCUS
     carriers are a cooccurrence violation, and a constituent without an
     untagged slot (an SVC part of a category the SVC slot does not hold)
     makes the clause invalid too.  A key column is None only where the
-    entry vetoes its tag.  The assignment's own defects (unknown ids, two
-    carriers of one tag) are kept in ``assignment_violations`` for the
-    caller to refuse.  Every lexicon key is resolved here, once, and
-    nowhere else in the engine: an unresolved key raises ``KeyError``
-    naming the first such constituent, whatever the assignment.
+    entry vetoes its tag.  The assignment's own defects (unknown ids, a value
+    that is not a tag, two carriers of one tag) are kept in
+    ``assignment_violations`` for the caller to refuse.  Every lexicon key is resolved here, once, and
+    nowhere else: an unresolved key, or a valid ``hoberg_index`` that
+    contradicts its entry's class, makes the clause invalid, whatever the
+    assignment.
     """
 
     __slots__ = (
@@ -277,7 +280,8 @@ class CompiledClause:
         lex: Lexicon,
         table: SlotTable,
     ):
-        ordinals, invalid, unplaced, rows, groups = {}, [], [], [], ([], [])
+        ordinals, invalid, unplaced, groups = {}, [], [], ([], [])
+        keys, rhematic, entries, capable = [], [], [], []
         for i, c in enumerate(spec.constituents):
             if c.id in ordinals:
                 invalid.append(f"duplicate constituent id {c.id!r}")
@@ -286,38 +290,44 @@ class CompiledClause:
                 invalid.append(f"{c.id}: empty surface")
             elif not _all_words(c.surface):
                 invalid.append(f"{c.id}: blank or non-string surface token")
-            facts = _signature(table, c)
-            defects, placements, _, group = facts
+            defects, placements, typically_rhematic, group = _signature(table, c)
             if defects:
                 invalid += [f"{c.id}: {defect}" for defect in defects]
             elif placements[0] is None:
                 unplaced.append(f"{c.id}: no untagged slot")
             if group is not None:
                 groups[group].append(i)
-            rows.append(facts)
+            entry = None
+            if c.lexicon_key is not None:
+                entry = lex.get(c.lexicon_key)
+                if entry is None:
+                    lemma = str(c.lexicon_key).split("#", 1)[0]
+                    invalid.append(f"{c.id}: lexicon has no reading {c.lexicon_key!r} (lemma {lemma!r})")
+                elif placements is not None:  # else the signature's defects refuse its Hoberg index
+                    if c.hoberg_index is not None and c.hoberg_index != entry.hoberg_index:
+                        invalid.append(
+                            f"{c.id}: hoberg_index {c.hoberg_index} contradicts {entry.key} "
+                            f"(class {entry.hoberg_index})"
+                        )
+                    elif not (entry.rhematic and entry.focusable):
+                        untagged, theme, rheme, focus = placements
+                        rheme, focus = rheme if entry.rhematic else None, focus if entry.focusable else None
+                        placements = untagged, theme, rheme, focus
+            keys.append(placements)
+            rhematic.append(typically_rhematic)
+            entries.append(entry)
+            capable.append(entry is None or entry.vorfeld_capable)
         cooccurrence, clause_invalid, self.assignment_violations = _violations(spec, tags, ordinals, *groups)
         if cooccurrence:
             raise CooccurrenceViolation(cooccurrence)
         for violations in (clause_invalid + invalid, unplaced):  # no untagged slot: a spec defect too
             if violations:
                 raise ValueError("invalid clause spec: " + "; ".join(violations))
-        keys, entries, capable = [row[1] for row in rows], [], []
-        for i, c in enumerate(spec.constituents):
-            entry = None
-            if c.lexicon_key is not None:
-                entry = lex.get(c.lexicon_key)
-                if entry is None:
-                    raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
-                if not (entry.rhematic and entry.focusable):
-                    untagged, theme, rheme, focus = keys[i]
-                    keys[i] = (untagged, theme, rheme if entry.rhematic else None, focus if entry.focusable else None)
-            entries.append(entry)
-            capable.append(entry is None or entry.vorfeld_capable)
         self.clause_type, self.ordinals = spec.clause_type, ordinals
         self.keys = tuple(keys)
         self.entries = tuple(entries)
         self.vorfeld_capable = tuple(capable)
-        self.typically_rhematic = tuple([row[2] for row in rows])
+        self.typically_rhematic = tuple(rhematic)
         self.subject = groups[0][0] if groups[0] else None
         # The keys with input ordinals, and the untagged ones sorted: built on the first realize.
         self._forward = None
@@ -490,16 +500,18 @@ def enumerate_orders(
         raise ValueError(f"clause has {n} constituents; exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}")
     clause = CompiledClause(spec, {}, lex, table or build_slot_table())
     ids = [c.id for c in spec.constituents]
-    # order -> [(vorfeld, keys, focus) of its surface, whether that is focus-free, assignments]
+    # order -> [(vorfeld, keys, focus) of its surface, assignments]
     grouped: dict[tuple, list] = {}
     for theme, rheme, focus in iter_assignments(*_live_carriers(clause)):
         assignment = None
         for order, keys in clause.realize(theme, rheme, focus):
             if assignment is None:
                 assignment = _tag_pairs(ids, theme, rheme, focus)
-            group = grouped.setdefault(order, [None, False, []])
-            if group[0] is None or (focus is None and not group[1]):
-                group[0] = (order[0], keys, focus)
-                group[1] = focus is None
-            group[2].append(assignment)
-    return tuple(OrderVariant(_surface(spec, *chosen), tuple(a)) for chosen, _, a in grouped.values())
+            group = grouped.get(order)
+            if group is None:
+                grouped[order] = [(order[0], keys, focus), [assignment]]
+                continue
+            if focus is None and group[0][2] is not None:
+                group[0] = (order[0], keys, None)
+            group[1].append(assignment)
+    return tuple(OrderVariant(_surface(spec, *chosen), tuple(a)) for chosen, a in grouped.values())

@@ -109,12 +109,22 @@ def placing_patterns(table, x, tag):
 
 
 def _reference_entry(c, lex):
-    """The constituent's lexicon entry, None without a key; an unresolved key raises."""
+    """The constituent's lexicon entry, None without a key.
+
+    An unresolved key, or a given Hoberg index that contradicts the entry's
+    class, raises the engine's invalid-clause ``ValueError``.
+    """
     if c.lexicon_key is None:
         return None
     entry = lex.get(c.lexicon_key)
     if entry is None:
-        raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
+        lemma = c.lexicon_key.split("#", 1)[0]
+        raise ValueError(f"invalid clause spec: {c.id}: lexicon has no reading {c.lexicon_key!r} (lemma {lemma!r})")
+    if c.hoberg_index is not None and c.hoberg_index != entry.hoberg_index:
+        raise ValueError(
+            f"invalid clause spec: {c.id}: hoberg_index {c.hoberg_index} contradicts {entry.key} "
+            f"(class {entry.hoberg_index})"
+        )
     return entry
 
 
@@ -271,12 +281,8 @@ def _reference_check_clause(spec, tagged_spec, table):
 
 
 def _reference_vorfeld_capable(c, lex):
-    if c.lexicon_key is None:
-        return True
-    entry = lex.get(c.lexicon_key)
-    if entry is None:
-        raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
-    return entry.vorfeld_capable
+    entry = _reference_entry(c, lex)
+    return entry is None or entry.vorfeld_capable
 
 
 def _reference_tagged(tagged_spec, tag):
@@ -549,12 +555,8 @@ def reference_recognize_theme(obs, focus_ids=()):
 
 
 def reference_inherently_non_rhematic(c, lex):
-    """A pronoun or a lexically non-rhematic entry; an unresolved key raises ``KeyError``."""
-    entry = None
-    if c.lexicon_key is not None:
-        entry = lex.get(c.lexicon_key)
-        if entry is None:
-            raise KeyError(f"unresolved lexicon key {c.lexicon_key!r} on {c.id}")
+    """A pronoun or a lexically non-rhematic entry; a lexicon defect raises ``ValueError``."""
+    entry = _reference_entry(c, lex)
     return c.features.pronominal or (entry is not None and not entry.rhematic)
 
 
@@ -575,7 +577,7 @@ def reference_detect_focus_constructions(obs, lex, table=None):
     def rheme_expressible(c):
         try:
             sort_key(table, c, 0, tag=Tag.RHEME, lex=lex)
-        except (NoSlotError, KeyError):
+        except (NoSlotError, ValueError):
             return False
         return True
 

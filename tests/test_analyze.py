@@ -224,7 +224,7 @@ def test_final_pronoun_gives_no_rheme(ex5_clause, lex):
 )
 def test_unresolved_final_lexicon_key_raises_key_error(ex5_clause, lex, reading):
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (modifier("bald", "bald", 25),))
-    with pytest.raises(KeyError, match="unresolved lexicon key 'bald#25' on bald"):
+    with pytest.raises(ValueError, match=r"^invalid clause spec: bald: lexicon has no reading 'bald#25' \(lemma"):
         reading(analyze(spec.reordered(["ich", "den-mann", "gestern", "bald"]), lex))
 
 

@@ -561,6 +561,33 @@ INPUT_ERRORS = {
         {"lex.tsv": b"\xff" + _LEXICON_ROW.encode(), "in.json": GENERATE_5A}, 1,
         "", f"input error: lex.tsv: invalid UTF-8 ({_NOT_UTF8})\n",
     ),
+    "unknown-document-field": (
+        ["generate", "--clause", "in.json"], {"in.json": {**GENERATE_5A, "comment": "5a"}}, 1,
+        "", "input error: document.comment: unknown field\n",
+    ),
+    "unknown-payload-field-generate": (
+        ["generate", "--clause", "in.json"], {"in.json": {"clause": _CLAUSE, "tag": {"ich": "THEME"}}}, 1,
+        "", "input error: payload.tag: unknown field\n",
+    ),
+    "unknown-payload-field-analyze": (
+        ["analyze", "--observed", "in.json"], {"in.json": {"observed": _CLAUSE, "tags": {}}}, 1,
+        "", "input error: payload.tags: unknown field\n",
+    ),
+    "unknown-payload-field-disambiguate": (
+        ["disambiguate", "--candidates", "in.json"],
+        {"in.json": {"candidates": [{"label": "a", "observed": _CLAUSE}], "excluded": []}}, 1,
+        "", "input error: payload.excluded: unknown field\n",
+    ),
+    "unknown-candidate-field": (
+        ["disambiguate", "--candidates", "in.json"],
+        {"in.json": [{"label": "a", "observed": _CLAUSE, "constraints": ["NEGATED"]}]}, 1,
+        "", "input error: candidates[0].constraints: unknown field\n",
+    ),
+    "unknown-np-attachment-field": (
+        ["disambiguate", "--candidates", "in.json"],
+        {"in.json": [{"label": "a", "observed": _CLAUSE, "np_attachment": {"head_is_pronoun": False, "head": "ihn"}}]},
+        1, "", "input error: candidates[0].np_attachment.head: unknown field\n",
+    ),
 }
 
 
@@ -669,19 +696,83 @@ def test_blank_complementizer_is_an_input_error(tmp_path, capsys, mode, compleme
     )
 
 
-def test_disambiguate_reports_the_key_problems_of_every_candidate_once(tmp_path, capsys):
+def test_disambiguate_reports_the_defects_of_the_first_invalid_candidate(tmp_path, capsys):
+    # Each candidate's clause is checked as it is analysed, so the first
+    # invalid one is refused with all of its own defects, lexicon defects
+    # among them, as any other invalid clause is.
     unresolved = {"id": "bald", "category": "M", "surface": ["bald"], "hoberg_index": 25, "lexicon_key": "bald#25"}
     mismatched = {"id": "eher", "category": "M", "surface": ["eher"], "hoberg_index": 5, "lexicon_key": "eher#26"}
-    candidates = []
-    for label, extra in (("a", [unresolved]), ("b", [unresolved, mismatched])):
+    candidates = [{"label": "valid", "observed": OBSERVED_2C}]
+    for label, extra in (("a", [unresolved, mismatched]), ("b", [unresolved])):
         observed = json.loads(json.dumps(OBSERVED_2C))
         observed["constituents"] += extra
         candidates.append({"label": label, "observed": observed})
     assert main(["disambiguate", "--candidates", _write(tmp_path, "cands.json", candidates)]) == 1
     assert capsys.readouterr() == ("", (
-        "input error: bald: lexicon has no reading 'bald#25' (lemma 'bald'); "
+        "input error: invalid clause spec: bald: lexicon has no reading 'bald#25' (lemma 'bald'); "
         "eher: hoberg_index 5 contradicts eher#26 (class 26)\n"
     ))
+
+
+#: V2 ``er dennoch morgen``: per case, the middle modifier and the defect the
+#: engine reports for it (None: the clause is valid).
+_DENNOCH_CASES = {
+    "valid": ({"hoberg_index": 20, "lexicon_key": "dennoch#20"}, None),
+    "unresolved": ({"hoberg_index": 20, "lexicon_key": "dennoch#25"},
+                   "dennoch: lexicon has no reading 'dennoch#25' (lemma 'dennoch')"),
+    "contradiction": ({"hoberg_index": 44, "lexicon_key": "dennoch#20"},
+                      "dennoch: hoberg_index 44 contradicts dennoch#20 (class 20)"),
+}
+
+
+def _dennoch_clause(fields):
+    return {
+        "clause_type": "V2",
+        "verb": {"finite": ["kommt"]},
+        "constituents": [
+            {"id": "er", "category": "N", "surface": ["er"], "features": {"pronominal": True}},
+            {"id": "dennoch", "category": "M", "surface": ["dennoch"], **fields},
+            {"id": "morgen", "category": "M", "surface": ["morgen"], "hoberg_index": 26, "lexicon_key": "morgen#26"},
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["generate", "all-variants", "analyze", "disambiguate"])
+@pytest.mark.parametrize("case", list(_DENNOCH_CASES))
+def test_every_command_refuses_a_lexicon_defect_through_the_engine(tmp_path, capsys, command, case):
+    fields, defect = _DENNOCH_CASES[case]
+    clause = _dennoch_clause(fields)
+    doc = _write(tmp_path, "doc.json", [{"label": "a", "observed": clause}] if command == "disambiguate" else clause)
+    argv = {
+        "generate": ["generate", "--clause", doc],
+        "all-variants": ["generate", "--clause", doc, "--all-variants"],
+        "analyze": ["analyze", "--observed", doc],
+        "disambiguate": ["disambiguate", "--candidates", doc],
+    }[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if defect is None:
+        assert (code, err) == (0, "")
+        assert out
+    else:
+        assert (code, out, err) == (1, "", f"input error: invalid clause spec: {defect}\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze", "disambiguate"])
+def test_a_cooccurrence_violation_outranks_a_lexicon_defect(tmp_path, capsys, command):
+    # The engine reports a cooccurrence violation before any other clause
+    # defect, so the clause is a generation error (exit 2), as it is beside
+    # every other spec defect.
+    clause = _dennoch_clause(_DENNOCH_CASES["contradiction"][0])
+    clause["constituents"].append({"id": "sie", "category": "N", "surface": ["sie"], "features": {"pronominal": True}})
+    doc = _write(tmp_path, "doc.json", [{"label": "a", "observed": clause}] if command == "disambiguate" else clause)
+    flag = {"generate": "--clause", "analyze": "--observed", "disambiguate": "--candidates"}[command]
+    assert main([command, flag, doc]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": {
+        "type": "CooccurrenceViolation", "message": "nominative alternatives cannot cooccur: er, sie",
+    }}
+    assert err == ""
 
 
 #: A V2 clause with a situative complement marked as an SVC part: the SVC slot

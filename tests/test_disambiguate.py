@@ -65,7 +65,7 @@ def test_unresolved_lexicon_key_names_the_lemma(lex):
             constituents=(c("x", "M", "plotzlich", hoberg=30, key="plotzlich#30"),),
         ),
     )
-    with pytest.raises(KeyError, match="plotzlich"):
+    with pytest.raises(ValueError, match=r"^invalid clause spec: x: lexicon has no reading 'plotzlich#30' \(lemma"):
         rank_readings([broken], lex)
 
 

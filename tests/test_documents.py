@@ -12,7 +12,6 @@ from wortfolge.documents import (
     parse_clause,
     parse_document,
     parse_tags,
-    verify_lexicon_keys,
 )
 
 from .conftest import c
@@ -132,15 +131,6 @@ def test_unknown_constraint_atom_is_an_input_error(tmp_path, capsys, atom):
     assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
-def test_verify_lexicon_keys(lex):
-    ok = c("gestern", "M", "gestern", hoberg=26, key="gestern#26")
-    unresolved = c("bald", "M", "bald", hoberg=25, key="bald#25")
-    mismatched = c("oft", "M", "oft", hoberg=12, key="oft#37")
-    assert verify_lexicon_keys([ok], lex) == []
-    assert any("bald" in p for p in verify_lexicon_keys([unresolved], lex))
-    assert any("contradicts" in p for p in verify_lexicon_keys([mismatched], lex))
-
-
 def _analyze_doc(**edits):
     observed = json.loads(json.dumps(CLAUSE_JSON))
     for path, value in edits.items():
@@ -178,11 +168,18 @@ def _generate_doc(**edits):
         ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", "\t"]}), "surface tokens must be strings, none of them empty or blank"),
         ("generate", _generate_doc(**{"verb.finite": ["  "]}), "verb.finite: must be a list of strings, none of them empty or blank"),
         ("analyze", _analyze_doc(**{"verb.nonfinite": [" "]}), "verb.nonfinite: must be a list of strings, none of them empty or blank"),
+        ("analyze", _analyze_doc(stres=["ich"]), "input error: observed.stres: unknown field\n"),
+        ("generate", _generate_doc(**{"verb.nonfinte": ["gesehen"]}), "input error: clause.verb.nonfinte: unknown field\n"),
+        ("generate", _generate_doc(**{"constituents.2.lexicon_keys": "gestern#26"}),
+         "input error: clause.constituents[2](gestern).lexicon_keys: unknown field\n"),
+        ("analyze", _analyze_doc(**{"constituents.0.features.pronomial": True}),
+         "input error: observed.constituents[0](ich).features.pronomial: unknown field\n"),
     ],
     ids=["stress-entry", "stress-entry-generate", "stress-unknown-generate", "finite-token-analyze", "finite-token-generate", "nonfinite-token",
          "pronominal-string", "svc-string", "hoberg-bool", "empty-id", "empty-surface-token-generate",
          "empty-surface-token-analyze", "empty-finite-token", "empty-nonfinite-token",
-         "blank-surface-token-generate", "blank-surface-token-analyze", "blank-finite-token", "blank-nonfinite-token"],
+         "blank-surface-token-generate", "blank-surface-token-analyze", "blank-finite-token", "blank-nonfinite-token",
+         "unknown-clause-field", "unknown-verb-field", "unknown-constituent-field", "unknown-feature-field"],
 )
 def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"

@@ -65,17 +65,25 @@ def test_realization_matches_reference_search_at_the_cap(seed):
     assert enumerate_orders(spec, _LEX) == reference_enumerate_orders(spec, _LEX)
 
 
+#: The clause defect of the two unresolved keys the test below adds.
+UNRESOLVED = (
+    r"^invalid clause spec: bald: lexicon has no reading 'bald#25' \(lemma 'bald'\); "
+    r"nie: lexicon has no reading 'nie#30' \(lemma 'nie'\)$"
+)
+
+
 def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause, lex):
-    # Keying each assignment separately resolves a key only when an
-    # assignment reaches it, so the untagged and the malformed assignments
-    # would return without raising.
+    # Keying each assignment separately resolved a key only when an
+    # assignment reached it, so the untagged and the malformed assignments
+    # returned without raising.  The compiled clause refuses every
+    # unresolved key as a clause defect, whatever the assignment.
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
     later = Constituent("nie", Category.M, ("nie",), hoberg_index=30, lexicon_key="nie#30")
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray, later))
     for tags in ({}, {"bald": Tag.FOCUS}, {"niemand": Tag.THEME}):
-        with pytest.raises(KeyError, match="bald#25"):
+        with pytest.raises(ValueError, match=UNRESOLVED):
             realizations(spec, tags, lex)
-    with pytest.raises(KeyError, match="bald#25"):
+    with pytest.raises(ValueError, match=UNRESOLVED):
         enumerate_orders(spec, lex)
 
 

@@ -48,7 +48,7 @@ def test_explain_order_matches_reference_search(seed):
 def test_unresolved_lexicon_key_raises_key_error(ex5_clause, lex, search):
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray,))
-    with pytest.raises(KeyError, match="bald#25"):
+    with pytest.raises(ValueError, match=r"^invalid clause spec: bald: lexicon has no reading 'bald#25' \(lemma"):
         search(spec.reordered(["ich", "den-mann", "gestern", "bald"]), lex)
 
 

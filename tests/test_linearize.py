@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -260,3 +261,54 @@ def test_constituent_without_an_untagged_slot_is_refused_by_every_direction(lex)
     for call in calls:
         with pytest.raises(ValueError, match=r"^invalid clause spec: hier: no untagged slot$"):
             call()
+
+
+# --- the lexicon contract ------------------------------------------------------------
+
+#: V2 ``er dennoch morgen`` with the middle modifier as given: its key resolves
+#: and agrees with its Hoberg index, resolves to nothing (a key that is not
+#: a string included), or resolves to a reading of another class.  Per case: the constituent and the clause defect.
+LEXICON_CASES = {
+    "valid": (modifier("dennoch", "dennoch", 20), None),
+    "unresolved": (modifier("bald", "bald", 25), "bald: lexicon has no reading 'bald#25' (lemma 'bald')"),
+    "contradiction": (
+        c("dennoch", "M", "dennoch", hoberg=44, key="dennoch#20"),
+        "dennoch: hoberg_index 44 contradicts dennoch#20 (class 20)",
+    ),
+    "non-string-key": (c("dennoch", "M", "dennoch", hoberg=20, key=20), "dennoch: lexicon has no reading 20 (lemma '20')"),
+}
+
+
+def _every_entry_point(spec, lex):
+    from wortfolge import CandidateReading, analyze, rank_readings
+
+    return {
+        "linearize": lambda: linearize(spec, {}, lex),
+        "analyze": lambda: analyze(spec, lex),
+        "enumerate_orders": lambda: enumerate_orders(spec, lex),
+        "rank_readings": lambda: rank_readings([CandidateReading("a", spec)], lex),
+    }
+
+
+@pytest.mark.parametrize("case", list(LEXICON_CASES))
+def test_every_entry_point_checks_each_lexicon_key(lex, case):
+    # The compiled clause is the one place a key is checked against the
+    # lexicon, so every call refuses a defect alike, as an invalid clause.
+    middle, defect = LEXICON_CASES[case]
+    spec = _kommt(c("er", "N", "er", pron=True), middle, modifier("morgen", "morgen", 26))
+    for name, call in _every_entry_point(spec, lex).items():
+        if defect is None:
+            assert call(), name
+            continue
+        with pytest.raises(ValueError, match=rf"^invalid clause spec: {re.escape(defect)}$"):
+            call()
+    if defect is None:
+        assert linearize(spec, {}, lex).text == "Er kommt dennoch morgen"
+
+
+@pytest.mark.parametrize("tag", ["BOGUS", 5, None])
+def test_a_value_that_is_not_a_tag_is_an_invalid_assignment(lex, tag):
+    spec = _kommt(c("er", "N", "er", pron=True), modifier("morgen", "morgen", 26))
+    with pytest.raises(ValueError, match=rf"^invalid assignment: er: unknown tag {re.escape(repr(tag))}$"):
+        linearize(spec, {"er": tag}, lex)
+    assert realizations(spec, {"er": tag}, lex) == []

@@ -27,14 +27,22 @@ def test_linearize_matches_reference_generator(seed):
     assert outcome(linearize, spec, tags, _LEX) == outcome(reference_linearize, spec, tags, _LEX)
 
 
+#: The clause defect of the two unresolved keys the test below adds.
+UNRESOLVED = (
+    r"^invalid clause spec: bald: lexicon has no reading 'bald#25' \(lemma 'bald'\); "
+    r"nie: lexicon has no reading 'nie#30' \(lemma 'nie'\)$"
+)
+
+
 def test_unresolved_lexicon_key_raises_key_error_for_every_assignment(ex5_clause, lex):
-    # Keying one constituent at a time resolves a key only when a tagged
-    # constituent reaches it: untagged, the clause linearized; with an
+    # Keying one constituent at a time resolved a key only when a tagged
+    # constituent reached it: untagged, the clause linearized; with an
     # unknown id it was an invalid assignment; with the later key tagged,
-    # that key was named.
+    # that key alone was named.  The compiled clause refuses every
+    # unresolved key as a clause defect, whatever the assignment.
     stray = Constituent("bald", Category.M, ("bald",), hoberg_index=25, lexicon_key="bald#25")
     later = Constituent("nie", Category.M, ("nie",), hoberg_index=30, lexicon_key="nie#30")
     spec = ex5_clause._replace(constituents=ex5_clause.constituents + (stray, later))
     for tags in ({}, {"nie": Tag.RHEME}, {"niemand": Tag.THEME}):
-        with pytest.raises(KeyError, match="bald#25"):
+        with pytest.raises(ValueError, match=UNRESOLVED):
             linearize(spec, tags, lex)
