@@ -16,9 +16,9 @@ table): its theme is admissible, in V2 the Vorfeld rule admits the first
 element, and no Mittelfeld key falls below its predecessor's along the
 observed order (equal keys tie; the table orders neither before the other).
 Since that is a property of adjacent pairs, the assignments are found in one
-left-to-right walk over the order that tags a constituent only where its key
-still fits, so the cost grows with the explanations found, not with the
-(n+1)^3 assignments.
+left-to-right walk over the Mittelfeld that tags a constituent only where its
+key still fits, starting from each tag the V2 Vorfeld may carry, so the cost
+grows with the explanations found, not with the (n+1)^3 assignments.
 Two marked constructions are additionally detected directly (a typically
 rhematic element in the Vorfeld, and a pronoun to the right of a modifier);
 the detections must agree with the key check and are reported alongside it.
@@ -95,9 +95,25 @@ def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
     assignment can carry (an unknown id, two ids)."""
     if not obs.stress:
         return {}
-    if len(obs.stress) == 1 and obs.stress <= set(obs.order):
+    if len(obs.stress) == 1 and next(iter(obs.stress)) in obs.order:  # a tuple: never hashes an id
         return {next(iter(obs.stress)): Tag.FOCUS}
     return None
+
+
+def _vorfeld_starts(clause: CompiledClause, stressed: int | None) -> list[tuple]:
+    """The walk's branches after a V2 Vorfeld, which it never compares.
+
+    An unstressed Vorfeld goes on untagged, for the Vorfeld rule to judge at
+    the end.  Tagged, it is settled here, as the rule then ignores the other
+    carriers (:meth:`CompiledClause._vorfelds`): a theme iff unstressed,
+    Vorfeld-capable and not typically rhematic; a focus iff no other is
+    stressed and it is Vorfeld-capable or the subject; never a rheme."""
+    starts = [] if stressed == 0 else [((), None, None, None)]
+    if stressed != 0 and clause.vorfeld_capable[0] and not clause.typically_rhematic[0]:
+        starts.append(((), 0, None, None))
+    if stressed in (None, 0) and (clause.vorfeld_capable[0] or clause.subject == 0):
+        starts.append(((), None, None, 0))
+    return starts
 
 
 def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tuple[int | None, ...]]:
@@ -107,10 +123,10 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     an assignment with its last Mittelfeld key; at each position it goes on
     untagged, or under each unused tag the position has a slot for (a theme
     never typically rhematic, and in V2 never in the Mittelfeld), and it dies
-    at the first key below its predecessor's.  A focus takes the first of its
-    keys not below its predecessor's, which leaves the most room for the rest.
-    The V2 Vorfeld is never compared; it may carry any tag, and each finished
-    assignment must let it open the clause (:meth:`CompiledClause._vorfelds`).
+    at the first key below its predecessor's, one test per tag.  A focus
+    takes the first of its keys not below its predecessor's, which leaves the
+    most room for the rest.  The walk starts after the V2 Vorfeld, never
+    compared (:func:`_vorfeld_starts`); the Vorfeld rule judges untagged ones.
     Assignments are ``(theme, rheme, focus)`` carrier triples of input
     ordinals, None for an absent tag, in :func:`iter_assignments` order; none
     means the order is ungrammatical.  Stress marks are hard constraints: a
@@ -124,34 +140,32 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     """
     v2 = clause.clause_type is ClauseType.V2
     stressed = ids.index(next(iter(fixed))) if fixed else None
-    # A branch is (previous Mittelfeld key, theme, rheme, focus): index j holds KEY_TAGS[j]'s carrier.
-    branches = [((), None, None, None)]
-    for i, row in enumerate(clause.keys):
-        vorfeld = v2 and i == 0
-        columns = (3,) if i == stressed else (0, 1, 2) if fixed else (0, 1, 2, 3)
-        if clause.typically_rhematic[i] or (v2 and not vorfeld):
-            columns = [j for j in columns if j != 1]
-        # (tag column, keys to compare); the Vorfeld takes any tag and is never compared.
-        options = [(j, None) for j in columns] if vorfeld else [(j, row[j]) for j in columns if row[j]]
+    # A branch is (previous Mittelfeld key, theme, rheme, focus).
+    branches = _vorfeld_starts(clause, stressed) if v2 and ids else [((), None, None, None)]
+    for i in range(1 if v2 else 0, len(ids)):
+        untagged, theme_keys, rheme_keys, focus_keys = clause.keys[i]
+        # Per tag, the key it gives position i, or a false value where it may not; a focus's keys in table order.
+        free = i != stressed
+        u, r = free and untagged[0], free and rheme_keys and rheme_keys[0]
+        t = free and not v2 and theme_keys and not clause.typically_rhematic[i] and theme_keys[0]
+        focus_keys = focus_keys if stressed in (None, i) else None
         grown = []
-        for branch in branches:
-            prev, theme, rheme, focus = branch
-            for j, keys in options:
-                if j and branch[j] is not None:
-                    continue
-                key = ()
-                if keys is not None:
-                    for key in keys:
-                        if key >= prev:
-                            break
-                    else:
-                        continue
-                grown.append((key, theme, rheme, focus) if not j else (key, i, rheme, focus) if j == 1
-                             else (key, theme, i, focus) if j == 2 else (key, theme, rheme, i))
+        for prev, theme, rheme, focus in branches:
+            if u and u >= prev:
+                grown.append((u, theme, rheme, focus))
+            if t and theme is None and t >= prev:
+                grown.append((t, i, rheme, focus))
+            if r and rheme is None and r >= prev:
+                grown.append((r, theme, i, focus))
+            if focus_keys and focus is None:
+                for key in focus_keys:
+                    if key >= prev:
+                        grown.append((key, theme, rheme, i))
+                        break
         branches = grown
     return sorted(
-        (b[1:] for b in branches if not v2 or 0 in clause._vorfelds(*b[1:])),
-        key=lambda carriers: [-1 if i is None else i for i in carriers],
+        (b[1:] for b in branches if not v2 or b[1] == 0 or b[3] == 0 or 0 in clause._vorfelds(*b[1:])),
+        key=lambda c: (-1 if c[0] is None else c[0], -1 if c[1] is None else c[1], -1 if c[2] is None else c[2]),
     )
 
 

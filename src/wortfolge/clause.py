@@ -289,11 +289,14 @@ def _violations(spec: ClauseSpec, tags: dict, ids: dict, nominatives: list, excl
             cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
 
     assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in ids]
-    given = set(tags.values())
+    try:
+        given = set(tags.values())
+    except TypeError:  # an unhashable value, which is no tag
+        given = set()
     if len(given) < len(tags) or not given <= _TAGS:
         carriers = {tag: [] for tag in Tag}
         for cid, tag in tags.items():
-            if tag in carriers:
+            if isinstance(tag, str) and tag in carriers:
                 carriers[tag].append(cid)
             else:
                 assignment.append(f"{cid}: unknown tag {tag!r}")

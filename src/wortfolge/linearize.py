@@ -246,9 +246,9 @@ class CompiledClause:
     ``typically_rhematic`` and ``subject`` they are all that generation,
     enumeration, analysis and disambiguation read.  Analysis reads the keys
     in one walk over the input order and runs the Vorfeld rule only on the
-    assignments that survive it.  Assignments are given as input ordinals of
-    the theme, rheme and focus carriers, None for an absent tag;
-    ``ordinals`` maps each constituent id to its input ordinal.
+    surviving assignments with an untagged Vorfeld.  Assignments are given
+    as input ordinals of the theme, rheme and focus carriers, None for an
+    absent tag; ``ordinals`` maps each constituent id to its input ordinal.
 
     Compiling is one pass over the constituents: a lookup in the table's
     signature index (its keys, typically-rhematic flag, cooccurrence group
@@ -262,10 +262,10 @@ class CompiledClause:
     makes the clause invalid too.  A key column is None only where the
     entry vetoes its tag.  The assignment's own defects (unknown ids, a value
     that is not a tag, two carriers of one tag) are kept in
-    ``assignment_violations`` for the caller to refuse.  Every lexicon key is resolved here, once, and
-    nowhere else: an unresolved key, or a valid ``hoberg_index`` that
-    contradicts its entry's class, makes the clause invalid, whatever the
-    assignment.
+    ``assignment_violations`` for the caller to refuse.  Every lexicon key is
+    resolved here, once, and nowhere else: a key that is not a string or
+    resolves to nothing, or a valid ``hoberg_index`` that contradicts its
+    entry's class, makes the clause invalid, whatever the assignment.
     """
 
     __slots__ = (
@@ -283,6 +283,8 @@ class CompiledClause:
         ordinals, invalid, unplaced, groups = {}, [], [], ([], [])
         keys, rhematic, entries, capable = [], [], [], []
         for i, c in enumerate(spec.constituents):
+            if not isinstance(c.id, str):  # every message names the id, and ``ordinals`` hashes it
+                raise ValueError(f"invalid clause spec: constituent id {c.id!r} is not a string")
             if c.id in ordinals:
                 invalid.append(f"duplicate constituent id {c.id!r}")
             ordinals[c.id] = i
@@ -299,9 +301,10 @@ class CompiledClause:
                 groups[group].append(i)
             entry = None
             if c.lexicon_key is not None:
-                entry = lex.get(c.lexicon_key)
-                if entry is None:
-                    lemma = str(c.lexicon_key).split("#", 1)[0]
+                if not isinstance(c.lexicon_key, str):
+                    invalid.append(f"{c.id}: lexicon_key {c.lexicon_key!r} is not a string")
+                elif (entry := lex.get(c.lexicon_key)) is None:
+                    lemma = c.lexicon_key.split("#", 1)[0]
                     invalid.append(f"{c.id}: lexicon has no reading {c.lexicon_key!r} (lemma {lemma!r})")
                 elif placements is not None:  # else the signature's defects refuse its Hoberg index
                     if c.hoberg_index is not None and c.hoberg_index != entry.hoberg_index:

@@ -104,6 +104,58 @@ def test_stress_on_the_vorfeld_element_focuses_it(dennoch_clause, lex):
     )
 
 
+def _v2_openers():
+    """300 random clauses switched to V2, and one whose subject cannot open the
+    clause (wohl#33), with each constituent first in turn."""
+    rng = random.Random(28)
+    specs = [random_clause(rng, 5)._replace(clause_type=ClauseType.V2, complementizer=None) for _ in range(300)]
+    incapable_subject = (c("er", "N", "er", pron=True, key="wohl#33"), modifier("morgen", "morgen", 26))
+    specs.append(ClauseSpec(ClauseType.V2, VerbComplex(("kommt",)), incapable_subject))
+    for spec in specs:
+        cs = spec.constituents
+        for first in range(len(cs)):
+            yield spec._replace(constituents=(cs[first], *cs[:first], *cs[first + 1:]))
+
+
+def test_the_walk_settles_a_tagged_vorfeld_as_the_vorfeld_rule_does(lex, table):
+    # The walk starts after the V2 Vorfeld with _vorfeld_starts' branches.  A
+    # tagged start must be there iff the Vorfeld rule lets its carrier open the
+    # clause (a typically rhematic theme realizes nothing), whatever the other
+    # two carriers, under no stress mark, the Vorfeld's own or another one; an
+    # untagged start iff the Vorfeld is unstressed, the rule judging it later.
+    from wortfolge.analyze import _vorfeld_starts
+    from wortfolge.linearize import CompiledClause
+
+    checked = 0
+    for spec in _v2_openers():
+        clause = CompiledClause(spec, {}, lex, table)
+        n = len(spec.constituents)
+        for stressed in (None, 0, 1) if n > 1 else (None, 0):
+            starts = _vorfeld_starts(clause, stressed)
+            assert (((), None, None, None) in starts) == (stressed != 0)
+            for column in range(3):
+                start = [None, None, None]
+                start[column] = 0
+                admitted = ((), *start) in starts
+                consistent = 0
+                for a in [None, *range(1, n)]:
+                    for b in [None, *range(1, n)]:
+                        if a is not None and a == b:
+                            continue
+                        theme, rheme, focus = carriers = [*[a, b][:column], 0, *[a, b][column:]]
+                        if stressed is not None and focus != stressed:
+                            continue  # the stress mark puts FOCUS on the marked constituent
+                        if theme not in (None, 0):
+                            continue  # the walk gives no V2 Mittelfeld theme
+                        opens = 0 in clause._vorfelds(*carriers) and not (theme == 0 and clause.typically_rhematic[0])
+                        assert admitted == opens, (spec.order, stressed, carriers)
+                        consistent += 1
+                if not consistent:
+                    assert not admitted, (spec.order, stressed, column)
+                checked += consistent
+    assert checked > 10_000
+
+
 #: Alike constituents: tied modifiers, prepositional objects, genitives.
 _ALIKE = {
     "M": lambda i: modifier(f"c{i}", "gestern", 26),

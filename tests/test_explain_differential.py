@@ -8,7 +8,7 @@ the same order, or ``analyze`` must raise the same exception class with the
 same message.  Under stress marks no assignment can carry, the engine
 validates the clause where the reference did not (see
 :func:`oracle.unusable_stress`).  Random observations reach the walk's
-pruning cases by chance; three small clauses, one with tied keys, are
+pruning cases by chance; four small clauses, one with tied keys, are
 checked in every order under every single stress mark.
 """
 
@@ -60,6 +60,15 @@ _WALKED = (
     modifier("dennoch", "dennoch", 20),
     modifier("gestern", "gestern", 26),
 )
+#: A non-pronominal subject and a modifier that cannot open the clause
+#: (ebenfalls#35): each stands first in some orders, for the Vorfeld the
+#: walk settles before the Mittelfeld.
+_FRONTED = (
+    c("der-mann", "N", "der Mann", definite="+", animate="+"),
+    c("ihm", "D", "ihm", pron=True),
+    modifier("ebenfalls", "ebenfalls", 35),
+    modifier("gestern", "gestern", 26),
+)
 #: A dative pronoun has an early and a late FOCUS key: the walk's greedy choice.
 _TWO_FOCUS_KEYS = (c("er", "N", "er", pron=True), c("ihm", "D", "ihm", pron=True), modifier("gestern", "gestern", 26))
 #: Two modifiers of one Hoberg class tie on every key they have: the walk
@@ -77,6 +86,8 @@ _TIED = (
     [
         (_WALKED, ClauseType.V2, 27),
         (_WALKED, ClauseType.VF, 21),
+        (_FRONTED, ClauseType.V2, 25),
+        (_FRONTED, ClauseType.VF, 22),
         (_TWO_FOCUS_KEYS, ClauseType.V2, 15),
         (_TWO_FOCUS_KEYS, ClauseType.VF, 10),
         (_TIED, ClauseType.V2, 40),

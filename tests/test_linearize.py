@@ -266,8 +266,9 @@ def test_constituent_without_an_untagged_slot_is_refused_by_every_direction(lex)
 # --- the lexicon contract ------------------------------------------------------------
 
 #: V2 ``er dennoch morgen`` with the middle modifier as given: its key resolves
-#: and agrees with its Hoberg index, resolves to nothing (a key that is not
-#: a string included), or resolves to a reading of another class.  Per case: the constituent and the clause defect.
+#: and agrees with its Hoberg index, resolves to nothing, resolves to a
+#: reading of another class, or is not a string (an unhashable one included).
+#: Per case: the constituent and the clause defect.
 LEXICON_CASES = {
     "valid": (modifier("dennoch", "dennoch", 20), None),
     "unresolved": (modifier("bald", "bald", 25), "bald: lexicon has no reading 'bald#25' (lemma 'bald')"),
@@ -275,7 +276,11 @@ LEXICON_CASES = {
         c("dennoch", "M", "dennoch", hoberg=44, key="dennoch#20"),
         "dennoch: hoberg_index 44 contradicts dennoch#20 (class 20)",
     ),
-    "non-string-key": (c("dennoch", "M", "dennoch", hoberg=20, key=20), "dennoch: lexicon has no reading 20 (lemma '20')"),
+    "non-string-key": (c("dennoch", "M", "dennoch", hoberg=20, key=20), "dennoch: lexicon_key 20 is not a string"),
+    "unhashable-key": (
+        c("dennoch", "M", "dennoch", hoberg=20, key=["dennoch#20"]),
+        "dennoch: lexicon_key ['dennoch#20'] is not a string",
+    ),
 }
 
 
@@ -306,7 +311,22 @@ def test_every_entry_point_checks_each_lexicon_key(lex, case):
         assert linearize(spec, {}, lex).text == "Er kommt dennoch morgen"
 
 
-@pytest.mark.parametrize("tag", ["BOGUS", 5, None])
+@pytest.mark.parametrize("cid", [["er"], 5])
+def test_every_entry_point_refuses_an_id_that_is_not_a_string(lex, cid):
+    # The id is refused before anything hashes it or prints it as a string,
+    # also under a stress mark, which analysis reads before compiling.
+    from wortfolge import analyze
+
+    spec = _kommt(c(cid, "N", "er", pron=True), modifier("morgen", "morgen", 26))
+    calls = _every_entry_point(spec, lex)
+    calls["analyze, stressed"] = lambda: analyze(spec._replace(stress={"morgen"}), lex)
+    defect = rf"^invalid clause spec: constituent id {re.escape(repr(cid))} is not a string$"
+    for call in calls.values():
+        with pytest.raises(ValueError, match=defect):
+            call()
+
+
+@pytest.mark.parametrize("tag", ["BOGUS", 5, None, [], {}])
 def test_a_value_that_is_not_a_tag_is_an_invalid_assignment(lex, tag):
     spec = _kommt(c("er", "N", "er", pron=True), modifier("morgen", "morgen", 26))
     with pytest.raises(ValueError, match=rf"^invalid assignment: er: unknown tag {re.escape(repr(tag))}$"):
