@@ -90,12 +90,12 @@ class AnalysisResult(_Value):
         _set(self, "detected_focus", detected_focus)
 
 
-def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
-    """The FOCUS the stress marks fix: ``{}`` without marks, None for marks no
-    assignment can carry (an unknown id, two ids)."""
+def _stress_focus(obs: ClauseSpec, ids: tuple[str, ...]) -> TagAssignment | None:
+    """The FOCUS the stress marks on the clause of order ``ids`` fix: ``{}``
+    without marks, None for marks no assignment can carry (an unknown id, two ids)."""
     if not obs.stress:
         return {}
-    if len(obs.stress) == 1 and next(iter(obs.stress)) in obs.order:  # a tuple: never hashes an id
+    if len(obs.stress) == 1 and next(iter(obs.stress)) in ids:  # a tuple: never hashes an id
         return {next(iter(obs.stress)): Tag.FOCUS}
     return None
 
@@ -225,41 +225,31 @@ def analyze(
 def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
     """:func:`analyze`, also returning the compiled clause it read everything off."""
     ids = obs.order
-    fixed = _stress_focus(obs)
+    fixed = _stress_focus(obs, ids)
     clause = CompiledClause(obs, fixed or {}, lex, table)
     carriers = [] if fixed is None else _explanations(clause, ids, fixed)
-
-    # An assignment has at most one focus, so the order costs one focus iff every explanation has one.
-    focused = {focus for _, _, focus in carriers}
-    marked = bool(carriers) and None not in focused
-    focus_options = tuple(sorted(ids[i] for i in focused)) if marked else ()
-    focus = focus_options[0] if len(focus_options) == 1 else None
-    theme = rheme = None
-    if obs.constituents:
-        first, last, entry = obs.constituents[0], obs.constituents[-1], clause.entries[-1]
-        if first.id not in focus_options:
-            theme = first.id
-        if not (last.features.pronominal or (entry is not None and not entry.rhematic)):
-            rheme = last.id
     detected = _detections(clause, obs, table)
 
-    # With constituents, no rheme means the final one is inherently non-rhematic.
-    warning = None
-    if (
-        carriers
-        and obs.clause_type is ClauseType.V2
-        and obs.constituents
-        and rheme is None
-        and obs.constituents[-1].id not in focus_options
-    ):
-        warning = StressWarning(
-            verb_candidate=" ".join(obs.verb.finite),
-            vorfeld_candidate=obs.constituents[0].id,
-        )
+    focus_options = ()
+    if carriers:
+        # An assignment has at most one focus, so the order costs one focus iff every explanation has one.
+        focused = {focus for _, _, focus in carriers}
+        if None not in focused:
+            focus_options = tuple(sorted([ids[i] for i in focused]))
+    theme = rheme = warning = None
+    if ids:
+        last, entry = obs.constituents[-1], clause.entries[-1]
+        if ids[0] not in focus_options:
+            theme = ids[0]
+        if not (last.features.pronominal or (entry is not None and not entry.rhematic)):
+            rheme = ids[-1]
+        # No rheme means the final constituent is inherently non-rhematic.
+        elif carriers and obs.clause_type is ClauseType.V2 and ids[-1] not in focus_options:
+            warning = StressWarning(verb_candidate=" ".join(obs.verb.finite), vorfeld_candidate=ids[0])
 
     if not carriers:
         verdict = Verdict.UNGRAMMATICAL
-    elif marked or warning is not None:
+    elif focus_options or warning is not None:
         verdict = Verdict.GRAMMATICAL_MARKED
     else:
         verdict = Verdict.GRAMMATICAL_UNMARKED
@@ -268,10 +258,10 @@ def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledC
         verdict=verdict,
         theme=theme,
         rheme=rheme,
-        focus=focus,
+        focus=focus_options[0] if len(focus_options) == 1 else None,
         focus_options=focus_options,
-        explanations=tuple(_tag_pairs(ids, *c) for c in carriers),
-        markedness_cost=int(marked),
+        explanations=tuple([_tag_pairs(ids, *c) for c in carriers]),
+        markedness_cost=int(bool(focus_options)),
         warning=warning,
         detected_focus=detected,
     )

@@ -226,7 +226,7 @@ class ClauseSpec(_Value):
 
     @property
     def order(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.constituents)
+        return tuple([c.id for c in self.constituents])
 
     def reordered(self, order, stress=()) -> ClauseSpec:
         """The clause with its constituents in ``order`` (ids) and the marks ``stress``."""
@@ -265,8 +265,9 @@ def _violations(spec: ClauseSpec, tags: dict, ids: dict, nominatives: list, excl
     Returns three lists of violations, never raising: cooccurrence (the
     slash groups, the focus slot holding more than one constituent), which
     no assignment can order; the verb's and the complementizer's; and the
-    assignment's (unknown ids, a value that is not a tag, two carriers of
-    one tag).
+    assignment's (unknown ids, a value whose class is not :class:`Tag`, two
+    carriers of one tag).  Without tags it returns after the clause-level
+    checks.
     """
     invalid = []
     if not spec.verb.finite:
@@ -280,27 +281,34 @@ def _violations(spec: ClauseSpec, tags: dict, ids: dict, nominatives: list, excl
             invalid.append("blank or non-string complementizer")
 
     cooccurrence = []
-    for group, name in ((nominatives, "nominative alternatives"), (exclusives, "SIT/DIR/EXP")):
-        if len(group) > 1:
-            cooccurrence.append(f"{name} cannot cooccur: {', '.join([spec.constituents[i].id for i in group])}")
-    if Tag.FOCUS in tags.values():
-        focused = [c.id for c in spec.constituents if tags.get(c.id) is Tag.FOCUS]
-        if len(focused) > 1:
-            cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
-
-    assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in ids]
+    if len(nominatives) > 1 or len(exclusives) > 1:
+        for group, name in ((nominatives, "nominative alternatives"), (exclusives, "SIT/DIR/EXP")):
+            if len(group) > 1:
+                cooccurrence.append(f"{name} cannot cooccur: {', '.join([spec.constituents[i].id for i in group])}")
+    if not tags:  # analysis without a stress mark, and enumeration
+        return cooccurrence, invalid, []
     try:
         given = set(tags.values())
     except TypeError:  # an unhashable value, which is no tag
         given = set()
-    if len(given) < len(tags) or not given <= _TAGS:
-        carriers = {tag: [] for tag in Tag}
-        for cid, tag in tags.items():
-            if isinstance(tag, str) and tag in carriers:
-                carriers[tag].append(cid)
-            else:
-                assignment.append(f"{cid}: unknown tag {tag!r}")
-        for tag, carrying in carriers.items():
-            if len(carrying) > 1:
-                assignment.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carrying))}")
+    if len(given) < len(tags) or len(ids) < len(spec.constituents):  # else one constituent at most is focused
+        focused = [c.id for c in spec.constituents if tags.get(c.id) is Tag.FOCUS]
+        if len(focused) > 1:
+            cooccurrence.append(f"focus slot admits one constituent: {', '.join(focused)}")
+    if len(given) == len(tags) and given <= _TAGS and tags.keys() <= ids.keys():
+        for tag in given:  # a plain string equals its tag, so each value's class is asked too
+            if tag.__class__ is not Tag:
+                break
+        else:
+            return cooccurrence, invalid, []
+    assignment = [f"unknown constituent id {cid!r}" for cid in tags if cid not in ids]
+    carriers = {tag: [] for tag in Tag}
+    for cid, tag in tags.items():
+        if tag.__class__ is Tag:
+            carriers[tag].append(cid)
+        else:
+            assignment.append(f"{cid}: unknown tag {tag!r}")
+    for tag, carrying in carriers.items():
+        if len(carrying) > 1:
+            assignment.append(f"{tag.value.lower()} cardinality: {', '.join(sorted(carrying))}")
     return cooccurrence, invalid, assignment

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 
-from .clause import ClauseSpec, ClauseType, Constituent, Tag, _all_words, _set, _Value, _violations
+from .clause import Category, ClauseSpec, ClauseType, Tag, _all_words, _set, _Value, _violations
 from .lexicon import Lexicon
 from .slots import KEY_TAGS, SlotTable, _lexical_veto, _signature, build_slot_table
 
@@ -114,36 +114,37 @@ def _fields(clause, ordered) -> list:
     return fields
 
 
-def _render(spec: ClauseSpec, ordered: list[Constituent], focus: Constituent | None) -> tuple[str, ...]:
-    """The clause's tokens: :func:`_fields` flattened, the ``focus`` in caps
-    and the first token of a V2 clause capitalized."""
+def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
+    """The surface of a Vorfeld ordinal (None in VF) and sorted Mittelfeld keys.
+
+    Rendered from the untagged clause: :func:`_fields` flattened, the
+    ``focus`` ordinal in caps and the first token of a V2 clause capitalized.
+    """
+    cs = spec.constituents
+    ordered = [cs[key[3]] for key in keys]
+    keys = tuple([(cs[key[3]].id, key) for key in keys])
+    if vorfeld is not None:
+        ordered.insert(0, cs[vorfeld])
+    focus = None if focus is None else cs[focus]
     tokens: list[str] = []
     for owner, field in _fields(spec, ordered):
         tokens += [tok.upper() for tok in field] if owner is focus else field
     if spec.clause_type is ClauseType.V2:
         tokens[0] = tokens[0][0].upper() + tokens[0][1:]
-    return tuple(tokens)
-
-
-def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
-    """The surface of a Vorfeld ordinal (None in VF) and sorted Mittelfeld keys.
-
-    Rendered from the untagged clause; the ``focus`` ordinal is rendered in caps.
-    """
-    cs = spec.constituents
-    ordered = [cs[key[3]] for key in keys]
-    opener = [] if vorfeld is None else [cs[vorfeld]]
-    return SurfaceOrder(
-        vorfeld=None if vorfeld is None else cs[vorfeld].id,
-        rendered=_render(spec, opener + ordered, None if focus is None else cs[focus]),
-        keys=tuple(zip([c.id for c in ordered], keys)),
-    )
+    return SurfaceOrder(None if vorfeld is None else cs[vorfeld].id, tuple(tokens), keys)
 
 
 def _carriers(clause: CompiledClause, tags: TagAssignment):
     """Input ordinals of a well-formed assignment's theme, rheme and focus (None if absent)."""
-    carriers = {tag: clause.ordinals[cid] for cid, tag in tags.items()}
-    return carriers.get(Tag.THEME), carriers.get(Tag.RHEME), carriers.get(Tag.FOCUS)
+    theme = rheme = focus = None
+    for cid, tag in tags.items():  # every value is a Tag member, each at most once
+        if tag is Tag.THEME:
+            theme = clause.ordinals[cid]
+        elif tag is Tag.RHEME:
+            rheme = clause.ordinals[cid]
+        else:
+            focus = clause.ordinals[cid]
+    return theme, rheme, focus
 
 
 def _tag_pairs(ids, theme: int | None, rheme: int | None, focus: int | None) -> tuple[tuple[str, Tag], ...]:
@@ -250,11 +251,12 @@ class CompiledClause:
     as input ordinals of the theme, rheme and focus carriers, None for an
     absent tag; ``ordinals`` maps each constituent id to its input ordinal.
 
-    Compiling is one pass over the constituents: a lookup in the table's
-    signature index (its keys, typically-rhematic flag, cooccurrence group
-    and signature defects) plus the constituent's own checks (duplicate id,
-    surface tokens, lexicon entry), then the clause-level
-    ``clause._violations``.
+    Compiling is one loop over the constituents, reading each field once:
+    one dict lookup in the table's signature index (its keys,
+    typically-rhematic flag, cooccurrence group and signature defects), with
+    ``slots._signature`` called only on a miss, plus the constituent's own
+    checks (an empty or duplicate id, surface tokens, lexicon entry), then
+    the clause-level ``clause._violations``.
     An invalid clause raises :class:`CooccurrenceViolation` or
     ``ValueError``; ``tags`` counts there as the focus, so two FOCUS
     carriers are a cooccurrence violation, and a constituent without an
@@ -282,35 +284,45 @@ class CompiledClause:
     ):
         ordinals, invalid, unplaced, groups = {}, [], [], ([], [])
         keys, rhematic, entries, capable = [], [], [], []
+        index, get = table._index, lex.get
         for i, c in enumerate(spec.constituents):
-            if not isinstance(c.id, str):  # every message names the id, and ``ordinals`` hashes it
-                raise ValueError(f"invalid clause spec: constituent id {c.id!r} is not a string")
-            if c.id in ordinals:
-                invalid.append(f"duplicate constituent id {c.id!r}")
-            ordinals[c.id] = i
-            if not c.surface:
-                invalid.append(f"{c.id}: empty surface")
-            elif not _all_words(c.surface):
-                invalid.append(f"{c.id}: blank or non-string surface token")
-            defects, placements, typically_rhematic, group = _signature(table, c)
+            cid, surface, f, hoberg = c.id, c.surface, c.features, c.hoberg_index
+            category, key = c.category, c.lexicon_key
+            if not isinstance(cid, str):  # every message names the id, and ``ordinals`` hashes it
+                raise ValueError(f"invalid clause spec: constituent id {cid!r} is not a string")
+            if cid in ordinals:
+                invalid.append(f"duplicate constituent id {cid!r}")
+            elif not cid:
+                invalid.append("empty constituent id")
+            ordinals[cid] = i
+            if not surface:
+                invalid.append(f"{cid}: empty surface")
+            elif not _all_words(surface):
+                invalid.append(f"{cid}: blank or non-string surface token")
+            facts = signature = None
+            if category.__class__ is Category:  # else refused before the index is read
+                signature = (category, f.definite, f.animate, f.pronominal, f.svc, hoberg, hoberg.__class__)
+                try:
+                    facts = index.get(signature)
+                except TypeError:  # an unhashable Hoberg index, never filed
+                    signature = None
+            defects, placements, typically_rhematic, group = facts or _signature(table, c, signature)
             if defects:
-                invalid += [f"{c.id}: {defect}" for defect in defects]
+                invalid += [f"{cid}: {defect}" for defect in defects]
             elif placements[0] is None:
-                unplaced.append(f"{c.id}: no untagged slot")
+                unplaced.append(f"{cid}: no untagged slot")
             if group is not None:
                 groups[group].append(i)
             entry = None
-            if c.lexicon_key is not None:
-                if not isinstance(c.lexicon_key, str):
-                    invalid.append(f"{c.id}: lexicon_key {c.lexicon_key!r} is not a string")
-                elif (entry := lex.get(c.lexicon_key)) is None:
-                    lemma = c.lexicon_key.split("#", 1)[0]
-                    invalid.append(f"{c.id}: lexicon has no reading {c.lexicon_key!r} (lemma {lemma!r})")
+            if key is not None:
+                if not isinstance(key, str):
+                    invalid.append(f"{cid}: lexicon_key {key!r} is not a string")
+                elif (entry := get(key)) is None:
+                    invalid.append(f"{cid}: lexicon has no reading {key!r} (lemma {key.split('#', 1)[0]!r})")
                 elif placements is not None:  # else the signature's defects refuse its Hoberg index
-                    if c.hoberg_index is not None and c.hoberg_index != entry.hoberg_index:
+                    if hoberg is not None and hoberg != entry.hoberg_index:
                         invalid.append(
-                            f"{c.id}: hoberg_index {c.hoberg_index} contradicts {entry.key} "
-                            f"(class {entry.hoberg_index})"
+                            f"{cid}: hoberg_index {hoberg} contradicts {entry.key} (class {entry.hoberg_index})"
                         )
                     elif not (entry.rhematic and entry.focusable):
                         untagged, theme, rheme, focus = placements

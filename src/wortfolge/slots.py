@@ -225,7 +225,7 @@ def _lexical_veto(tag: Tag | None, entry) -> str | None:
     return None
 
 
-def _signature(table: SlotTable, c: Constituent):
+def _signature(table: SlotTable, c: Constituent, signature: tuple | None):
     """The facts of the constituent's signature: ``(defects, placements, rhematic, group)``.
 
     ``defects`` are the signature's own, without the constituent id; a
@@ -234,22 +234,16 @@ def _signature(table: SlotTable, c: Constituent):
     :data:`KEY_TAGS` before any lexical veto, None without a slot: the first
     match in table order, for FOCUS the first of each slot.  ``group`` is 0
     for the nominatives, 1 for SIT/DIR/EXP, else None.  A category that is
-    not a :class:`Category` is refused before the index is read.  A miss
-    scans the patterns once; its facts are filed only if they hold no defect,
-    which bounds the index.  The key holds the Hoberg index's type, so
-    ``26``, ``26.0`` and ``True`` stay apart; an unhashable field is never
-    filed.
+    not a :class:`Category` is refused.  This is the index's miss path: the
+    compiled clause looks ``signature``, its index key, up first, and passes
+    None for a key it could not hash.  A miss scans the patterns once; its
+    facts are filed only if they hold no defect, which bounds the index.
+    The key holds the Hoberg index's type, so ``26``, ``26.0`` and ``True``
+    stay apart.
     """
     if c.category.__class__ is not Category:
         return (f"unknown category {c.category!r}",), None, None, None
     f, hoberg = c.features, c.hoberg_index
-    signature = (c.category, f.definite, f.animate, f.pronominal, f.svc, hoberg, hoberg.__class__)
-    try:
-        facts = table._index.get(signature)
-    except TypeError:
-        facts = signature = None
-    if facts is not None:
-        return facts
     defects = []
     if c.category is Category.M:
         if hoberg is None:

@@ -145,6 +145,24 @@ def test_generate_pretty_mode_prints_interlinear_gloss(clause_file, capsys):
     assert glosses.split() == ["N:pron", "V", "A+d+a", "M26", "V"]
 
 
+def test_generate_pretty_glosses_a_support_verb_part(tmp_path, capsys):
+    # An SVC part keeps only its flag in the gloss, without definiteness or animacy.
+    doc = json.loads(json.dumps(GENERATE_5A))
+    doc["payload"]["clause"] = {
+        "clause_type": "V2",
+        "verb": {"finite": ["stellt"]},
+        "constituents": [
+            {"id": "er", "category": "N", "surface": ["er"], "features": {"pronominal": True}},
+            {"id": "frage", "category": "A", "surface": ["eine", "Frage"], "features": {"svc": True}},
+            {"id": "morgen", "category": "M", "surface": ["morgen"], "hoberg_index": 26, "lexicon_key": "morgen#26"},
+        ],
+    }
+    assert main(["generate", "--clause", _write(tmp_path, "svc.json", doc), "--pretty"]) == 0
+    top, glosses = capsys.readouterr().out.splitlines()[:2]
+    assert top.split() == ["Er", "stellt", "morgen", "eine", "Frage"]
+    assert glosses == "N:pron  V       M26     A:svc"
+
+
 def test_duplicate_nominative_is_a_generation_error(tmp_path, capsys):
     doc = json.loads(json.dumps(GENERATE_5A))
     doc["payload"]["clause"]["constituents"].append(

@@ -326,8 +326,22 @@ def test_every_entry_point_refuses_an_id_that_is_not_a_string(lex, cid):
             call()
 
 
-@pytest.mark.parametrize("tag", ["BOGUS", 5, None, [], {}])
+def test_every_entry_point_refuses_an_empty_id(lex):
+    # Documents refuse an empty id; the API refuses it as a clause defect,
+    # also under a stress mark on it.
+    from wortfolge import analyze
+
+    spec = _kommt(c("", "N", "er", pron=True), modifier("morgen", "morgen", 26))
+    calls = _every_entry_point(spec, lex)
+    calls["analyze, stressed"] = lambda: analyze(spec._replace(stress={""}), lex)
+    for call in calls.values():
+        with pytest.raises(ValueError, match=r"^invalid clause spec: empty constituent id$"):
+            call()
+
+
+@pytest.mark.parametrize("tag", ["BOGUS", 5, None, [], {}, "THEME", "RHEME", "FOCUS"])
 def test_a_value_that_is_not_a_tag_is_an_invalid_assignment(lex, tag):
+    # A plain string equals the Tag member of its value, but only a Tag is a tag.
     spec = _kommt(c("er", "N", "er", pron=True), modifier("morgen", "morgen", 26))
     with pytest.raises(ValueError, match=rf"^invalid assignment: er: unknown tag {re.escape(repr(tag))}$"):
         linearize(spec, {"er": tag}, lex)

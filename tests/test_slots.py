@@ -37,10 +37,18 @@ from .conftest import c, modifier
 SHIPPED_TABLE = resources.files("wortfolge.data").joinpath("slot_table.tsv")
 
 
+def _facts(table, x):
+    """The signature facts the compiled clause reads for ``x``: the index's on
+    a hit, else those of :func:`_signature`, which files them."""
+    f = x.features
+    signature = (x.category, f.definite, f.animate, f.pronominal, f.svc, x.hoberg_index, x.hoberg_index.__class__)
+    return table._index.get(signature) or _signature(table, x, signature)
+
+
 def _slots(table, constituent, tag=None):
     """The slots the engine places the constituent in under the tag, in
     table order, before any lexical veto."""
-    return [key[0] for key in _signature(table, constituent)[1][KEY_TAGS.index(tag)] or ()]
+    return [key[0] for key in _facts(table, constituent)[1][KEY_TAGS.index(tag)] or ()]
 
 
 def _slot(table, constituent, tag=None):
@@ -83,8 +91,8 @@ def test_definite_animate_object_precedes_pragmatic_band(table):
 def test_arrow_order_accusative_before_dative_in_pronoun_slot(table):
     a = c("a", "A", "ihn", pron=True)
     d = c("d", "D", "ihm", pron=True)
-    (slot_a, rank_a, _), = _signature(table, a)[1][0]
-    (slot_d, rank_d, _), = _signature(table, d)[1][0]
+    (slot_a, rank_a, _), = _facts(table, a)[1][0]
+    (slot_d, rank_d, _), = _facts(table, d)[1][0]
     assert slot_a == slot_d
     assert rank_a < rank_d
 
@@ -247,7 +255,7 @@ def _accepted_signatures():
             TRISTATE_VALUES, TRISTATE_VALUES, (False, True), (False, True), indexes
         ):
             x = Constituent("x", category, ("x",), FeatureBundle(definite, animate, pron, svc), index)
-            if not _signature(table, x)[0]:
+            if not _facts(table, x)[0]:
                 yield x
 
 
@@ -268,13 +276,13 @@ def test_signature_index_agrees_with_an_independent_scan():
     assert len(ACCEPTED) == 1924
     warm = load_slot_table(text)
     for x in reversed(ACCEPTED):
-        _signature(warm, x)
+        _facts(warm, x)
     # Each signature is first looked up in the cold table here.
     cold = load_slot_table(text)
     for x in ACCEPTED:
         expected = _oracle_placements(cold, x)
-        assert _signature(cold, x)[1] == expected, x
-        assert _signature(warm, x)[1] == expected, x
+        assert _facts(cold, x)[1] == expected, x
+        assert _facts(warm, x)[1] == expected, x
 
 
 def test_compiled_keys_agree_with_the_oracle_keyer(table, lex):
@@ -299,7 +307,7 @@ def test_compiled_keys_agree_with_the_oracle_keyer(table, lex):
 def test_every_accepted_constituent_has_one_untagged_slot_or_is_refused(table, lex):
     refused = 0
     for x in ACCEPTED:
-        keys = _signature(table, x)[1][0]
+        keys = _facts(table, x)[1][0]
         if x.features.svc and x.category not in (Category.N, Category.A, Category.D, Category.G, Category.PO):
             assert keys is None, x
             with pytest.raises(ValueError, match=r"^invalid clause spec: x: no untagged slot$"):
@@ -330,7 +338,7 @@ def _without(table, tag):
     """Per group, the number of placed signatures without a slot for the tag."""
     counts = {}
     for x in ACCEPTED:
-        placements = _signature(table, x)[1]
+        placements = _facts(table, x)[1]
         if placements[0] and not placements[KEY_TAGS.index(tag)]:
             counts[_group(x)] = counts.get(_group(x), 0) + 1
     return counts
@@ -434,12 +442,12 @@ def test_threads_filling_one_index_agree():
     # More threads than cores, switching often, all filling one cold index.
     text = SHIPPED_TABLE.read_text("utf-8")
     alone = load_slot_table(text)
-    expected = [_signature(alone, x)[1] for x in ACCEPTED]
+    expected = [_facts(alone, x)[1] for x in ACCEPTED]
     shared = load_slot_table(text)
     results = {}
 
     def key_all(worker):
-        results[worker] = [_signature(shared, x)[1] for x in ACCEPTED]
+        results[worker] = [_facts(shared, x)[1] for x in ACCEPTED]
 
     threads = [threading.Thread(target=key_all, args=(worker,)) for worker in range(4)]
     interval = sys.getswitchinterval()
