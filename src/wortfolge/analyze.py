@@ -128,8 +128,8 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     most room for the rest.  The walk starts after the V2 Vorfeld, never
     compared (:func:`_vorfeld_starts`); the Vorfeld rule judges untagged ones.
     Assignments are ``(theme, rheme, focus)`` carrier triples of input
-    ordinals, None for an absent tag, in :func:`iter_assignments` order; none
-    means the order is ungrammatical.  Stress marks are hard constraints: a
+    ordinals, None for an absent tag, sorted by theme, rheme, then focus, an
+    absent tag first, as enumeration lists them; none: ungrammatical.  Stress marks are hard constraints: a
     non-empty ``fixed`` puts FOCUS exactly on the marked constituent.
 
     Worst case: a branch's tags, and so its keys, follow from its carriers,

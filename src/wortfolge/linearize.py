@@ -19,15 +19,17 @@ one walk over a given order, which compares only adjacent keys.
 Every direction compiles alike, one signature-index lookup per constituent;
 only the forward sorts append the input ordinal, to break ties.  An
 assignment moves at most three constituents away from the untagged order,
-so :meth:`CompiledClause.realize` sorts the untagged keys once per clause
-and, per Vorfeld candidate, swaps in only the carriers' tagged keys.
+so :meth:`CompiledClause.realize` sorts the untagged keys once per clause,
+places each theme and rheme pair once for all its focuses, and per focus
+and Vorfeld candidate swaps in only the focus's keys.
 :func:`enumerate_orders` leaves out carriers that can license nothing under
-their tag and renders each distinct order once.
+their tag and renders each distinct order once, straight from its tokens.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 
 from .clause import Category, ClauseSpec, ClauseType, Tag, _all_words, _set, _Value, _violations
 from .lexicon import Lexicon
@@ -35,6 +37,9 @@ from .slots import KEY_TAGS, SlotTable, _lexical_veto, _signature, build_slot_ta
 
 #: An assignment maps constituent ids to their information-structure tag.
 TagAssignment = dict[str, Tag]
+
+#: The input ordinal of a forward key, appended last.
+_ordinal = operator.itemgetter(3)
 
 #: The most constituents :func:`enumerate_orders` takes; analysis has no cap.
 MAX_SEARCH_CONSTITUENTS = 10
@@ -89,48 +94,52 @@ class SurfaceOrder(_Value):
         return " ".join(self.rendered)
 
 
-def _fields(clause, ordered) -> list:
-    """The clause frame: the topological fields of a clause in surface order.
+def _frame(clause) -> tuple[list, list]:
+    """The clause frame: the ``(owner, tokens)`` fields before and after the Mittelfeld.
 
-    ``ordered`` holds the constituents of ``clause`` in surface order,
-    Vorfeld first.  Each field is an
-    ``(owner, tokens)`` pair; the owner is the constituent itself, or ``"V"``
-    for verb material and ``"C"`` for the complementizer.  In V2 the first
-    constituent opens the clause and the finite verb follows it; in VF the
-    complementizer opens the clause and the non-finite verbs precede the
-    finite one at its end.  Empty fields are dropped: validation leaves only
-    the non-finite verbs possibly empty.
+    The owner is ``"V"`` for verb material, ``"C"`` for the complementizer.
+    In V2 the finite verb follows the Vorfeld; in VF the complementizer opens
+    the clause and the non-finite verbs precede the finite one at its end.
+    Empty fields are dropped: only the non-finite verbs may be empty.
     """
     verb = clause.verb
-    fields = [(c, c.surface) for c in ordered]
+    after = [("V", verb.nonfinite)] if verb.nonfinite else []
     if clause.clause_type is ClauseType.V2:
-        fields.insert(1, ("V", verb.finite))
-    elif clause.complementizer:
-        fields.insert(0, ("C", (clause.complementizer,)))
-    if verb.nonfinite:
-        fields.append(("V", verb.nonfinite))
-    if clause.clause_type is ClauseType.VF:
-        fields.append(("V", verb.finite))
-    return fields
+        return [("V", verb.finite)], after
+    after.append(("V", verb.finite))
+    return [("C", (clause.complementizer,))] if clause.complementizer else [], after
 
 
-def _surface(spec: ClauseSpec, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
+def _fields(clause, ordered) -> list:
+    """The fields in surface order: ``(c, c.surface)`` for each of ``ordered`` (Vorfeld first) in the frame."""
+    before, after = _frame(clause)
+    fields = [(c, c.surface) for c in ordered]
+    vorfeld = 1 if clause.clause_type is ClauseType.V2 else 0
+    return fields[:vorfeld] + before + fields[vorfeld:] + after
+
+
+def _surface(spec: ClauseSpec, frame, vorfeld: int | None, keys, focus: int | None) -> SurfaceOrder:
     """The surface of a Vorfeld ordinal (None in VF) and sorted Mittelfeld keys.
 
-    Rendered from the untagged clause: :func:`_fields` flattened, the
-    ``focus`` ordinal in caps and the first token of a V2 clause capitalized.
+    Rendered straight from the untagged constituents' tokens: the Vorfeld,
+    the fields of the clause's :func:`_frame` before the Mittelfeld, the
+    Mittelfeld, the fields after it.  The ``focus`` ordinal is in caps and
+    the first token of a V2 clause capitalized.
     """
-    cs = spec.constituents
-    ordered = [cs[key[3]] for key in keys]
-    keys = tuple([(cs[key[3]].id, key) for key in keys])
-    if vorfeld is not None:
-        ordered.insert(0, cs[vorfeld])
-    focus = None if focus is None else cs[focus]
+    cs, (before, after) = spec.constituents, frame
     tokens: list[str] = []
-    for owner, field in _fields(spec, ordered):
-        tokens += [tok.upper() for tok in field] if owner is focus else field
+    if vorfeld is not None:
+        tokens += [tok.upper() for tok in cs[vorfeld].surface] if vorfeld == focus else cs[vorfeld].surface
+    for _, field in before:
+        tokens += field
+    for key in keys:
+        i = key[3]
+        tokens += [tok.upper() for tok in cs[i].surface] if i == focus else cs[i].surface
+    for _, field in after:
+        tokens += field
     if spec.clause_type is ClauseType.V2:
         tokens[0] = tokens[0][0].upper() + tokens[0][1:]
+    keys = tuple([(cs[key[3]].id, key) for key in keys])
     return SurfaceOrder(None if vorfeld is None else cs[vorfeld].id, tuple(tokens), keys)
 
 
@@ -149,11 +158,11 @@ def _carriers(clause: CompiledClause, tags: TagAssignment):
 
 def _tag_pairs(ids, theme: int | None, rheme: int | None, focus: int | None) -> tuple[tuple[str, Tag], ...]:
     """An assignment's sorted ``(id, tag)`` pairs, from its carriers' ordinals in ``ids``."""
-    pairs = [] if theme is None else [(ids[theme], Tag.THEME)]
+    pairs = [] if theme is None else [(ids[theme], KEY_TAGS[1])]  # by index: cheaper than Tag.THEME
     if rheme is not None:
-        pairs.append((ids[rheme], Tag.RHEME))
+        pairs.append((ids[rheme], KEY_TAGS[2]))
     if focus is not None:
-        pairs.append((ids[focus], Tag.FOCUS))
+        pairs.append((ids[focus], KEY_TAGS[3]))
     pairs.sort()
     return tuple(pairs)
 
@@ -204,7 +213,7 @@ def linearize(
             raise InexpressibleTags(f"no slot for {spec.constituents[i].id} as {tag.value}{reason}")
         mittelfeld.append((*row[column][0], i))
     mittelfeld.sort()
-    return _surface(spec, vorfeld, mittelfeld, focus)
+    return _surface(spec, _frame(spec), vorfeld, mittelfeld, focus)
 
 
 def realizations(
@@ -227,7 +236,8 @@ def realizations(
     if clause.assignment_violations:
         return []
     theme, rheme, focus = _carriers(clause, tags)
-    return [_surface(spec, order[0], keys, focus) for order, keys in clause.realize(theme, rheme, focus)]
+    frame, realized = _frame(spec), clause.realize([theme], [rheme], [focus])
+    return [_surface(spec, frame, order[0], keys, focus) for *_, order, keys in realized]
 
 
 class CompiledClause:
@@ -272,7 +282,7 @@ class CompiledClause:
 
     __slots__ = (
         "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
-        "assignment_violations", "ordinals", "_forward",
+        "assignment_violations", "ordinals",
     )
 
     def __init__(
@@ -344,8 +354,6 @@ class CompiledClause:
         self.vorfeld_capable = tuple(capable)
         self.typically_rhematic = tuple(rhematic)
         self.subject = groups[0][0] if groups[0] else None
-        # The keys with input ordinals, and the untagged ones sorted: built on the first realize.
-        self._forward = None
 
     def vorfeld_pick(self, theme: int | None, rheme: int | None, focus: int | None) -> int | None:
         """The V2 Vorfeld rule: theme, else subject, else first capable element.
@@ -386,68 +394,72 @@ class CompiledClause:
             vorfelds.append(focus)
         return vorfelds
 
-    def realize(self, theme: int | None, rheme: int | None, focus: int | None):
-        """Yield each ``(order, mittelfeld keys)`` the assignment licenses.
+    def realize(self, themes, rhemes, focuses):
+        """Yield each ``(theme, rheme, focus, order, mittelfeld keys)`` the candidate carriers license.
 
-        The realization relation run forwards, by straight insertion.
-        ``order`` is the Vorfeld's input ordinal (None in VF) followed by the
-        Mittelfeld's, and the keys, with the ordinal appended as in
-        ``SurfaceOrder.keys``, come sorted in that Mittelfeld order.  A
-        typically rhematic theme licenses nothing.  The keys with ordinals,
-        and the untagged ones sorted, are built once per clause.  A Vorfeld
-        candidate is one pass over a copy of that list: the Vorfeld's key
-        leaves, each carrier's untagged key is swapped for its first tagged
-        one, and the candidate is skipped at a carrier with no slot for its
-        tag.  Each later key of a focus (one per FOCUS slot it fits) takes
-        its earlier key's place in a copy.  Repeated orders are dropped.
+        The realization relation run forwards over every assignment of the
+        candidate ordinals (None for an absent tag), nested theme, rheme,
+        focus in the candidates' order; no constituent carries two tags.
+        ``order`` is the Vorfeld's ordinal (None in VF), then the
+        Mittelfeld's, whose keys, with the ordinal appended as in
+        ``SurfaceOrder.keys``, come sorted.  The untagged keys are sorted once
+        per call.  Each theme and rheme pair swaps its carriers' tagged keys
+        into one copy (a V2 theme, the Vorfeld, leaves it), which every focus
+        shares.  Per focus and Vorfeld candidate (:meth:`_vorfelds`), the
+        Vorfeld leaves a copy and the focus takes each of its FOCUS keys in
+        turn; a second key that gives the same order is dropped.  A typically
+        rhematic theme, or a carrier outside the Vorfeld without a slot for
+        its tag, licenses nothing.
         """
-        if theme is not None and self.typically_rhematic[theme]:
-            return
-        if self._forward is None:
-            keys = [[None if k is None else tuple((*key, i) for key in k) for k in row]
-                    for i, row in enumerate(self.keys)]
-            self._forward = keys, sorted(row[0][0] for row in keys)
-        keys, untagged = self._forward
-        seen = set()
-        for vorfeld in self._vorfelds(theme, rheme, focus):
-            mittelfeld = untagged.copy()
-            if vorfeld is not None:
-                del mittelfeld[bisect.bisect_left(mittelfeld, keys[vorfeld][0][0])]
-            placed = ()
-            for i, j in ((theme, 1), (rheme, 2), (focus, 3)):
-                if i is None or i == vorfeld:
+        keys = [[None if k is None else tuple((*key, i) for key in k) for k in row]
+                for i, row in enumerate(self.keys)]
+        untagged = sorted(row[0][0] for row in keys)
+        v2 = self.clause_type is ClauseType.V2
+        for theme in themes:
+            themed = untagged
+            if theme is not None:
+                placed = keys[theme][1]
+                if self.typically_rhematic[theme] or (not self.vorfeld_capable[theme] if v2 else placed is None):
                     continue
-                placed = keys[i][j]
-                if placed is None:
-                    break
-                del mittelfeld[bisect.bisect_left(mittelfeld, keys[i][0][0])]
-                bisect.insort(mittelfeld, placed[0])
-            else:
-                # Only a focus, placed last, holds more than one key.
-                for n in range(len(placed) or 1):
-                    if n:
-                        mittelfeld = mittelfeld.copy()
-                        del mittelfeld[bisect.bisect_left(mittelfeld, placed[n - 1])]
-                        bisect.insort(mittelfeld, placed[n])
-                    order = (vorfeld, *[key[3] for key in mittelfeld])
-                    if order not in seen:
-                        seen.add(order)
-                        yield order, mittelfeld
-
-
-def iter_assignments(themes, rhemes, focuses):
-    """Every tag assignment of the candidate carriers within the cardinality limits.
-
-    Yields ``(theme, rheme, focus)`` carrier ordinals, None for an absent tag,
-    in the nesting order of the candidates; no constituent carries two tags.
-    """
-    for theme in themes:
-        for rheme in rhemes:
-            if rheme is not None and rheme == theme:
-                continue
-            for focus in focuses:
-                if focus is None or focus not in (theme, rheme):
-                    yield theme, rheme, focus
+                themed = untagged.copy()
+                del themed[bisect.bisect_left(themed, keys[theme][0][0])]
+                if not v2:
+                    bisect.insort(themed, placed[0])
+            for rheme in rhemes:
+                shared = themed
+                if rheme is not None:
+                    placed = keys[rheme][2]
+                    if rheme == theme or placed is None:
+                        continue
+                    shared = themed.copy()
+                    del shared[bisect.bisect_left(shared, keys[rheme][0][0])]
+                    bisect.insort(shared, placed[0])
+                # The Vorfeld does not depend on the focus in VF, or when a V2 theme opens.
+                fixed = self._vorfelds(theme, rheme, None) if not v2 or theme is not None else None
+                for focus in focuses:
+                    if focus is not None and focus in (theme, rheme):
+                        continue
+                    for vorfeld in fixed or self._vorfelds(theme, rheme, focus):
+                        mittelfeld = shared
+                        if vorfeld is not None and vorfeld != theme:
+                            mittelfeld = shared.copy()
+                            del mittelfeld[bisect.bisect_left(mittelfeld, keys[vorfeld][0][0])]
+                        if focus is None or focus == vorfeld:
+                            yield theme, rheme, focus, (vorfeld, *map(_ordinal, mittelfeld)), mittelfeld
+                            continue
+                        placed = keys[focus][3]
+                        if placed is None:
+                            continue
+                        unfocused = mittelfeld.copy() if mittelfeld is shared else mittelfeld
+                        del unfocused[bisect.bisect_left(unfocused, keys[focus][0][0])]
+                        previous = None
+                        for key in placed:
+                            mittelfeld = unfocused if key is placed[-1] else unfocused.copy()
+                            bisect.insort(mittelfeld, key)
+                            order = (vorfeld, *map(_ordinal, mittelfeld))
+                            if order != previous:
+                                yield theme, rheme, focus, order, mittelfeld
+                            previous = order
 
 
 class OrderVariant(_Value):
@@ -501,32 +513,29 @@ def enumerate_orders(
     """All realizable orders of the clause, grouped by surface order.
 
     Exhaustive over tag assignments within cardinality limits and lexical
-    flags, in :func:`iter_assignments` order; assignments without a
-    realization are skipped.  The clause is compiled once, carriers that can
-    license nothing under their tag are left out of the assignments, and
-    every remaining assignment runs :meth:`CompiledClause.realize` on it.  A
-    variant's surface is that of its first focus-free assignment, if it has
-    one (no focus caps), and is rendered once, after the search.  The output
-    grows with the assignments, so a clause is capped at
-    ``MAX_SEARCH_CONSTITUENTS`` constituents.
+    flags, ordered by theme, then rheme, then focus carrier, each in input
+    order and an absent tag first; assignments without a realization are
+    skipped.  The clause is compiled once, carriers that can license nothing
+    under their tag are left out, and one :meth:`CompiledClause.realize` run
+    covers the remaining assignments.  A variant's surface is that of its
+    first focus-free assignment, if it has one (no focus caps), and is
+    rendered once, after the search.  The output grows with the assignments,
+    so a clause is capped at ``MAX_SEARCH_CONSTITUENTS`` constituents.
     """
     n = len(spec.constituents)
     if n > MAX_SEARCH_CONSTITUENTS:
         raise ValueError(f"clause has {n} constituents; exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}")
     clause = CompiledClause(spec, {}, lex, table or build_slot_table())
-    ids = [c.id for c in spec.constituents]
+    ids, frame = [c.id for c in spec.constituents], _frame(spec)
     # order -> [(vorfeld, keys, focus) of its surface, assignments]
     grouped: dict[tuple, list] = {}
-    for theme, rheme, focus in iter_assignments(*_live_carriers(clause)):
-        assignment = None
-        for order, keys in clause.realize(theme, rheme, focus):
-            if assignment is None:
-                assignment = _tag_pairs(ids, theme, rheme, focus)
-            group = grouped.get(order)
-            if group is None:
-                grouped[order] = [(order[0], keys, focus), [assignment]]
-                continue
-            if focus is None and group[0][2] is not None:
-                group[0] = (order[0], keys, None)
-            group[1].append(assignment)
-    return tuple(OrderVariant(_surface(spec, *chosen), tuple(a)) for chosen, a in grouped.values())
+    for theme, rheme, focus, order, keys in clause.realize(*_live_carriers(clause)):
+        assignment = _tag_pairs(ids, theme, rheme, focus)
+        group = grouped.get(order)
+        if group is None:
+            grouped[order] = [(order[0], keys, focus), [assignment]]
+            continue
+        if focus is None and group[0][2] is not None:
+            group[0] = (order[0], keys, None)
+        group[1].append(assignment)
+    return tuple(OrderVariant(_surface(spec, frame, *chosen), tuple(a)) for chosen, a in grouped.values())

@@ -324,6 +324,23 @@ def _reference_check_theme_admissible(tagged_spec, table):
         )
 
 
+def iter_assignments(themes, rhemes, focuses):
+    """Every tag assignment of the candidate carriers within the cardinality limits.
+
+    Yields ``(theme, rheme, focus)`` carrier ordinals, None for an absent tag,
+    nested theme, rheme, focus in the candidates' order; no constituent
+    carries two tags.  This is the order in which ``CompiledClause.realize``
+    yields and ``enumerate_orders`` lists assignments.
+    """
+    for theme in themes:
+        for rheme in rhemes:
+            if rheme is not None and rheme == theme:
+                continue
+            for focus in focuses:
+                if focus is None or focus not in (theme, rheme):
+                    yield theme, rheme, focus
+
+
 def reference_assignments(spec):
     """Every tag assignment within the cardinality limits, the empty one first."""
     ids = [c.id for c in spec.constituents]

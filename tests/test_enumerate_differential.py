@@ -26,9 +26,16 @@ from wortfolge import (
     enumerate_orders,
     load_slot_table,
 )
-from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, CompiledClause, iter_assignments, realizations
+from wortfolge.linearize import MAX_SEARCH_CONSTITUENTS, CompiledClause, realizations
 
-from .oracle import outcome, reference_analyze, reference_enumerate_orders, reference_realizations, unusable_stress
+from .oracle import (
+    iter_assignments,
+    outcome,
+    reference_analyze,
+    reference_enumerate_orders,
+    reference_realizations,
+    unusable_stress,
+)
 from .strategies import _LEX, clause_and_tags, observation, random_clause
 
 

@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -11,10 +12,10 @@ from wortfolge import (
     enumerate_orders,
     linearize,
 )
-from wortfolge.linearize import realizations
+from wortfolge.linearize import _fields, realizations
 
 from .conftest import c, modifier
-from .strategies import specs_with_tags
+from .strategies import random_clause, specs_with_tags
 
 
 # --- Vorfeld selection ---------------------------------------------------------
@@ -207,6 +208,41 @@ def test_enumeration_clause_size_cap(lex):
     spec = ClauseSpec(ClauseType.V2, VerbComplex(("hat",)), many)
     with pytest.raises(ValueError, match="capped"):
         enumerate_orders(spec, lex)
+
+
+# --- the clause frame ------------------------------------------------------------
+
+def _pretty_tokens(spec, variant):
+    """The variant's fields as ``generate --pretty`` lays them out, flattened.
+
+    The focus in caps is the one of the variant's surface: none if some
+    assignment is focus-free, else the first assignment's.  A V2 clause
+    opens with a capital.
+    """
+    focus_free = any(all(tag is not Tag.FOCUS for _, tag in a) for a in variant.assignments)
+    focus = None if focus_free else next(cid for cid, tag in variant.assignments[0] if tag is Tag.FOCUS)
+    tokens = []
+    for owner, field in _fields(spec, [spec.by_id(cid) for cid in variant.order]):
+        tokens += [tok.upper() for tok in field] if not isinstance(owner, str) and owner.id == focus else field
+    if spec.clause_type.value == "V2":
+        tokens[0] = tokens[0][0].upper() + tokens[0][1:]
+    return tuple(tokens)
+
+
+def test_every_variant_renders_its_pretty_fields(lex, corpus):
+    # Rendering does not walk the fields; both read the clause frame, so the
+    # JSON ``rendered`` and the ``--pretty`` rows must not drift apart.
+    rng = random.Random(0)
+    pool = [random_clause(rng, 6) for _ in range(40)]
+    pool += [case.doc.clause for case in corpus if case.doc.clause is not None]
+    focused = Counter()
+    for spec in pool:
+        for variant in enumerate_orders(spec, lex):
+            assert variant.surface.rendered == _pretty_tokens(spec, variant), variant.order
+            # Under one empty assignment the same fields carry no focus caps.
+            focused[variant.surface.rendered != _pretty_tokens(spec, variant._replace(assignments=((),)))] += 1
+    # The pool reaches surfaces with and without a focus.
+    assert focused[True] and focused[False], focused
 
 
 # --- properties --------------------------------------------------------------------
