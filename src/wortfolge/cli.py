@@ -10,15 +10,16 @@ parser; a document of another mode is an input error.  ``generate --tags``
 replaces the document's assignment.
 
 Exit codes: 0 ok, 1 input error, 2 generation error, 3 ungrammatical verdict,
-4 corpus failure.  A field the document parser does not read is an input
-error, and so is a clause the engine refuses as invalid (``invalid clause
-spec: ...``), an unresolved lexicon key or a ``hoberg_index`` that
-contradicts its entry included.  A generation error (inexpressible tags, no
-Vorfeld, a cooccurrence violation) prints ``{"error": {"message": ...,
-"type": ...}}`` on stdout.  A cooccurrence violation (two subjects, two of
-SIT/DIR/EXP) is a generation error in every command, and outranks every
-other clause defect, since no tag assignment can order such a clause:
-``analyze`` and ``disambiguate`` exit 2 with that object too.
+4 corpus failure.  Documents check the input's shape, and refuse a field
+they do not read; the engine checks every value as it compiles the clause
+(``invalid clause spec: ...``: a blank token, an unresolved lexicon key, a
+``hoberg_index`` that contradicts its entry).  Both are input errors.  A
+generation error (inexpressible tags, no Vorfeld, a cooccurrence violation)
+prints ``{"error": {"message": ..., "type": ...}}`` on stdout.  A
+cooccurrence violation (two subjects, two of SIT/DIR/EXP) is a generation
+error in every command, and outranks every other clause defect, since no tag
+assignment can order such a clause: ``analyze`` and ``disambiguate`` exit 2
+with that object too.
 Machine-readable JSON is the default output; ``--pretty`` prints a compact
 human-readable account instead.  Reports are deterministic byte-for-byte for
 identical inputs.

@@ -5,11 +5,15 @@ mode is GENERATE (clause + tag assignment), ANALYZE (observed clause) or
 DISAMBIGUATE (candidate readings).  Every mode reads a clause the same way,
 stress marks included, into a :class:`ClauseSpec`.  Field names mirror the
 domain types in snake_case; the format is deliberately diff-friendly for
-corpus files.  A field the parser does not read is refused, so a misspelt
-one is never silently ignored; lexicon keys are not looked up here, since
-the engine checks them when it compiles the clause.  Every JSON report the
-CLI prints is built here too (the ``*_report`` functions), and the corpus
-compares its expectations with them.
+corpus files.  The parser checks the JSON shape: the objects, lists and
+strings it reads, the schema version and mode, the category and tag names,
+the stress ids (which only analysis reads) and the empty id (which only the
+document path can name).  A field it does not read is refused, so a misspelt
+one is never silently ignored.  Every value it passes on, tokens, Hoberg
+indexes and lexicon keys included, is checked once, by the engine when it
+compiles the clause.  Every JSON report the CLI prints is built here too
+(the ``*_report`` functions), and the corpus compares its expectations with
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .clause import (
     NA,
     Tag,
     VerbComplex,
-    _all_words,
     _set,
     _Value,
 )
@@ -126,32 +129,20 @@ def _parse_constituent(raw, where) -> Constituent:
         category = Category(raw_category)
     except ValueError:
         raise DocumentError(f"{where}: unknown category {raw_category!r}") from None
-    surface = _require(raw, "surface", where, list)
-    if not _all_words(surface):
-        raise DocumentError(f"{where}: surface tokens must be strings, none of them empty or blank")
-    hoberg = raw.get("hoberg_index")
-    if hoberg is not None and (not isinstance(hoberg, int) or isinstance(hoberg, bool)):
-        raise DocumentError(f"{where}: hoberg_index must be an integer")
-    lexicon_key = raw.get("lexicon_key")
-    if lexicon_key is not None and not isinstance(lexicon_key, str):
-        raise DocumentError(f"{where}: lexicon_key must be a string")
     return Constituent(
         id=cid,
         category=category,
-        surface=tuple(surface),
+        surface=tuple(_require(raw, "surface", where, list)),
         features=_parse_features(raw.get("features"), where),
-        hoberg_index=hoberg,
-        lexicon_key=lexicon_key,
+        hoberg_index=raw.get("hoberg_index"),
+        lexicon_key=raw.get("lexicon_key"),
     )
 
 
 def _parse_verb(raw, where) -> VerbComplex:
     finite = _require(raw, "finite", where, list)
     _refuse_unknown(raw, ("finite", "nonfinite"), where)
-    nonfinite = raw.get("nonfinite", [])
-    for name, tokens in (("finite", finite), ("nonfinite", nonfinite)):
-        if not isinstance(tokens, list) or not _all_words(tokens):
-            raise DocumentError(f"{where}.{name}: must be a list of strings, none of them empty or blank")
+    nonfinite = _require(raw, "nonfinite", where, list) if "nonfinite" in raw else []
     return VerbComplex(finite=tuple(finite), nonfinite=tuple(nonfinite))
 
 
@@ -176,15 +167,12 @@ def parse_clause(raw, where="clause") -> ClauseSpec:
     except ValueError:
         raise DocumentError(f"{where}: unknown clause_type {raw_type!r}") from None
     verb = _parse_verb(_require(raw, "verb", where), f"{where}.verb")
-    complementizer = raw.get("complementizer")
-    if complementizer is not None and not _all_words((complementizer,)):
-        raise DocumentError(f"{where}.complementizer: must be a string, neither empty nor blank")
     constituents = tuple(
         _parse_constituent(c, f"{where}.constituents[{i}]")
         for i, c in enumerate(_require(raw, "constituents", where, list))
     )
     stress = _parse_stress(raw.get("stress", []), {c.id for c in constituents}, f"{where}.stress")
-    return ClauseSpec(clause_type, verb, constituents, complementizer, stress)
+    return ClauseSpec(clause_type, verb, constituents, raw.get("complementizer"), stress)
 
 
 def parse_tags(raw, where="tags") -> TagAssignment:
@@ -235,7 +223,7 @@ def parse_candidates(raw, where="candidates"):
             f"{where}[{i}].observed",
         )
         context = raw_candidate.get("constraint_context", [])
-        if not isinstance(context, list) or not all(isinstance(atom, str) for atom in context):
+        if not isinstance(context, list):
             raise DocumentError(f"{where}[{i}].constraint_context: must be a list of strings")
         for atom in context:
             # Only NEGATED constrains a reading; a misspelt atom would drop the constraint.

@@ -450,8 +450,12 @@ def test_malformed_corpus_is_an_input_error(tmp_path, capsys, corpus, message):
          "failed: nominative alternatives cannot cooccur: ich, sie"),
         ({"id": "bald", "category": "M", "surface": ["bald"], "hoberg_index": 25, "lexicon_key": "bald#25"},
          "bald: lexicon has no reading 'bald#25' (lemma 'bald')"),
+        # The compiled clause checks every token, so a blank one fails its
+        # case as an unresolved key does, instead of refusing the corpus.
+        ({"id": "bald", "category": "M", "surface": ["bald", " "], "hoberg_index": 25},
+         "failed: invalid clause spec: bald: blank or non-string surface token"),
     ],
-    ids=["cooccurrence", "unresolved-key"],
+    ids=["cooccurrence", "unresolved-key", "blank-token"],
 )
 @pytest.mark.parametrize("mode", ["GENERATE", "ANALYZE"])
 def test_engine_refusal_fails_the_corpus_case(tmp_path, capsys, extra, failure, mode):
@@ -707,11 +711,9 @@ def test_full_keyed_and_bare_inputs_are_read_alike(tmp_path, capsys):
 def test_blank_complementizer_is_an_input_error(tmp_path, capsys, mode, complementizer):
     clause = json.loads(json.dumps(GENERATE_5A["payload"]["clause"]))
     clause.update(clause_type="VF", complementizer=complementizer)
-    flag, field = INPUTS[mode]
+    flag, _ = INPUTS[mode]
     assert main([mode.lower(), flag, _write(tmp_path, "clause.json", clause)]) == 1
-    assert capsys.readouterr() == (
-        "", f"input error: {field}.complementizer: must be a string, neither empty nor blank\n"
-    )
+    assert capsys.readouterr() == ("", "input error: invalid clause spec: blank or non-string complementizer\n")
 
 
 def test_disambiguate_reports_the_defects_of_the_first_invalid_candidate(tmp_path, capsys):
@@ -783,6 +785,22 @@ def test_a_cooccurrence_violation_outranks_a_lexicon_defect(tmp_path, capsys, co
     # every other spec defect.
     clause = _dennoch_clause(_DENNOCH_CASES["contradiction"][0])
     clause["constituents"].append({"id": "sie", "category": "N", "surface": ["sie"], "features": {"pronominal": True}})
+    doc = _write(tmp_path, "doc.json", [{"label": "a", "observed": clause}] if command == "disambiguate" else clause)
+    flag = {"generate": "--clause", "analyze": "--observed", "disambiguate": "--candidates"}[command]
+    assert main([command, flag, doc]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": {
+        "type": "CooccurrenceViolation", "message": "nominative alternatives cannot cooccur: er, sie",
+    }}
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze", "disambiguate"])
+def test_a_cooccurrence_violation_outranks_a_blank_token(tmp_path, capsys, command):
+    # Documents leave token checks to the compiled clause, which reports a
+    # cooccurrence violation before them: exit 2, not an input error.
+    clause = _two_subjects(OBSERVED_2C)
+    clause["constituents"][0]["surface"] = ["er", " "]
     doc = _write(tmp_path, "doc.json", [{"label": "a", "observed": clause}] if command == "disambiguate" else clause)
     flag = {"generate": "--clause", "analyze": "--observed", "disambiguate": "--candidates"}[command]
     assert main([command, flag, doc]) == 2

@@ -111,7 +111,7 @@ def test_candidate_exclusion_at_construction():
 
 def test_non_string_constraint_context_rejected():
     candidates = [{"label": "a", "observed": CLAUSE_JSON, "constraint_context": [{"x": 1}]}]
-    with pytest.raises(DocumentError, match=r"candidates\[0\].constraint_context: must be a list of strings"):
+    with pytest.raises(DocumentError, match=r"^candidates\[0\].constraint_context: unknown atom \{'x': 1\}$"):
         parse_candidates(candidates)
 
 
@@ -153,21 +153,25 @@ def _generate_doc(**edits):
         ("analyze", _analyze_doc(stress=[["ich"]]), "stress: entries must be constituent ids"),
         ("generate", _generate_doc(stress=[["ich"]]), "clause.stress: entries must be constituent ids"),
         ("generate", _generate_doc(stress=["wer"]), "clause.stress: unknown constituent id 'wer'"),
-        ("analyze", _analyze_doc(**{"verb.finite": [1]}), "verb.finite: must be a list of strings"),
-        ("generate", _generate_doc(**{"verb.finite": [1]}), "verb.finite: must be a list of strings"),
-        ("generate", _generate_doc(**{"verb.nonfinite": [None]}), "verb.nonfinite: must be a list of strings"),
+        ("analyze", _analyze_doc(**{"verb.finite": [1]}), "invalid clause spec: verb complex has a blank or non-string token"),
+        ("generate", _generate_doc(**{"verb.finite": [1]}), "invalid clause spec: verb complex has a blank or non-string token"),
+        ("generate", _generate_doc(**{"verb.nonfinite": [None]}), "invalid clause spec: verb complex has a blank or non-string token"),
         ("analyze", _analyze_doc(**{"constituents.0.features": {"pronominal": "no"}}), "pronominal must be true or false"),
         ("generate", _generate_doc(**{"constituents.0.features": {"pronominal": True, "svc": "no"}}), "svc must be true or false"),
-        ("analyze", _analyze_doc(**{"constituents.2.hoberg_index": True}), "hoberg_index must be an integer"),
+        ("analyze", _analyze_doc(**{"constituents.2.hoberg_index": True}), "invalid clause spec: gestern: Hoberg index True is not an integer"),
         ("generate", _generate_doc(**{"constituents.1.id": ""}), "id must not be empty"),
-        ("generate", _generate_doc(**{"constituents.0.surface": [""]}), "surface tokens must be strings, none of them empty"),
-        ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", ""]}), "surface tokens must be strings, none of them empty"),
-        ("generate", _generate_doc(**{"verb.finite": [""]}), "verb.finite: must be a list of strings, none of them empty"),
-        ("analyze", _analyze_doc(**{"verb.nonfinite": [""]}), "verb.nonfinite: must be a list of strings, none of them empty"),
-        ("generate", _generate_doc(**{"constituents.0.surface": [" "]}), "surface tokens must be strings, none of them empty or blank"),
-        ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", "\t"]}), "surface tokens must be strings, none of them empty or blank"),
-        ("generate", _generate_doc(**{"verb.finite": ["  "]}), "verb.finite: must be a list of strings, none of them empty or blank"),
-        ("analyze", _analyze_doc(**{"verb.nonfinite": [" "]}), "verb.nonfinite: must be a list of strings, none of them empty or blank"),
+        ("generate", _generate_doc(**{"constituents.0.surface": [""]}), "invalid clause spec: ich: blank or non-string surface token"),
+        ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", ""]}), "invalid clause spec: den-mann: blank or non-string surface token"),
+        ("generate", _generate_doc(**{"verb.finite": [""]}), "invalid clause spec: verb complex has a blank or non-string token"),
+        ("analyze", _analyze_doc(**{"verb.nonfinite": [""]}), "invalid clause spec: verb complex has a blank or non-string token"),
+        ("generate", _generate_doc(**{"constituents.0.surface": [" "]}), "invalid clause spec: ich: blank or non-string surface token"),
+        ("analyze", _analyze_doc(**{"constituents.1.surface": ["den", "\t"]}), "invalid clause spec: den-mann: blank or non-string surface token"),
+        ("generate", _generate_doc(**{"verb.finite": ["  "]}), "invalid clause spec: verb complex has a blank or non-string token"),
+        ("analyze", _analyze_doc(**{"verb.nonfinite": [" "]}), "invalid clause spec: verb complex has a blank or non-string token"),
+        # Tokens are the compiled clause's to check, but a string is no token
+        # list: read as one, it would split into letters.
+        ("generate", _generate_doc(**{"verb.nonfinite": "gesehen"}), "input error: clause.verb.nonfinite: unexpected type str\n"),
+        ("analyze", _analyze_doc(**{"constituents.0.surface": "ich"}), "input error: observed.constituents[0](ich).surface: unexpected type str\n"),
         ("analyze", _analyze_doc(stres=["ich"]), "input error: observed.stres: unknown field\n"),
         ("generate", _generate_doc(**{"verb.nonfinte": ["gesehen"]}), "input error: clause.verb.nonfinte: unknown field\n"),
         ("generate", _generate_doc(**{"constituents.2.lexicon_keys": "gestern#26"}),
@@ -179,7 +183,7 @@ def _generate_doc(**edits):
          "pronominal-string", "svc-string", "hoberg-bool", "empty-id", "empty-surface-token-generate",
          "empty-surface-token-analyze", "empty-finite-token", "empty-nonfinite-token",
          "blank-surface-token-generate", "blank-surface-token-analyze", "blank-finite-token", "blank-nonfinite-token",
-         "unknown-clause-field", "unknown-verb-field", "unknown-constituent-field", "unknown-feature-field"],
+         "string-nonfinite", "string-surface", "unknown-clause-field", "unknown-verb-field", "unknown-constituent-field", "unknown-feature-field"],
 )
 def test_malformed_field_is_an_input_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"

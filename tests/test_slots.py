@@ -22,6 +22,7 @@ from wortfolge import (
 )
 from wortfolge.clause import TRISTATE_VALUES
 from wortfolge.cli import main
+from wortfolge.lexicon import load_lexicon
 from wortfolge.linearize import CompiledClause, CooccurrenceViolation
 from wortfolge.slots import (
     KEY_TAGS,
@@ -126,6 +127,17 @@ def test_lexically_non_rhematic_modifier_has_no_rheme_slot(table, lex):
         oracle.sort_key(table, wohl, 0, tag=Tag.RHEME, lex=lex)
     with pytest.raises(InexpressibleTags, match=rf"^{re.escape(message)}$"):
         linearize(_vf(wohl), {"wohl": Tag.RHEME}, lex, table)
+
+
+def test_table_without_a_rheme_slot_names_no_veto(table):
+    # The entry admits every tag, so the missing slot is the table's and the
+    # message names no lexical veto.
+    lex = load_lexicon("x\t44\t44\t1\t1\t1\t-\t0\tg\n")
+    m = modifier("m", "x", 44)
+    for clause_type, constituents in ((ClauseType.V2, (c("er", "N", "er", pron=True), m)), (ClauseType.VF, (m,))):
+        spec = ClauseSpec(clause_type, VerbComplex(("hat",)), constituents)
+        with pytest.raises(InexpressibleTags, match=r"^no slot for m as RHEME$"):
+            linearize(spec, {"m": Tag.RHEME}, lex, table)
 
 
 def test_rheme_on_personal_pronoun_has_no_slot(table):
