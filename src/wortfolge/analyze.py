@@ -79,15 +79,19 @@ class AnalysisResult(_Value):
         warning: StressWarning | None = None,
         detected_focus: tuple[str, ...] = (),
     ):
-        _set(self, "verdict", verdict)
-        _set(self, "theme", theme)
-        _set(self, "rheme", rheme)
-        _set(self, "focus", focus)
-        _set(self, "focus_options", focus_options)
-        _set(self, "explanations", explanations)
-        _set(self, "markedness_cost", markedness_cost)
-        _set(self, "warning", warning)
-        _set(self, "detected_focus", detected_focus)
+        _set_verdict(self, verdict)
+        _set_theme(self, theme)
+        _set_rheme(self, rheme)
+        _set_focus(self, focus)
+        _set_focus_options(self, focus_options)
+        _set_explanations(self, explanations)
+        _set_markedness_cost(self, markedness_cost)
+        _set_warning(self, warning)
+        _set_detected_focus(self, detected_focus)
+
+
+(_set_verdict, _set_theme, _set_rheme, _set_focus, _set_focus_options, _set_explanations, _set_markedness_cost,
+ _set_warning, _set_detected_focus) = AnalysisResult._setters
 
 
 def _stress_focus(obs: ClauseSpec, ids: tuple[str, ...]) -> TagAssignment | None:
@@ -260,7 +264,7 @@ def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledC
         rheme=rheme,
         focus=focus_options[0] if len(focus_options) == 1 else None,
         focus_options=focus_options,
-        explanations=tuple([_tag_pairs(ids, *c) for c in carriers]),
+        explanations=tuple([_tag_pairs(ids, c) for c in carriers]),
         markedness_cost=int(bool(focus_options)),
         warning=warning,
         detected_focus=detected,

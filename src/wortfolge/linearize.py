@@ -20,10 +20,10 @@ Every direction compiles alike, one signature-index lookup per constituent;
 only the forward sorts append the input ordinal, to break ties.  An
 assignment moves at most three constituents away from the untagged order,
 so :meth:`CompiledClause.realize` sorts the untagged keys once per clause,
-places each theme and rheme pair once for all its focuses, and per focus
-and Vorfeld candidate swaps in only the focus's keys.
-:func:`enumerate_orders` leaves out carriers that can license nothing under
-their tag and renders each distinct order once, straight from its tokens.
+places each theme and rheme pair once for all its focuses, per focus and
+Vorfeld candidate swaps in only the focus's keys, and groups assignments by
+order as it goes.  :func:`enumerate_orders` leaves out carriers that can
+license nothing under their tag and renders each group once, from its tokens.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import operator
 
-from .clause import Category, ClauseSpec, ClauseType, Tag, _all_words, _set, _Value, _violations
+from .clause import Category, ClauseSpec, ClauseType, Tag, _all_words, _Value, _violations
 from .lexicon import Lexicon
 from .slots import KEY_TAGS, SlotTable, _lexical_veto, _signature, build_slot_table
 
@@ -74,9 +74,9 @@ class SurfaceOrder(_Value):
         rendered: tuple[str, ...],
         keys: tuple[tuple[str, tuple[int, int, int, int]], ...],
     ):
-        _set(self, "vorfeld", vorfeld)
-        _set(self, "rendered", rendered)
-        _set(self, "keys", keys)
+        _set_vorfeld(self, vorfeld)
+        _set_rendered(self, rendered)
+        _set_keys(self, keys)
 
     @property
     def mittelfeld(self) -> tuple[str, ...]:
@@ -92,6 +92,9 @@ class SurfaceOrder(_Value):
     @property
     def text(self) -> str:
         return " ".join(self.rendered)
+
+
+_set_vorfeld, _set_rendered, _set_keys = SurfaceOrder._setters
 
 
 def _frame(clause) -> tuple[list, list]:
@@ -132,15 +135,16 @@ def _surface(spec: ClauseSpec, frame, vorfeld: int | None, keys, focus: int | No
         tokens += [tok.upper() for tok in cs[vorfeld].surface] if vorfeld == focus else cs[vorfeld].surface
     for _, field in before:
         tokens += field
+    pairs = []
     for key in keys:
-        i = key[3]
-        tokens += [tok.upper() for tok in cs[i].surface] if i == focus else cs[i].surface
+        c = cs[key[3]]
+        pairs.append((c.id, key))
+        tokens += [tok.upper() for tok in c.surface] if key[3] == focus else c.surface
     for _, field in after:
         tokens += field
     if spec.clause_type is ClauseType.V2:
         tokens[0] = tokens[0][0].upper() + tokens[0][1:]
-    keys = tuple([(cs[key[3]].id, key) for key in keys])
-    return SurfaceOrder(None if vorfeld is None else cs[vorfeld].id, tuple(tokens), keys)
+    return SurfaceOrder(None if vorfeld is None else cs[vorfeld].id, tuple(tokens), tuple(pairs))
 
 
 def _carriers(clause: CompiledClause, tags: TagAssignment):
@@ -156,8 +160,9 @@ def _carriers(clause: CompiledClause, tags: TagAssignment):
     return theme, rheme, focus
 
 
-def _tag_pairs(ids, theme: int | None, rheme: int | None, focus: int | None) -> tuple[tuple[str, Tag], ...]:
-    """An assignment's sorted ``(id, tag)`` pairs, from its carriers' ordinals in ``ids``."""
+def _tag_pairs(ids, carriers: tuple[int | None, int | None, int | None]) -> tuple[tuple[str, Tag], ...]:
+    """An assignment's sorted ``(id, tag)`` pairs, from its ``(theme, rheme, focus)`` ordinals in ``ids``."""
+    theme, rheme, focus = carriers
     pairs = [] if theme is None else [(ids[theme], KEY_TAGS[1])]  # by index: cheaper than Tag.THEME
     if rheme is not None:
         pairs.append((ids[rheme], KEY_TAGS[2]))
@@ -236,8 +241,8 @@ def realizations(
     if clause.assignment_violations:
         return []
     theme, rheme, focus = _carriers(clause, tags)
-    frame, realized = _frame(spec), clause.realize([theme], [rheme], [focus])
-    return [_surface(spec, frame, order[0], keys, focus) for *_, order, keys in realized]
+    frame, grouped = _frame(spec), clause.realize([theme], [rheme], [focus])
+    return [_surface(spec, frame, vorfeld, keys, focus) for vorfeld, keys, focus, _ in grouped.values()]
 
 
 class CompiledClause:
@@ -394,27 +399,29 @@ class CompiledClause:
             vorfelds.append(focus)
         return vorfelds
 
-    def realize(self, themes, rhemes, focuses):
-        """Yield each ``(theme, rheme, focus, order, mittelfeld keys)`` the candidate carriers license.
+    def realize(self, themes, rhemes, focuses) -> dict[tuple, list]:
+        """Every order the candidate carriers license: ``order -> [vorfeld, keys, focus, carriers]``.
 
         The realization relation run forwards over every assignment of the
         candidate ordinals (None for an absent tag), nested theme, rheme,
         focus in the candidates' order; no constituent carries two tags.
         ``order`` is the Vorfeld's ordinal (None in VF), then the
-        Mittelfeld's, whose keys, with the ordinal appended as in
-        ``SurfaceOrder.keys``, come sorted.  The untagged keys are sorted once
-        per call.  Each theme and rheme pair swaps its carriers' tagged keys
-        into one copy (a V2 theme, the Vorfeld, leaves it), which every focus
-        shares.  Per focus and Vorfeld candidate (:meth:`_vorfelds`), the
-        Vorfeld leaves a copy and the focus takes each of its FOCUS keys in
-        turn; a second key that gives the same order is dropped.  A typically
-        rhematic theme, or a carrier outside the Vorfeld without a slot for
-        its tag, licenses nothing.
+        Mittelfeld's; the orders come in order of first appearance, each with
+        the ``(theme, rheme, focus)`` ``carriers`` that realize it, in search
+        order, and with the surface of its first focus-free carriers, if any,
+        else of its first: the Vorfeld, the sorted Mittelfeld keys (the
+        ordinal appended, as in ``SurfaceOrder.keys``) and the focus.  The
+        untagged keys are sorted once per call.  Each theme and rheme pair
+        swaps its carriers' tagged keys into one copy (a V2 theme, the
+        Vorfeld, leaves it), which every focus shares.  Per focus and Vorfeld
+        candidate (:meth:`_vorfelds`), the Vorfeld leaves a copy and the focus
+        takes each of its FOCUS keys in turn; a second key that gives the
+        same order is dropped.  A typically rhematic theme, or a carrier
+        outside the Vorfeld without a slot for its tag, licenses nothing.
         """
-        keys = [[None if k is None else tuple((*key, i) for key in k) for k in row]
-                for i, row in enumerate(self.keys)]
-        untagged = sorted(row[0][0] for row in keys)
-        v2 = self.clause_type is ClauseType.V2
+        keys = [[None if k is None else [(*key, i) for key in k] for k in row] for i, row in enumerate(self.keys)]
+        untagged = sorted([row[0][0] for row in keys])
+        v2, grouped = self.clause_type is ClauseType.V2, {}
         for theme in themes:
             themed = untagged
             if theme is not None:
@@ -439,27 +446,31 @@ class CompiledClause:
                 for focus in focuses:
                     if focus is not None and focus in (theme, rheme):
                         continue
+                    carriers = theme, rheme, focus
                     for vorfeld in fixed or self._vorfelds(theme, rheme, focus):
                         mittelfeld = shared
                         if vorfeld is not None and vorfeld != theme:
                             mittelfeld = shared.copy()
                             del mittelfeld[bisect.bisect_left(mittelfeld, keys[vorfeld][0][0])]
-                        if focus is None or focus == vorfeld:
-                            yield theme, rheme, focus, (vorfeld, *map(_ordinal, mittelfeld)), mittelfeld
-                            continue
-                        placed = keys[focus][3]
+                        placed = (None,) if focus is None or focus == vorfeld else keys[focus][3]
                         if placed is None:
                             continue
-                        unfocused = mittelfeld.copy() if mittelfeld is shared else mittelfeld
-                        del unfocused[bisect.bisect_left(unfocused, keys[focus][0][0])]
-                        previous = None
+                        if placed[0] is not None:  # the focus's untagged key gives way to each FOCUS key
+                            unfocused = mittelfeld.copy() if mittelfeld is shared else mittelfeld
+                            del unfocused[bisect.bisect_left(unfocused, keys[focus][0][0])]
                         for key in placed:
-                            mittelfeld = unfocused if key is placed[-1] else unfocused.copy()
-                            bisect.insort(mittelfeld, key)
+                            if key is not None:
+                                mittelfeld = unfocused if key is placed[-1] else unfocused.copy()
+                                bisect.insort(mittelfeld, key)
                             order = (vorfeld, *map(_ordinal, mittelfeld))
-                            if order != previous:
-                                yield theme, rheme, focus, order, mittelfeld
-                            previous = order
+                            group = grouped.get(order)
+                            if group is None:
+                                grouped[order] = [vorfeld, mittelfeld, focus, [carriers]]
+                            elif group[3][-1] is not carriers:  # else a second FOCUS key gave the same order
+                                if focus is None and group[2] is not None:
+                                    group[1], group[2] = mittelfeld, None
+                                group[3].append(carriers)
+        return grouped
 
 
 class OrderVariant(_Value):
@@ -468,8 +479,8 @@ class OrderVariant(_Value):
     __slots__ = ("surface", "assignments")
 
     def __init__(self, surface: SurfaceOrder, assignments: tuple[tuple[tuple[str, Tag], ...], ...]):
-        _set(self, "surface", surface)
-        _set(self, "assignments", assignments)
+        _set_surface(self, surface)
+        _set_assignments(self, assignments)
 
     @property
     def vorfeld(self) -> str | None:
@@ -479,6 +490,9 @@ class OrderVariant(_Value):
     def order(self) -> tuple[str, ...]:
         """Constituent ids in surface order, Vorfeld first."""
         return self.surface.order
+
+
+_set_surface, _set_assignments = OrderVariant._setters
 
 
 def _live_carriers(clause: CompiledClause):
@@ -517,8 +531,8 @@ def enumerate_orders(
     order and an absent tag first; assignments without a realization are
     skipped.  The clause is compiled once, carriers that can license nothing
     under their tag are left out, and one :meth:`CompiledClause.realize` run
-    covers the remaining assignments.  A variant's surface is that of its
-    first focus-free assignment, if it has one (no focus caps), and is
+    groups the remaining assignments by order.  A variant's surface is that
+    of its first focus-free assignment, if it has one (no focus caps), and is
     rendered once, after the search.  The output grows with the assignments,
     so a clause is capped at ``MAX_SEARCH_CONSTITUENTS`` constituents.
     """
@@ -527,15 +541,7 @@ def enumerate_orders(
         raise ValueError(f"clause has {n} constituents; exhaustive search is capped at {MAX_SEARCH_CONSTITUENTS}")
     clause = CompiledClause(spec, {}, lex, table or build_slot_table())
     ids, frame = [c.id for c in spec.constituents], _frame(spec)
-    # order -> [(vorfeld, keys, focus) of its surface, assignments]
-    grouped: dict[tuple, list] = {}
-    for theme, rheme, focus, order, keys in clause.realize(*_live_carriers(clause)):
-        assignment = _tag_pairs(ids, theme, rheme, focus)
-        group = grouped.get(order)
-        if group is None:
-            grouped[order] = [(order[0], keys, focus), [assignment]]
-            continue
-        if focus is None and group[0][2] is not None:
-            group[0] = (order[0], keys, None)
-        group[1].append(assignment)
-    return tuple(OrderVariant(_surface(spec, frame, *chosen), tuple(a)) for chosen, a in grouped.values())
+    return tuple([
+        OrderVariant(_surface(spec, frame, vorfeld, keys, focus), tuple([_tag_pairs(ids, c) for c in carriers]))
+        for vorfeld, keys, focus, carriers in clause.realize(*_live_carriers(clause)).values()
+    ])

@@ -9,6 +9,7 @@ import random
 from itertools import permutations
 
 from wortfolge import (
+    Category,
     Tag,
     Verdict,
     analyze,
@@ -266,7 +267,7 @@ def test_criterion_8_subject_vorfeld_in_default_generation(lex, table):
     checked = 0
     while checked < 300:
         spec = random_clause(rng, max_constituents=6)
-        subject = spec.subject()
+        subject = next((c for c in spec.constituents if c.category is Category.N), None)
         if spec.clause_type.value != "V2" or subject is None:
             continue
         try:
