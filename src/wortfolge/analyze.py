@@ -90,8 +90,15 @@ class AnalysisResult(_Value):
         _set_detected_focus(self, detected_focus)
 
 
-(_set_verdict, _set_theme, _set_rheme, _set_focus, _set_focus_options, _set_explanations, _set_markedness_cost,
- _set_warning, _set_detected_focus) = AnalysisResult._setters
+_set_verdict = AnalysisResult.verdict.__set__
+_set_theme = AnalysisResult.theme.__set__
+_set_rheme = AnalysisResult.rheme.__set__
+_set_focus = AnalysisResult.focus.__set__
+_set_focus_options = AnalysisResult.focus_options.__set__
+_set_explanations = AnalysisResult.explanations.__set__
+_set_markedness_cost = AnalysisResult.markedness_cost.__set__
+_set_warning = AnalysisResult.warning.__set__
+_set_detected_focus = AnalysisResult.detected_focus.__set__
 
 
 def _stress_focus(obs: ClauseSpec, ids: tuple[str, ...]) -> TagAssignment | None:

@@ -30,18 +30,15 @@ class _Value:
     any coercion or check; assigning or deleting a field raises
     ``AttributeError``.  ``==`` compares the type and the fields, and
     ``_replace`` rebuilds through the constructor, so it re-runs both.
-    ``_setters`` holds the ``__set__`` of each own slot descriptor, which
-    costs about half of ``_set`` per field: ``SurfaceOrder``,
-    ``OrderVariant`` and ``AnalysisResult``, built many times per call, use it.
+    ``SurfaceOrder``, ``OrderVariant`` and ``AnalysisResult``, built on every
+    call, use each field's slot descriptor ``__set__`` instead: half the cost.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        own = cls.__dict__.get("__slots__", ())
-        cls._fields = cls._fields + own
-        cls._setters = tuple([cls.__dict__[name].__set__ for name in own])
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -94,7 +94,9 @@ class SurfaceOrder(_Value):
         return " ".join(self.rendered)
 
 
-_set_vorfeld, _set_rendered, _set_keys = SurfaceOrder._setters
+_set_vorfeld = SurfaceOrder.vorfeld.__set__
+_set_rendered = SurfaceOrder.rendered.__set__
+_set_keys = SurfaceOrder.keys.__set__
 
 
 def _frame(clause) -> tuple[list, list]:
@@ -492,7 +494,8 @@ class OrderVariant(_Value):
         return self.surface.order
 
 
-_set_surface, _set_assignments = OrderVariant._setters
+_set_surface = OrderVariant.surface.__set__
+_set_assignments = OrderVariant.assignments.__set__
 
 
 def _live_carriers(clause: CompiledClause):
