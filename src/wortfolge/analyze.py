@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .clause import Category, ClauseSpec, ClauseType, Tag, _set, _Value
+from .clause import _FOCUS, _M, ClauseSpec, Tag, _set, _Value
 from .lexicon import Lexicon
 from .linearize import CompiledClause, TagAssignment, _tag_pairs
 from .slots import SlotTable, build_slot_table
@@ -48,6 +48,9 @@ class Verdict(str, Enum):
     GRAMMATICAL_UNMARKED = "GRAMMATICAL_UNMARKED"
     GRAMMATICAL_MARKED = "GRAMMATICAL_MARKED"
     UNGRAMMATICAL = "UNGRAMMATICAL"
+
+
+_UNMARKED, _MARKED, _UNGRAMMATICAL = Verdict.GRAMMATICAL_UNMARKED, Verdict.GRAMMATICAL_MARKED, Verdict.UNGRAMMATICAL
 
 
 class StressWarning(_Value):
@@ -101,13 +104,14 @@ _set_warning = AnalysisResult.warning.__set__
 _set_detected_focus = AnalysisResult.detected_focus.__set__
 
 
-def _stress_focus(obs: ClauseSpec, ids: tuple[str, ...]) -> TagAssignment | None:
-    """The FOCUS the stress marks on the clause of order ``ids`` fix: ``{}``
-    without marks, None for marks no assignment can carry (an unknown id, two ids)."""
-    if not obs.stress:
+def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
+    """The FOCUS the clause's stress marks fix: ``{}`` without marks, None
+    for marks no assignment can carry (an unknown id, two ids)."""
+    stress = obs.stress
+    if not stress:
         return {}
-    if len(obs.stress) == 1 and next(iter(obs.stress)) in ids:  # a tuple: never hashes an id
-        return {next(iter(obs.stress)): Tag.FOCUS}
+    if len(stress) == 1 and next(iter(stress)) in obs.order:  # a tuple: never hashes an id
+        return {next(iter(stress)): _FOCUS}
     return None
 
 
@@ -140,7 +144,8 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     compared (:func:`_vorfeld_starts`); the Vorfeld rule judges untagged ones.
     Assignments are ``(theme, rheme, focus)`` carrier triples of input
     ordinals, None for an absent tag, sorted by theme, rheme, then focus, an
-    absent tag first, as enumeration lists them; none: ungrammatical.  Stress marks are hard constraints: a
+    absent tag first, as enumeration lists them (sorted only when there are
+    two or more); none: ungrammatical.  Stress marks are hard constraints: a
     non-empty ``fixed`` puts FOCUS exactly on the marked constituent.
 
     Worst case: a branch's tags, and so its keys, follow from its carriers,
@@ -149,7 +154,7 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     below its predecessor's, almost all of them die where they are grown, and
     the cost follows the explanations; there is no size cap.
     """
-    v2 = clause.clause_type is ClauseType.V2
+    v2 = clause.v2
     stressed = ids.index(next(iter(fixed))) if fixed else None
     # A branch is (previous Mittelfeld key, theme, rheme, focus).
     branches = _vorfeld_starts(clause, stressed) if v2 and ids else [((), None, None, None)]
@@ -174,10 +179,17 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
                         grown.append((key, theme, rheme, i))
                         break
         branches = grown
-    return sorted(
-        (b[1:] for b in branches if not v2 or b[1] == 0 or b[3] == 0 or 0 in clause._vorfelds(*b[1:])),
-        key=lambda c: (-1 if c[0] is None else c[0], -1 if c[1] is None else c[1], -1 if c[2] is None else c[2]),
-    )
+    # A V2 theme is the Vorfeld or absent; an untagged Vorfeld must be the Vorfeld rule's pick.
+    found = [b[1:] for b in branches if not v2 or b[1] == 0 or b[3] == 0 or clause.vorfeld_pick(None, *b[2:]) == 0]
+    if len(found) > 1:
+        found.sort(key=_carrier_order)
+    return found
+
+
+def _carrier_order(carriers: tuple[int | None, ...]) -> tuple[int, ...]:
+    """Sort key of a ``(theme, rheme, focus)`` triple: an absent tag (None) first."""
+    theme, rheme, focus = carriers
+    return -1 if theme is None else theme, -1 if rheme is None else rheme, -1 if focus is None else focus
 
 
 def _detections(clause: CompiledClause, obs: ClauseSpec, table: SlotTable) -> tuple[str, ...]:
@@ -191,7 +203,7 @@ def _detections(clause: CompiledClause, obs: ClauseSpec, table: SlotTable) -> tu
     """
     keys, rhematic = clause.keys, clause.typically_rhematic
     hits: list[str] = []
-    if obs.clause_type is ClauseType.V2 and keys and rhematic[0]:
+    if clause.v2 and keys and rhematic[0]:
         # Fronting a late-field element is only marked when something else
         # would have opened the clause unmarked: an early-field element that
         # no tag can move out of the way (a rheme tag could).
@@ -204,11 +216,11 @@ def _detections(clause: CompiledClause, obs: ClauseSpec, table: SlotTable) -> tu
     # it.  Only pronouns whose default slot precedes the modifier bands have
     # the leftward tendency the construction relies on, and rheme-capable
     # ones (genitive pronouns) can stand late without stress.
-    start = 1 if obs.clause_type is ClauseType.V2 else 0
+    start = 1 if clause.v2 else 0
     seen_modifier = False
     for i in range(start, len(keys)):
         c = obs.constituents[i]
-        if c.category is Category.M:
+        if c.category is _M:
             seen_modifier = True
         elif c.features.pronominal and seen_modifier:
             default = keys[i][0]
@@ -235,9 +247,9 @@ def analyze(
 
 def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledClause, AnalysisResult]:
     """:func:`analyze`, also returning the compiled clause it read everything off."""
-    ids = obs.order
-    fixed = _stress_focus(obs, ids)
+    fixed = _stress_focus(obs)
     clause = CompiledClause(obs, fixed or {}, lex, table)
+    ids = tuple(clause.ordinals)  # in input order: compiling refuses a duplicate id
     carriers = [] if fixed is None else _explanations(clause, ids, fixed)
     detected = _detections(clause, obs, table)
 
@@ -255,24 +267,18 @@ def _analyze(obs: ClauseSpec, lex: Lexicon, table: SlotTable) -> tuple[CompiledC
         if not (last.features.pronominal or (entry is not None and not entry.rhematic)):
             rheme = ids[-1]
         # No rheme means the final constituent is inherently non-rhematic.
-        elif carriers and obs.clause_type is ClauseType.V2 and ids[-1] not in focus_options:
+        elif carriers and clause.v2 and ids[-1] not in focus_options:
             warning = StressWarning(verb_candidate=" ".join(obs.verb.finite), vorfeld_candidate=ids[0])
 
     if not carriers:
-        verdict = Verdict.UNGRAMMATICAL
+        verdict = _UNGRAMMATICAL
     elif focus_options or warning is not None:
-        verdict = Verdict.GRAMMATICAL_MARKED
+        verdict = _MARKED
     else:
-        verdict = Verdict.GRAMMATICAL_UNMARKED
+        verdict = _UNMARKED
 
+    focus = focus_options[0] if len(focus_options) == 1 else None
+    explanations = tuple([_tag_pairs(ids, c) for c in carriers])
     return clause, AnalysisResult(
-        verdict=verdict,
-        theme=theme,
-        rheme=rheme,
-        focus=focus_options[0] if len(focus_options) == 1 else None,
-        focus_options=focus_options,
-        explanations=tuple([_tag_pairs(ids, c) for c in carriers]),
-        markedness_cost=int(bool(focus_options)),
-        warning=warning,
-        detected_focus=detected,
+        verdict, theme, rheme, focus, focus_options, explanations, int(bool(focus_options)), warning, detected
     )

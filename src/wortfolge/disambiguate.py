@@ -10,7 +10,7 @@ Candidate generation is the caller's job; this module filters and ranks.
 
 from __future__ import annotations
 
-from .analyze import AnalysisResult, Verdict, _analyze
+from .analyze import _UNGRAMMATICAL, AnalysisResult, _analyze
 from .clause import ClauseSpec, _set, _Value
 from .lexicon import Lexicon, NO_NEGATION
 from .slots import SlotTable, build_slot_table
@@ -67,7 +67,7 @@ def rank_readings(
         ok = NEGATED not in candidate.constraint_context or not any(
             entry is not None and NO_NEGATION in entry.constraints for entry in clause.entries
         )
-        ungrammatical = result.verdict is Verdict.UNGRAMMATICAL
+        ungrammatical = result.verdict is _UNGRAMMATICAL
         sort_key = (0 if ok else 1, 1 if ungrammatical else 0, result.markedness_cost, index)
         scored.append((sort_key, candidate, ok, result))
     scored.sort(key=lambda item: item[0])

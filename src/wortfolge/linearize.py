@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import operator
 
-from .clause import Category, ClauseSpec, ClauseType, Tag, _all_words, _Value, _violations
+from .clause import _FOCUS, _RHEME, _THEME, _V2, Category, ClauseSpec, Tag, _all_words, _Value, _violations
 from .lexicon import Lexicon
 from .slots import KEY_TAGS, SlotTable, _lexical_veto, _signature, build_slot_table
 
@@ -109,7 +109,7 @@ def _frame(clause) -> tuple[list, list]:
     """
     verb = clause.verb
     after = [("V", verb.nonfinite)] if verb.nonfinite else []
-    if clause.clause_type is ClauseType.V2:
+    if clause.clause_type is _V2:
         return [("V", verb.finite)], after
     after.append(("V", verb.finite))
     return [("C", (clause.complementizer,))] if clause.complementizer else [], after
@@ -119,7 +119,7 @@ def _fields(clause, ordered) -> list:
     """The fields in surface order: ``(c, c.surface)`` for each of ``ordered`` (Vorfeld first) in the frame."""
     before, after = _frame(clause)
     fields = [(c, c.surface) for c in ordered]
-    vorfeld = 1 if clause.clause_type is ClauseType.V2 else 0
+    vorfeld = 1 if clause.clause_type is _V2 else 0
     return fields[:vorfeld] + before + fields[vorfeld:] + after
 
 
@@ -144,7 +144,7 @@ def _surface(spec: ClauseSpec, frame, vorfeld: int | None, keys, focus: int | No
         tokens += [tok.upper() for tok in c.surface] if key[3] == focus else c.surface
     for _, field in after:
         tokens += field
-    if spec.clause_type is ClauseType.V2:
+    if spec.clause_type is _V2:
         tokens[0] = tokens[0][0].upper() + tokens[0][1:]
     return SurfaceOrder(None if vorfeld is None else cs[vorfeld].id, tuple(tokens), tuple(pairs))
 
@@ -153,9 +153,9 @@ def _carriers(clause: CompiledClause, tags: TagAssignment):
     """Input ordinals of a well-formed assignment's theme, rheme and focus (None if absent)."""
     theme = rheme = focus = None
     for cid, tag in tags.items():  # every value is a Tag member, each at most once
-        if tag is Tag.THEME:
+        if tag is _THEME:
             theme = clause.ordinals[cid]
-        elif tag is Tag.RHEME:
+        elif tag is _RHEME:
             rheme = clause.ordinals[cid]
         else:
             focus = clause.ordinals[cid]
@@ -165,11 +165,11 @@ def _carriers(clause: CompiledClause, tags: TagAssignment):
 def _tag_pairs(ids, carriers: tuple[int | None, int | None, int | None]) -> tuple[tuple[str, Tag], ...]:
     """An assignment's sorted ``(id, tag)`` pairs, from its ``(theme, rheme, focus)`` ordinals in ``ids``."""
     theme, rheme, focus = carriers
-    pairs = [] if theme is None else [(ids[theme], KEY_TAGS[1])]  # by index: cheaper than Tag.THEME
+    pairs = [] if theme is None else [(ids[theme], _THEME)]
     if rheme is not None:
-        pairs.append((ids[rheme], KEY_TAGS[2]))
+        pairs.append((ids[rheme], _RHEME))
     if focus is not None:
-        pairs.append((ids[focus], KEY_TAGS[3]))
+        pairs.append((ids[focus], _FOCUS))
     pairs.sort()
     return tuple(pairs)
 
@@ -199,7 +199,7 @@ def linearize(
             "it opens the clause only under contrastive focus"
         )
     vorfeld = None
-    if spec.clause_type is ClauseType.V2:
+    if clause.v2:
         vorfeld = clause.vorfeld_pick(theme, rheme, focus)
         if vorfeld is None:
             raise NoVorfeld("no Vorfeld-capable constituent")
@@ -260,13 +260,14 @@ class CompiledClause:
     a tie is in order.  Untagged, THEME and RHEME placements are unique; a
     focus that fits both the early and the general focus slot has both keys,
     the later one being the marked right-field realization.  ``entries[i]``
-    is its lexicon entry (None without a key).  With ``vorfeld_capable``,
-    ``typically_rhematic`` and ``subject`` they are all that generation,
-    enumeration, analysis and disambiguation read.  Analysis reads the keys
-    in one walk over the input order and runs the Vorfeld rule only on the
-    surviving assignments with an untagged Vorfeld.  Assignments are given
-    as input ordinals of the theme, rheme and focus carriers, None for an
-    absent tag; ``ordinals`` maps each constituent id to its input ordinal.
+    is its lexicon entry (None without a key).  With ``v2`` (the clause type,
+    decided once), ``vorfeld_capable``, ``typically_rhematic`` and
+    ``subject`` they are all that generation, enumeration, analysis and
+    disambiguation read.  Analysis reads the keys in one walk over the input
+    order and runs the Vorfeld rule only on the surviving assignments with an
+    untagged Vorfeld.  Assignments are given as input ordinals of the theme,
+    rheme and focus carriers, None for an absent tag; ``ordinals`` maps each
+    constituent id to its input ordinal, in input order.
 
     Compiling is one loop over the constituents, reading each field once:
     one dict lookup in the table's signature index (its keys,
@@ -288,7 +289,7 @@ class CompiledClause:
     """
 
     __slots__ = (
-        "clause_type", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
+        "v2", "keys", "entries", "vorfeld_capable", "typically_rhematic", "subject",
         "assignment_violations", "ordinals",
     )
 
@@ -355,7 +356,7 @@ class CompiledClause:
         for violations in (clause_invalid + invalid, unplaced):  # no untagged slot: a spec defect too
             if violations:
                 raise ValueError("invalid clause spec: " + "; ".join(violations))
-        self.clause_type, self.ordinals = spec.clause_type, ordinals
+        self.v2, self.ordinals = spec.clause_type is _V2, ordinals
         self.keys = tuple(keys)
         self.entries = tuple(entries)
         self.vorfeld_capable = tuple(capable)
@@ -391,7 +392,7 @@ class CompiledClause:
         :meth:`vorfeld_pick` comes first, then the focus carrier (marked focus
         fronting).
         """
-        if self.clause_type is not ClauseType.V2:
+        if not self.v2:
             return [None]
         if theme is not None:
             return [theme] if self.vorfeld_capable[theme] else []
@@ -423,7 +424,7 @@ class CompiledClause:
         """
         keys = [[None if k is None else [(*key, i) for key in k] for k in row] for i, row in enumerate(self.keys)]
         untagged = sorted([row[0][0] for row in keys])
-        v2, grouped = self.clause_type is ClauseType.V2, {}
+        v2, grouped = self.v2, {}
         for theme in themes:
             themed = untagged
             if theme is not None:
@@ -508,7 +509,7 @@ def _live_carriers(clause: CompiledClause):
     V2, it can stand in the Vorfeld: as a Vorfeld-capable element, or as the
     subject, which :meth:`CompiledClause.vorfeld_pick` picks without asking.
     """
-    v2 = clause.clause_type is ClauseType.V2
+    v2 = clause.v2
     ordinals = range(len(clause.keys))
     themes = [
         i for i in ordinals

@@ -24,7 +24,9 @@ from __future__ import annotations
 import functools
 from importlib import resources
 
-from .clause import FEATURE_KEYED_CATEGORIES, MINUS, NA, PLUS, Category, Constituent, Tag, _set, _tsv_rows, _Value
+from .clause import (
+    FEATURE_KEYED_CATEGORIES, MINUS, NA, PLUS, _FOCUS, _RHEME, Category, Constituent, Tag, _set, _tsv_rows, _Value,
+)
 
 
 class SlotTableError(Exception):
@@ -218,9 +220,9 @@ def build_slot_table() -> SlotTable:
 def _lexical_veto(tag: Tag | None, entry) -> str | None:
     if entry is None or tag is None:
         return None
-    if tag is Tag.RHEME and not entry.rhematic:
+    if tag is _RHEME and not entry.rhematic:
         return f"{entry.lemma} is lexically non-rhematic"
-    if tag is Tag.FOCUS and not entry.focusable:
+    if tag is _FOCUS and not entry.focusable:
         return f"{entry.lemma} is lexically non-focusable"
     return None
 

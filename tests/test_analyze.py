@@ -104,6 +104,21 @@ def test_stress_on_the_vorfeld_element_focuses_it(dennoch_clause, lex):
     )
 
 
+@pytest.mark.parametrize("stress", [["sonst"], ["er", "morgen"]], ids=["unknown-id", "two-ids"])
+def test_stress_no_assignment_can_carry_is_read_after_compiling(dennoch_clause, lex, stress):
+    # Such marks leave a valid clause without explanations ...
+    result = analyze(dennoch_clause.reordered(["er", "dennoch", "morgen"], stress=stress), lex)
+    assert (result.verdict, result.explanations) == (Verdict.UNGRAMMATICAL, ())
+    # ... and an invalid one raises what it raises unmarked (``oracle.unusable_stress``).
+    twice = dennoch_clause._replace(constituents=dennoch_clause.constituents + (modifier("morgen", "morgen", 26),))
+    with pytest.raises(ValueError) as unmarked:
+        analyze(twice, lex)
+    with pytest.raises(ValueError) as marked:
+        analyze(twice._replace(stress=stress), lex)
+    assert str(unmarked.value) == "invalid clause spec: duplicate constituent id 'morgen'"
+    assert str(marked.value) == str(unmarked.value)
+
+
 def _v2_openers():
     """300 random clauses switched to V2, and one whose subject cannot open the
     clause (wohl#33), with each constituent first in turn."""

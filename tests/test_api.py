@@ -115,3 +115,43 @@ def test_test_modules_share_only_the_oracle_and_the_helpers():
                 target = (node.module or "").split(".")[0]
                 names = [alias.name for alias in node.names]
                 assert (target or names[0]) in SHARED, (path.name, target, names)
+
+
+#: The per-call engine functions that read enum members only through the
+#: bindings beside each enum (``_V2``, ``_THEME``, ...) or ``CompiledClause.v2``:
+#: a read through the class calls ``EnumType.__getattr__``, about ten times a
+#: global read (the ``wortfolge.clause`` module docstring).
+PER_CALL = {
+    "clause": ["_violations"],
+    "slots": ["_lexical_veto"],
+    "linearize": [
+        "_frame", "_fields", "_surface", "_carriers", "_tag_pairs", "linearize", "CompiledClause.__init__",
+        "CompiledClause._vorfelds", "CompiledClause.realize", "_live_carriers",
+    ],
+    "analyze": ["_stress_focus", "_explanations", "_carrier_order", "_detections", "_analyze"],
+    "disambiguate": ["rank_readings"],
+}
+ENUMS = {"Category", "ClauseType", "Tag", "Verdict"}
+
+
+def _enum_reads(node) -> list[str]:
+    """Every ``<enum>.<member>`` read under ``node``, except in f-strings (refusal messages)."""
+    if isinstance(node, ast.JoinedStr):
+        return []
+    reads = []
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ENUMS:
+        reads.append(f"{node.value.id}.{node.attr}")
+    for child in ast.iter_child_nodes(node):
+        reads += _enum_reads(child)
+    return reads
+
+
+def test_per_call_paths_read_no_enum_member_through_its_class():
+    for module, functions in PER_CALL.items():
+        tree = ast.parse((Path(wortfolge.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+        for dotted in functions:
+            node = tree
+            for name in dotted.split("."):
+                node = next(n for n in node.body if getattr(n, "name", None) == name)
+            assert isinstance(node, ast.FunctionDef), (module, dotted)
+            assert not _enum_reads(node), (module, dotted, _enum_reads(node))
