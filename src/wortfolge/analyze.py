@@ -12,8 +12,9 @@ every such assignment involves focus.  Analysis runs the generator backwards
 without generating: the clause is compiled once into the slot keys of every
 constituent under every tag, and an assignment realizes the observed order iff
 no linear-precedence statement is violated (the ID/LP reading of the slot
-table): its theme is admissible, in V2 the Vorfeld rule admits the first
-element, and no Mittelfeld key falls below its predecessor's along the
+table): the theme rule admits its theme, in V2 the Vorfeld rule admits the
+first element (both rules are :class:`CompiledClause`'s, asked, not restated,
+here), and no Mittelfeld key falls below its predecessor's along the
 observed order (equal keys tie; the table orders neither before the other).
 Since that is a property of adjacent pairs, the assignments are found in one
 left-to-right walk over the Mittelfeld that tags a constituent only where its
@@ -115,34 +116,20 @@ def _stress_focus(obs: ClauseSpec) -> TagAssignment | None:
     return None
 
 
-def _vorfeld_starts(clause: CompiledClause, stressed: int | None) -> list[tuple]:
-    """The walk's branches after a V2 Vorfeld, which it never compares.
-
-    An unstressed Vorfeld goes on untagged, for the Vorfeld rule to judge at
-    the end.  Tagged, it is settled here, as the rule then ignores the other
-    carriers (:meth:`CompiledClause._vorfelds`): a theme iff unstressed,
-    Vorfeld-capable and not typically rhematic; a focus iff no other is
-    stressed and it is Vorfeld-capable or the subject; never a rheme."""
-    starts = [] if stressed == 0 else [((), None, None, None)]
-    if stressed != 0 and clause.vorfeld_capable[0] and not clause.typically_rhematic[0]:
-        starts.append(((), 0, None, None))
-    if stressed in (None, 0) and (clause.vorfeld_capable[0] or clause.subject == 0):
-        starts.append(((), None, None, 0))
-    return starts
-
-
 def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tuple[int | None, ...]]:
     """Every tag assignment whose realizations include the observed order ``ids``.
 
     One left-to-right walk over the observed order.  A branch is a prefix of
     an assignment with its last Mittelfeld key; at each position it goes on
     untagged, or under each unused tag the position has a slot for (a theme
-    never typically rhematic, and in V2 never in the Mittelfeld), and it dies
-    at the first key below its predecessor's, one test per tag.  A focus
-    takes the first of its keys not below its predecessor's, which leaves the
-    most room for the rest.  The walk starts after the V2 Vorfeld, never
-    compared (:func:`_vorfeld_starts`); the Vorfeld rule judges untagged ones.
-    Assignments are ``(theme, rheme, focus)`` carrier triples of input
+    as :meth:`CompiledClause.admits_theme` admits it, in V2 never in the
+    Mittelfeld), and it dies at the first key below its predecessor's, one
+    test per tag.  A focus takes the first of its keys not below its
+    predecessor's, which leaves the most room for the rest.  The walk starts
+    after the V2 Vorfeld, never compared: tagged, it is settled there by
+    asking the compiled clause's rules alone, as the Vorfeld rule then
+    ignores the other carriers; untagged, the Vorfeld rule judges it at the
+    end.  Assignments are ``(theme, rheme, focus)`` carrier triples of input
     ordinals, None for an absent tag, sorted by theme, rheme, then focus, an
     absent tag first, as enumeration lists them (sorted only when there are
     two or more); none: ungrammatical.  Stress marks are hard constraints: a
@@ -157,13 +144,18 @@ def _explanations(clause: CompiledClause, ids, fixed: TagAssignment) -> list[tup
     v2 = clause.v2
     stressed = ids.index(next(iter(fixed))) if fixed else None
     # A branch is (previous Mittelfeld key, theme, rheme, focus).
-    branches = _vorfeld_starts(clause, stressed) if v2 and ids else [((), None, None, None)]
+    branches = [] if v2 and stressed == 0 else [((), None, None, None)]
+    if v2 and ids:
+        if stressed != 0 and clause.admits_theme(0):
+            branches.append(((), 0, None, None))
+        if stressed in (None, 0) and 0 in clause._vorfelds(None, None, 0):
+            branches.append(((), None, None, 0))
     for i in range(1 if v2 else 0, len(ids)):
         untagged, theme_keys, rheme_keys, focus_keys = clause.keys[i]
         # Per tag, the key it gives position i, or a false value where it may not; a focus's keys in table order.
         free = i != stressed
         u, r = free and untagged[0], free and rheme_keys and rheme_keys[0]
-        t = free and not v2 and theme_keys and not clause.typically_rhematic[i] and theme_keys[0]
+        t = free and not v2 and clause.admits_theme(i) and theme_keys[0]
         focus_keys = focus_keys if stressed in (None, i) else None
         grown = []
         for prev, theme, rheme, focus in branches:
@@ -205,12 +197,9 @@ def _detections(clause: CompiledClause, obs: ClauseSpec, table: SlotTable) -> tu
     hits: list[str] = []
     if clause.v2 and keys and rhematic[0]:
         # Fronting a late-field element is only marked when something else
-        # would have opened the clause unmarked: an early-field element that
-        # no tag can move out of the way (a rheme tag could).
-        if any(
-            not rhematic[i] and clause.vorfeld_capable[i] and keys[i][2] is None
-            for i in range(1, len(keys))
-        ):
+        # would have opened the clause unmarked: a possible theme that no
+        # tag can move out of the way (a rheme tag could).
+        if any(clause.admits_theme(i) and keys[i][2] is None for i in range(1, len(keys))):
             hits.append(obs.constituents[0].id)
     # Pattern (b) concerns Mittelfeld order; the Vorfeld occupant is outside
     # it.  Only pronouns whose default slot precedes the modifier bands have

@@ -11,8 +11,9 @@ Vorfeld and a focused constituent surfacing in the late (general) focus slot
 instead of the early one.  Every output of ``linearize`` is among its
 realizations.  Generation, realization, enumeration and analysis share one
 implementation, :class:`CompiledClause`: the clause is validated and keyed
-once, with its Vorfeld rule (:meth:`CompiledClause.vorfeld_pick`), then used
-forwards (:func:`linearize` takes each element's first key;
+once, with its theme and Vorfeld rules
+(:meth:`CompiledClause.admits_theme`, :meth:`CompiledClause.vorfeld_pick`),
+then used forwards (:func:`linearize` takes each element's first key;
 :meth:`CompiledClause.realize`, behind :func:`realizations` and
 :func:`enumerate_orders`, takes every key) and backwards, by the analyzer's
 one walk over a given order, which compares only adjacent keys.
@@ -261,11 +262,13 @@ class CompiledClause:
     focus that fits both the early and the general focus slot has both keys,
     the later one being the marked right-field realization.  ``entries[i]``
     is its lexicon entry (None without a key).  With ``v2`` (the clause type,
-    decided once), ``vorfeld_capable``, ``typically_rhematic`` and
-    ``subject`` they are all that generation, enumeration, analysis and
-    disambiguation read.  Analysis reads the keys in one walk over the input
-    order and runs the Vorfeld rule only on the surviving assignments with an
-    untagged Vorfeld.  Assignments are given as input ordinals of the theme,
+    decided once) and ``typically_rhematic`` they are all that generation,
+    enumeration, analysis and disambiguation read, besides two rules that
+    are stated here and nowhere else: the theme rule (:meth:`admits_theme`)
+    and the V2 Vorfeld rule (:meth:`vorfeld_pick`, :meth:`_vorfelds`), the
+    only readers of ``vorfeld_capable`` and ``subject``.  Analysis reads the
+    keys in one walk over the input order and asks the Vorfeld rule about
+    the Vorfeld only.  Assignments are given as input ordinals of the theme,
     rheme and focus carriers, None for an absent tag; ``ordinals`` maps each
     constituent id to its input ordinal, in input order.
 
@@ -363,16 +366,23 @@ class CompiledClause:
         self.typically_rhematic = tuple(rhematic)
         self.subject = groups[0][0] if groups[0] else None
 
+    def admits_theme(self, i: int) -> bool:
+        """The theme rule: the constituent with ordinal ``i`` can carry THEME.
+
+        Never a typically rhematic element; in V2 the theme opens the clause,
+        so it must be Vorfeld-capable, and in VF it needs a THEME slot.
+        """
+        return not self.typically_rhematic[i] and (self.vorfeld_capable[i] if self.v2 else self.keys[i][1] is not None)
+
     def vorfeld_pick(self, theme: int | None, rheme: int | None, focus: int | None) -> int | None:
         """The V2 Vorfeld rule: theme, else subject, else first capable element.
 
-        A theme that cannot open the clause (lexically Vorfeld-incapable)
-        falls through to the subject; a rheme never opens the clause.  Among
-        the other Vorfeld-capable elements with a slot for their tag, the one
-        with the lowest key (the first of equal keys) opens.  None when
-        nothing can.
+        A theme the theme rule refuses (:meth:`admits_theme`) falls through
+        to the subject; a rheme never opens the clause.  Among the other
+        Vorfeld-capable elements with a slot for their tag, the one with the
+        lowest key (the first of equal keys) opens.  None when nothing can.
         """
-        if theme is not None and self.vorfeld_capable[theme]:
+        if theme is not None and self.admits_theme(theme):
             return theme
         if self.subject is not None and self.subject != rheme:
             return self.subject
@@ -388,14 +398,14 @@ class CompiledClause:
     def _vorfelds(self, theme: int | None, rheme: int | None, focus: int | None) -> list[int | None]:
         """The assignment's Vorfeld candidates in order; ``[None]`` in VF.
 
-        In V2 a theme must open the clause, if it can.  Without a theme the
-        :meth:`vorfeld_pick` comes first, then the focus carrier (marked focus
-        fronting).
+        In V2 a theme must open the clause, if :meth:`admits_theme`.  Without
+        a theme the :meth:`vorfeld_pick` comes first, then the focus carrier
+        (marked focus fronting).
         """
         if not self.v2:
             return [None]
         if theme is not None:
-            return [theme] if self.vorfeld_capable[theme] else []
+            return [theme] if self.admits_theme(theme) else []
         pick = self.vorfeld_pick(None, rheme, focus)
         vorfelds = [] if pick is None else [pick]
         if focus is not None and focus != pick and self.vorfeld_capable[focus]:
@@ -419,7 +429,7 @@ class CompiledClause:
         Vorfeld, leaves it), which every focus shares.  Per focus and Vorfeld
         candidate (:meth:`_vorfelds`), the Vorfeld leaves a copy and the focus
         takes each of its FOCUS keys in turn; a second key that gives the
-        same order is dropped.  A typically rhematic theme, or a carrier
+        same order is dropped.  A theme the theme rule refuses, or a carrier
         outside the Vorfeld without a slot for its tag, licenses nothing.
         """
         keys = [[None if k is None else [(*key, i) for key in k] for k in row] for i, row in enumerate(self.keys)]
@@ -428,13 +438,12 @@ class CompiledClause:
         for theme in themes:
             themed = untagged
             if theme is not None:
-                placed = keys[theme][1]
-                if self.typically_rhematic[theme] or (not self.vorfeld_capable[theme] if v2 else placed is None):
+                if not self.admits_theme(theme):
                     continue
                 themed = untagged.copy()
                 del themed[bisect.bisect_left(themed, keys[theme][0][0])]
                 if not v2:
-                    bisect.insort(themed, placed[0])
+                    bisect.insort(themed, keys[theme][1][0])
             for rheme in rhemes:
                 shared = themed
                 if rheme is not None:
@@ -503,23 +512,16 @@ def _live_carriers(clause: CompiledClause):
     """Per tag, None and then the ordinals whose carrying it may license an order.
 
     Read off :meth:`CompiledClause.realize`, so every carrier left out
-    realizes nothing.  A theme must not be typically rhematic; in V2 it must
-    open the clause, in VF it needs a THEME slot.  A rheme never opens the
-    clause, so it needs a RHEME slot.  A focus needs a FOCUS slot unless, in
-    V2, it can stand in the Vorfeld: as a Vorfeld-capable element, or as the
-    subject, which :meth:`CompiledClause.vorfeld_pick` picks without asking.
+    realizes nothing.  It asks the compiled clause's two rules, which are
+    stated nowhere else: a theme must pass :meth:`CompiledClause.admits_theme`.
+    A rheme never opens the clause, so it needs a RHEME slot.  A focus needs
+    a FOCUS slot unless the Vorfeld rule (:meth:`CompiledClause._vorfelds`)
+    lets it open the clause as the only carrier, which it never does in VF.
     """
-    v2 = clause.v2
     ordinals = range(len(clause.keys))
-    themes = [
-        i for i in ordinals
-        if not clause.typically_rhematic[i] and (clause.vorfeld_capable[i] if v2 else clause.keys[i][1] is not None)
-    ]
+    themes = [i for i in ordinals if clause.admits_theme(i)]
     rhemes = [i for i in ordinals if clause.keys[i][2] is not None]
-    focuses = [
-        i for i in ordinals
-        if clause.keys[i][3] is not None or (v2 and (clause.vorfeld_capable[i] or i == clause.subject))
-    ]
+    focuses = [i for i in ordinals if clause.keys[i][3] is not None or i in clause._vorfelds(None, None, i)]
     return [None, *themes], [None, *rhemes], [None, *focuses]
 
 

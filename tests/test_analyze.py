@@ -15,7 +15,7 @@ from wortfolge import (
 )
 
 from .conftest import c, modifier
-from .oracle import reference_explain_order
+from .oracle import agree, outcome, reference_analyze, reference_explain_order
 from .strategies import random_clause, sample_valid_pairs
 
 
@@ -120,55 +120,33 @@ def test_stress_no_assignment_can_carry_is_read_after_compiling(dennoch_clause, 
 
 
 def _v2_openers():
-    """300 random clauses switched to V2, and one whose subject cannot open the
-    clause (wohl#33), with each constituent first in turn."""
+    """Every seventh of 300 random clauses switched to V2, and one whose
+    subject cannot open the clause (wohl#33), with each constituent first in
+    turn, under no stress mark, the mark on the Vorfeld and the mark on
+    position 1."""
     rng = random.Random(28)
     specs = [random_clause(rng, 5)._replace(clause_type=ClauseType.V2, complementizer=None) for _ in range(300)]
     incapable_subject = (c("er", "N", "er", pron=True, key="wohl#33"), modifier("morgen", "morgen", 26))
-    specs.append(ClauseSpec(ClauseType.V2, VerbComplex(("kommt",)), incapable_subject))
+    specs = specs[::7] + [ClauseSpec(ClauseType.V2, VerbComplex(("kommt",)), incapable_subject)]
     for spec in specs:
-        cs = spec.constituents
-        for first in range(len(cs)):
-            yield spec._replace(constituents=(cs[first], *cs[:first], *cs[first + 1:]))
+        ids = spec.order
+        for first in range(len(ids)):
+            order = (ids[first], *ids[:first], *ids[first + 1:])
+            for stress in ((), *((cid,) for cid in order[:2])):
+                yield spec.reordered(order, stress)
 
 
-def test_the_walk_settles_a_tagged_vorfeld_as_the_vorfeld_rule_does(lex, table):
-    # The walk starts after the V2 Vorfeld with _vorfeld_starts' branches.  A
-    # tagged start must be there iff the Vorfeld rule lets its carrier open the
-    # clause (a typically rhematic theme realizes nothing), whatever the other
-    # two carriers, under no stress mark, the Vorfeld's own or another one; an
-    # untagged start iff the Vorfeld is unstressed, the rule judging it later.
-    from wortfolge.analyze import _vorfeld_starts
-    from wortfolge.linearize import CompiledClause
-
-    checked = 0
-    for spec in _v2_openers():
-        clause = CompiledClause(spec, {}, lex, table)
-        n = len(spec.constituents)
-        for stressed in (None, 0, 1) if n > 1 else (None, 0):
-            starts = _vorfeld_starts(clause, stressed)
-            assert (((), None, None, None) in starts) == (stressed != 0)
-            for column in range(3):
-                start = [None, None, None]
-                start[column] = 0
-                admitted = ((), *start) in starts
-                consistent = 0
-                for a in [None, *range(1, n)]:
-                    for b in [None, *range(1, n)]:
-                        if a is not None and a == b:
-                            continue
-                        theme, rheme, focus = carriers = [*[a, b][:column], 0, *[a, b][column:]]
-                        if stressed is not None and focus != stressed:
-                            continue  # the stress mark puts FOCUS on the marked constituent
-                        if theme not in (None, 0):
-                            continue  # the walk gives no V2 Mittelfeld theme
-                        opens = 0 in clause._vorfelds(*carriers) and not (theme == 0 and clause.typically_rhematic[0])
-                        assert admitted == opens, (spec.order, stressed, carriers)
-                        consistent += 1
-                if not consistent:
-                    assert not admitted, (spec.order, stressed, column)
-                checked += consistent
-    assert checked > 10_000
+def test_analysis_of_each_v2_opener_agrees_with_the_oracle(lex, table):
+    # The walk settles a tagged V2 Vorfeld at its start by asking the compiled
+    # clause's theme and Vorfeld rules, and an untagged one at its end.  Each
+    # constituent opens in turn, stressed or not, so every start the rules
+    # admit or refuse is compared with the reference search.  All 300 clauses
+    # agree as well; every seventh keeps the test near a second.
+    analyzed = 0
+    for obs in _v2_openers():
+        got = outcome(analyze, obs, lex, table)
+        analyzed += agree(got, outcome(reference_analyze, obs, lex, table), obs, table)
+    assert analyzed > 300
 
 
 #: Alike constituents: tied modifiers, prepositional objects, genitives.

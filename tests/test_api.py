@@ -34,7 +34,7 @@ REMOVED = (
     "sort_key", "all_sort_keys", "_slot_keys", "_no_slot", "NoSlotError", "explain_order",
     "detect_focus_constructions", "validate_clause", "observe", "spec_of", "parse_observed", "_observed_from_order",
     "dump_lexicon", "_check_search_size", "load_default_corpus", "SortKey",
-    "VERBAL_CATEGORIES",
+    "VERBAL_CATEGORIES", "_vorfeld_starts",
 )
 
 #: The engine functions the oracle may call: the table and lexicon loaders.
@@ -126,7 +126,7 @@ PER_CALL = {
     "slots": ["_lexical_veto"],
     "linearize": [
         "_frame", "_fields", "_surface", "_carriers", "_tag_pairs", "linearize", "CompiledClause.__init__",
-        "CompiledClause._vorfelds", "CompiledClause.realize", "_live_carriers",
+        "CompiledClause.admits_theme", "CompiledClause._vorfelds", "CompiledClause.realize", "_live_carriers",
     ],
     "analyze": ["_stress_focus", "_explanations", "_carrier_order", "_detections", "_analyze"],
     "disambiguate": ["rank_readings"],
@@ -155,3 +155,20 @@ def test_per_call_paths_read_no_enum_member_through_its_class():
                 node = next(n for n in node.body if getattr(n, "name", None) == name)
             assert isinstance(node, ast.FunctionDef), (module, dotted)
             assert not _enum_reads(node), (module, dotted, _enum_reads(node))
+
+
+def test_the_theme_and_vorfeld_rules_are_stated_only_in_the_compiled_clause():
+    # CompiledClause.admits_theme states the theme rule, and vorfeld_pick and
+    # _vorfelds the Vorfeld rule; everything else asks them.  So the facts the
+    # rules are stated in, Vorfeld capability and the subject, are read nowhere
+    # outside the class.
+    outside = []
+    for path in sorted(Path(wortfolge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        compiled = next((n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CompiledClause"), None)
+        inside = set() if compiled is None else {id(n) for n in ast.walk(compiled)}
+        outside += [
+            (path.name, node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("vorfeld_capable", "subject") and id(node) not in inside
+        ]
+    assert not outside
